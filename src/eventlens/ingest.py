@@ -8,8 +8,15 @@ the same layout the test fixtures use, so a warm cache directory doubles
 as an offline dataset and every downstream step is reproducible without
 network access.
 
+A series is stored as columns: a datetime64[D] date array and an (n, 4)
+float64 open/high/low/close array. Both parsers collect plain floats and
+check the bar invariants, date order and duplicates on whole arrays; a
+``DailyBar`` is only built when a caller reads ``RawSeries.bars``.
+
 Parse failures are fatal for the whole series rather than row-skipping:
-a silently dropped day would corrupt date alignment downstream.
+a silently dropped day would corrupt date alignment downstream. When a
+CSV body fails the whole-array checks, it is walked row by row so the
+error names the first offending row in file order.
 """
 
 from __future__ import annotations
@@ -24,10 +31,12 @@ import time
 import urllib.parse
 import urllib.request
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
+
+import numpy as np
 
 from .errors import (
     BarInvariantError,
@@ -41,6 +50,7 @@ from .errors import (
 API_KEY_ENV = "EVENTLENS_API_KEY"
 DEFAULT_BASE_URL = "https://www.alphavantage.co/query"
 CSV_HEADER = "date,open,high,low,close"
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 Transport = Callable[[str], bytes]
 
@@ -66,6 +76,39 @@ class InstrumentId:
             raise ConfigError(f"instrument symbol {self.symbol!r} may not contain '.' or ','")
 
 
+def _check_bar(date: dt.date, open_: float, high: float, low: float, close: float) -> None:
+    """Raise BarInvariantError naming ``date`` if the quotes break a bar invariant."""
+    values = (open_, high, low, close)
+    if not all(math.isfinite(v) for v in values):
+        raise BarInvariantError(f"non-finite quote on {date.isoformat()}")
+    if not all(v > 0.0 for v in values):
+        raise BarInvariantError(f"non-positive quote on {date.isoformat()}")
+    if not (low <= min(open_, close) and max(open_, close) <= high):
+        raise BarInvariantError(
+            f"OHLC ordering violated on {date.isoformat()}: "
+            f"open={open_} high={high} low={low} close={close}"
+        )
+
+
+def _valid_bars(quotes: np.ndarray) -> np.ndarray:
+    """Per row of an (n, 4) open/high/low/close array: does it pass ``_check_bar``?"""
+    open_, high, low, close = quotes.T
+    return (
+        np.isfinite(quotes).all(axis=1)
+        & (quotes > 0.0).all(axis=1)
+        & (low <= np.minimum(open_, close))
+        & (np.maximum(open_, close) <= high)
+    )
+
+
+def _check_bars(dates: np.ndarray, quotes: np.ndarray) -> None:
+    """Vectorized ``_check_bar`` over rows in order; the first bad row names the error."""
+    valid = _valid_bars(quotes)
+    if not valid.all():
+        row = int(np.argmin(valid))
+        _check_bar(dates[row].item(), *quotes[row].tolist())
+
+
 @dataclass(frozen=True)
 class DailyBar:
     """One trading day's open/high/low/close quote.
@@ -81,42 +124,95 @@ class DailyBar:
     close: float
 
     def __post_init__(self) -> None:
-        values = (self.open, self.high, self.low, self.close)
-        if not all(math.isfinite(v) for v in values):
-            raise BarInvariantError(f"non-finite quote on {self.date.isoformat()}")
-        if not all(v > 0.0 for v in values):
-            raise BarInvariantError(f"non-positive quote on {self.date.isoformat()}")
-        if not (self.low <= min(self.open, self.close) and max(self.open, self.close) <= self.high):
-            raise BarInvariantError(
-                f"OHLC ordering violated on {self.date.isoformat()}: "
-                f"open={self.open} high={self.high} low={self.low} close={self.close}"
-            )
+        _check_bar(self.date, self.open, self.high, self.low, self.close)
 
 
-@dataclass(frozen=True)
 class RawSeries:
-    """An instrument's daily bars, strictly ascending by date.
+    """An instrument's daily bars, strictly ascending by date, stored as columns.
+
+    ``dates`` is a read-only datetime64[D] array and ``quotes`` a read-only
+    (n, 4) float64 array of open/high/low/close, one row per date.
+    ``bars`` is the same data as a tuple of DailyBar row views, built on
+    first access; the pipeline itself only reads the columns.
 
     ``synthetic_ohlc`` flags series whose source quoted only a close, with
     open=high=low=close synthesized. The CSV wire format cannot carry the
     flag, so it is provenance metadata excluded from equality.
     """
 
-    instrument: InstrumentId
-    bars: tuple[DailyBar, ...]
-    synthetic_ohlc: bool = field(default=False, compare=False)
+    __slots__ = ("instrument", "dates", "quotes", "synthetic_ohlc", "_bars")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bars", tuple(self.bars))
-        for prev, cur in zip(self.bars, self.bars[1:]):
-            if cur.date <= prev.date:
-                raise DataFormatError(
-                    f"series {self.instrument.symbol}: dates not strictly increasing "
-                    f"at {cur.date.isoformat()}"
-                )
+    def __init__(
+        self, instrument: InstrumentId, bars: Iterable[DailyBar], synthetic_ohlc: bool = False
+    ) -> None:
+        bars = tuple(bars)
+        dates = np.array([bar.date for bar in bars], dtype="datetime64[D]")
+        quotes = np.array(
+            [(bar.open, bar.high, bar.low, bar.close) for bar in bars], dtype=float
+        ).reshape(len(bars), 4)
+        self._set(instrument, dates, quotes, synthetic_ohlc, bars)
+
+    @classmethod
+    def _from_columns(
+        cls,
+        instrument: InstrumentId,
+        dates: np.ndarray,
+        quotes: np.ndarray,
+        synthetic_ohlc: bool = False,
+    ) -> "RawSeries":
+        """Wrap columns whose every row already passed the bar invariants."""
+        series = object.__new__(cls)
+        series._set(instrument, dates, quotes, synthetic_ohlc, None)
+        return series
+
+    def _set(self, instrument, dates, quotes, synthetic_ohlc, bars) -> None:
+        later = dates[1:] <= dates[:-1]
+        if later.any():
+            raise DataFormatError(
+                f"series {instrument.symbol}: dates not strictly increasing "
+                f"at {dates[int(np.argmax(later)) + 1]}"
+            )
+        dates.flags.writeable = False
+        quotes.flags.writeable = False
+        object.__setattr__(self, "instrument", instrument)
+        object.__setattr__(self, "dates", dates)
+        object.__setattr__(self, "quotes", quotes)
+        object.__setattr__(self, "synthetic_ohlc", synthetic_ohlc)
+        object.__setattr__(self, "_bars", bars)
+
+    @property
+    def bars(self) -> tuple[DailyBar, ...]:
+        if self._bars is None:
+            bars = tuple(map(DailyBar, self.dates.tolist(), *self.quotes.T.tolist()))
+            object.__setattr__(self, "_bars", bars)
+        return self._bars
 
     def __len__(self) -> int:
-        return len(self.bars)
+        return len(self.dates)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RawSeries):
+            return NotImplemented
+        return (
+            self.instrument == other.instrument
+            and np.array_equal(self.dates, other.dates)
+            and np.array_equal(self.quotes, other.quotes)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.instrument, self.dates.tobytes(), self.quotes.tobytes()))
+
+    def __repr__(self) -> str:
+        return (
+            f"RawSeries(instrument={self.instrument!r}, {len(self)} bars, "
+            f"synthetic_ohlc={self.synthetic_ohlc})"
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 @dataclass
@@ -274,33 +370,47 @@ def parse_provider_payload(body: bytes, instrument: InstrumentId) -> RawSeries:
     if series_map is None:
         raise DataFormatError(f"payload for {instrument.symbol} has no daily series map")
 
-    bars = []
+    days: list[int] = []
+    rows: list[tuple[float, float, float, float]] = []
     synthesized = False
-    for date_str in sorted(series_map):
-        try:
-            date = dt.date.fromisoformat(date_str)
-        except ValueError as exc:
-            raise DataFormatError(f"bad date key {date_str!r}") from exc
-        fields = _match_fields(series_map[date_str])
-        if "close" not in fields:
-            raise DataFormatError(f"entry {date_str} has no close quote")
-        close = _parse_quote(fields["close"], date_str, "close")
-        if all(name in fields for name in ("open", "high", "low")):
-            bar = DailyBar(
-                date=date,
-                open=_parse_quote(fields["open"], date_str, "open"),
-                high=_parse_quote(fields["high"], date_str, "high"),
-                low=_parse_quote(fields["low"], date_str, "low"),
-                close=close,
-            )
-        elif not any(name in fields for name in ("open", "high", "low")):
-            bar = DailyBar(date=date, open=close, high=close, low=close, close=close)
-            synthesized = True
-        else:
-            raise DataFormatError(f"entry {date_str} has a partial OHLC set")
-        bars.append(bar)
+    try:
+        for date_str in sorted(series_map):
+            try:
+                date = dt.date.fromisoformat(date_str)
+            except ValueError as exc:
+                raise DataFormatError(f"bad date key {date_str!r}") from exc
+            fields = _match_fields(series_map[date_str])
+            if "close" not in fields:
+                raise DataFormatError(f"entry {date_str} has no close quote")
+            close = _parse_quote(fields["close"], date_str, "close")
+            if all(name in fields for name in ("open", "high", "low")):
+                rows.append((
+                    _parse_quote(fields["open"], date_str, "open"),
+                    _parse_quote(fields["high"], date_str, "high"),
+                    _parse_quote(fields["low"], date_str, "low"),
+                    close,
+                ))
+            elif not any(name in fields for name in ("open", "high", "low")):
+                rows.append((close, close, close, close))
+                synthesized = True
+            else:
+                raise DataFormatError(f"entry {date_str} has a partial OHLC set")
+            days.append(date.toordinal())
+    except DataFormatError:
+        # Entries are checked in date order, so a broken bar before the
+        # malformed entry is the error to report.
+        _check_bars(*_columns(days, rows))
+        raise
+    dates, quotes = _columns(days, rows)
+    _check_bars(dates, quotes)
+    return RawSeries._from_columns(instrument, dates, quotes, synthetic_ohlc=synthesized)
 
-    return RawSeries(instrument, tuple(bars), synthetic_ohlc=synthesized)
+
+def _columns(ordinals, rows) -> tuple[np.ndarray, np.ndarray]:
+    """datetime64[D] dates from proleptic Gregorian day ordinals, plus the
+    quote rows as an (n, 4) float array."""
+    dates = (np.asarray(ordinals, dtype=np.int64) - _EPOCH_ORDINAL).astype("datetime64[D]")
+    return dates, np.asarray(rows, dtype=float).reshape(len(dates), 4)
 
 
 # --- CSV fixture / cache format ----------------------------------------------
@@ -308,12 +418,10 @@ def parse_provider_payload(body: bytes, instrument: InstrumentId) -> RawSeries:
 def series_to_csv_bytes(series: RawSeries) -> bytes:
     """Serialize to the bit-exact CSV format: LF newlines, shortest
     round-trip decimals, single trailing newline."""
-    lines = [CSV_HEADER]
-    for bar in series.bars:
-        lines.append(
-            f"{bar.date.isoformat()},{bar.open!r},{bar.high!r},{bar.low!r},{bar.close!r}"
-        )
-    return ("\n".join(lines) + "\n").encode("ascii")
+    dates = np.datetime_as_string(series.dates).tolist()
+    cells = list(map(repr, series.quotes.ravel().tolist()))
+    rows = map(",".join, zip(dates, cells[0::4], cells[1::4], cells[2::4], cells[3::4]))
+    return "\n".join([CSV_HEADER, *rows, ""]).encode("ascii")
 
 
 _write_locks: dict[str, threading.Lock] = {}
@@ -342,6 +450,7 @@ def load_csv(path: Path, instrument: InstrumentId) -> RawSeries:
 
     Duplicate dates, a wrong header, or any malformed row fail the whole
     load. An empty body under a valid header yields an empty series.
+    Rows may come in any date order; the series is sorted.
     """
     path = Path(path)
     try:
@@ -352,13 +461,56 @@ def load_csv(path: Path, instrument: InstrumentId) -> RawSeries:
         # CRLF files would not round-trip byte-exactly and would silently
         # change data digests on the next cache rewrite
         raise DataFormatError(f"{path}: carriage returns found; the format is LF-only")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != CSV_HEADER:
+    if text != CSV_HEADER and not text.startswith(CSV_HEADER + "\n"):
         raise DataFormatError(f"{path}: expected header {CSV_HEADER!r}")
 
-    bars = []
+    body = text[len(CSV_HEADER) + 1 :].removesuffix("\n")
+    columns = _parse_rows(body) if body else None
+    if columns is None:
+        columns = _walk_rows(path, text)
+    return RawSeries._from_columns(instrument, *columns)
+
+
+def _parse_rows(body: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """Dates and quotes of a CSV body, sorted by date, with every row checked
+    at once; None unless every row is well formed, uniquely dated and a
+    valid bar, so that ``_walk_rows`` can name what is wrong."""
+    raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    newline = raw[(raw == ord(",")) | (raw == ord("\n"))] == ord("\n")
+    # Each row has exactly five fields iff the separators run ",,,,\n" per row.
+    if newline.size % 5 != 4 or not np.array_equal(
+        np.flatnonzero(newline), np.arange(4, newline.size, 5)
+    ):
+        return None
+    cells = body.replace("\n", ",").split(",")
+    n = len(cells) // 5
+    try:
+        days = np.fromiter(
+            map(dt.date.toordinal, map(dt.date.fromisoformat, cells[::5])), dtype=np.int64, count=n
+        )
+        del cells[::5]
+        quotes = np.fromiter(map(float, cells), dtype=float, count=4 * n)
+    except ValueError:
+        return None
+    quotes = quotes.reshape(n, 4)
+    if not _valid_bars(quotes).all():
+        return None
+    if not (days[1:] > days[:-1]).all():
+        order = np.argsort(days)
+        days, quotes = days[order], quotes[order]
+        if not (days[1:] > days[:-1]).all():
+            return None
+    return _columns(days, quotes)
+
+
+def _walk_rows(path: Path, text: str) -> tuple[np.ndarray, np.ndarray]:
+    """The row-by-row reference parse: raises for the first offending row in
+    file order, or returns the sorted columns when no row offends."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    days: list[int] = []
+    rows: list[list[float]] = []
     seen: set[dt.date] = set()
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
@@ -375,10 +527,11 @@ def load_csv(path: Path, instrument: InstrumentId) -> RawSeries:
             _parse_quote(raw, date.isoformat(), name)
             for raw, name in zip(parts[1:], ("open", "high", "low", "close"))
         ]
-        bars.append(DailyBar(date, *quotes))
-
-    bars.sort(key=lambda bar: bar.date)
-    return RawSeries(instrument, tuple(bars))
+        _check_bar(date, *quotes)
+        days.append(date.toordinal())
+        rows.append(quotes)
+    order = sorted(range(len(days)), key=days.__getitem__)
+    return _columns([days[i] for i in order], [rows[i] for i in order])
 
 
 def fetch_daily(

@@ -3,14 +3,16 @@
 Alignment is an inner join on dates: any day absent from any input series
 is dropped for all of them. Forward-filling is deliberately not offered
 because it would manufacture flat quotes around exactly the dates an event
-study cares about. Panels are immutable after construction and safe to
-share across threads.
+study cares about. The join intersects the series' date arrays and looks
+each one's rows up by binary search. A panel is one read-only
+(n_columns, n_rows) array, and slicing it by a date window returns views,
+so panels are immutable after construction and safe to share across
+threads.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -91,55 +93,77 @@ class DateWindow:
 class AlignedPanel:
     """A date-indexed matrix of named columns with no missing cells.
 
-    Columns are stored in canonical (symbol, field) order and exposed as
-    read-only float arrays, each exactly as long as the date index.
+    Cells live in one read-only (n_columns, n_rows) C-order float array with
+    a key->row index, columns in canonical (symbol, field) order, so every
+    column is a contiguous read-only view exactly as long as the date
+    index. Keep it so: BLAS dot products round strided vectors differently.
+    Slices share the array and index of the panel they come from.
     """
 
-    __slots__ = ("_dates", "_columns")
+    __slots__ = ("_days", "_values", "_index", "_dates")
 
     def __init__(
         self,
         dates: Sequence[dt.date],
         columns: Mapping[ColumnKey, Sequence[float] | np.ndarray],
     ) -> None:
-        dates_t = tuple(dates)
-        if not dates_t:
+        days = np.array(dates, dtype="datetime64[D]")
+        if not days.size:
             raise PanelError("panel requires at least one date")
-        for prev, cur in zip(dates_t, dates_t[1:]):
-            if cur <= prev:
-                raise PanelError(f"panel dates not strictly increasing at {cur.isoformat()}")
+        later = days[1:] <= days[:-1]
+        if later.any():
+            cur = days[int(np.argmax(later)) + 1]
+            raise PanelError(f"panel dates not strictly increasing at {cur}")
         if not columns:
             raise PanelError("panel requires at least one column")
 
-        stored: dict[ColumnKey, np.ndarray] = {}
-        for key in sorted(columns, key=ColumnKey.sort_key):
-            array = np.array(columns[key], dtype=float)
-            if array.ndim != 1 or array.shape[0] != len(dates_t):
+        keys = sorted(columns, key=ColumnKey.sort_key)
+        values = np.empty((len(keys), days.size))
+        for row, key in enumerate(keys):
+            array = np.asarray(columns[key], dtype=float)
+            if array.shape != (days.size,):
                 raise PanelError(
-                    f"column {key.name} has {array.shape} values for {len(dates_t)} dates"
+                    f"column {key.name} has {array.shape} values for {days.size} dates"
                 )
             if not np.all(np.isfinite(array)):
                 raise PanelError(f"column {key.name} contains non-finite cells")
-            array.flags.writeable = False
-            stored[key] = array
-        self._dates = dates_t
-        self._columns = stored
+            values[row] = array
+        self._set(days, values, {key: row for row, key in enumerate(keys)})
+
+    @classmethod
+    def _of(
+        cls, days: np.ndarray, values: np.ndarray, index: dict[ColumnKey, int]
+    ) -> "AlignedPanel":
+        """A panel over arrays that already hold a panel's invariants."""
+        panel = object.__new__(cls)
+        panel._set(days, values, index)
+        return panel
+
+    def _set(self, days: np.ndarray, values: np.ndarray, index: dict[ColumnKey, int]) -> None:
+        days.flags.writeable = False
+        values.flags.writeable = False
+        self._days = days
+        self._values = values
+        self._index = index
+        self._dates = None
 
     @property
     def dates(self) -> tuple[dt.date, ...]:
+        if self._dates is None:
+            self._dates = tuple(self._days.tolist())
         return self._dates
 
     @property
     def keys(self) -> tuple[ColumnKey, ...]:
-        return tuple(self._columns)
+        return tuple(self._index)
 
     @property
     def n_rows(self) -> int:
-        return len(self._dates)
+        return self._days.size
 
     def column(self, key: ColumnKey) -> np.ndarray:
         try:
-            return self._columns[key]
+            return self._values[self._index[key]]
         except KeyError:
             raise PanelError(f"unknown column {key.name}") from None
 
@@ -148,20 +172,27 @@ class AlignedPanel:
         return np.column_stack([self.column(key) for key in keys])
 
     def slice(self, window: DateWindow) -> "AlignedPanel":
-        """Rows with window.start <= date <= window.end, all columns alike."""
-        lo = bisect_left(self._dates, window.start)
-        hi = bisect_right(self._dates, window.end)
+        """Rows with window.start <= date <= window.end, all columns alike,
+        as views of this panel's arrays."""
+        lo = int(np.searchsorted(self._days, np.datetime64(window.start, "D"), "left"))
+        hi = int(np.searchsorted(self._days, np.datetime64(window.end, "D"), "right"))
         if lo >= hi:
             raise PanelError(f"window {window} contains no panel dates")
-        return AlignedPanel(
-            self._dates[lo:hi], {key: arr[lo:hi] for key, arr in self._columns.items()}
-        )
+        return AlignedPanel._of(self._days[lo:hi], self._values[:, lo:hi], self._index)
+
+    def take(self, rows: Sequence[int] | np.ndarray, onto: "AlignedPanel") -> "AlignedPanel":
+        """Rows ``rows`` of every column, in that order, re-dated onto the
+        dates of ``onto``, which has exactly one date per requested row."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.shape != (onto.n_rows,):
+            raise PanelError(f"{rows.size} rows requested for {onto.n_rows} dates")
+        return AlignedPanel._of(onto._days, np.take(self._values, rows, axis=1), self._index)
 
     def to_csv_bytes(self) -> bytes:
-        lines = ["date," + ",".join(key.name for key in self._columns)]
-        for i, date in enumerate(self._dates):
-            cells = ",".join(repr(float(arr[i])) for arr in self._columns.values())
-            lines.append(f"{date.isoformat()},{cells}")
+        lines = ["date," + ",".join(key.name for key in self._index)]
+        dates = np.datetime_as_string(self._days).tolist()
+        for date, row in zip(dates, self._values.T.tolist()):
+            lines.append(date + "," + ",".join(map(repr, row)))
         return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -186,20 +217,22 @@ def align(series_set: Iterable[RawSeries], fields: Iterable[BarField] = FIELD_OR
         if symbol in seen:
             raise PanelError(f"duplicate instrument symbol {symbol}")
         seen.add(symbol)
-        if not series.bars:
+        if not len(series):
             raise PanelError(f"series {symbol} is empty")
 
-    common: set[dt.date] = {bar.date for bar in series_list[0].bars}
+    days = series_list[0].dates
     for series in series_list[1:]:
-        common &= {bar.date for bar in series.bars}
-    if not common:
+        days = np.intersect1d(days, series.dates, assume_unique=True)
+    if not days.size:
         raise PanelError("series share no common dates")
-    dates = tuple(sorted(common))
 
-    columns: dict[ColumnKey, np.ndarray] = {}
-    for series in series_list:
-        by_date = {bar.date: bar for bar in series.bars}
-        for field in field_list:
-            values = np.array([getattr(by_date[d], field.value) for d in dates], dtype=float)
-            columns[ColumnKey(series.instrument.symbol, field)] = values
-    return AlignedPanel(dates, columns)
+    # Series hold finite, strictly dated quotes, so the panel needs no checks.
+    quote_columns = [FIELD_ORDER.index(f) for f in field_list]
+    ordered = sorted(series_list, key=lambda series: series.instrument.symbol)
+    values = np.empty((len(ordered), len(field_list), days.size))
+    index: dict[ColumnKey, int] = {}
+    for i, series in enumerate(ordered):
+        values[i] = series.quotes[np.searchsorted(series.dates, days)].T[quote_columns]
+        for j, field in enumerate(field_list):
+            index[ColumnKey(series.instrument.symbol, field)] = len(index)
+    return AlignedPanel._of(days, values.reshape(len(index), days.size), index)

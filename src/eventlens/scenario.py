@@ -240,10 +240,7 @@ def projection_features(
     if config.projection_mode is ProjectionMode.ORACLE_FEATURES:
         return projection
     source = panel.slice(config.source_window)
-    indices = np.arange(projection.n_rows) % source.n_rows
-    return AlignedPanel(
-        projection.dates, {key: source.column(key)[indices] for key in source.keys}
-    )
+    return source.take(np.arange(projection.n_rows) % source.n_rows, onto=projection)
 
 
 def projection_cycles(config: ScenarioConfig, panel: AlignedPanel) -> int:

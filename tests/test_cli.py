@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from eventlens import cli
+from eventlens import DailyBar, cli
 
 from conftest import SYNTHETIC_DIR
 
@@ -52,6 +52,16 @@ def test_offline_runs_are_byte_identical(tmp_path, no_network):
     assert cli.main(["run", "--config", NOISY_CONFIG, "--offline", "--out", str(out1)]) == 0
     assert cli.main(["run", "--config", NOISY_CONFIG, "--offline", "--out", str(out2)]) == 0
     assert read_bundle(out1) == read_bundle(out2)
+
+
+def test_offline_run_builds_no_daily_bars(tmp_path, monkeypatch, no_network):
+    # Series and panels are columnar; a per-bar object on this path is a regression.
+    built = []
+    monkeypatch.setattr(DailyBar, "__post_init__", lambda bar: built.append(bar.date))
+    argv = ["run", "--config", NOISY_CONFIG, "--offline", "--out", str(tmp_path / "bundle"),
+            "--save-report", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
+    assert built == []
 
 
 def test_format_subset_limits_files(tmp_path, no_network):

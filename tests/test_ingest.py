@@ -4,12 +4,15 @@ import datetime as dt
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventlens import (
     BarInvariantError,
     ConfigError,
     DailyBar,
     DataFormatError,
+    EventLensError,
     InstrumentId,
     InstrumentKind,
     ProviderConfig,
@@ -68,6 +71,24 @@ def test_raw_series_rejects_duplicate_dates():
     bars = (make_bar(dt.date(2022, 1, 3), 2.0), make_bar(dt.date(2022, 1, 3), 2.0))
     with pytest.raises(DataFormatError):
         RawSeries(GOLD, bars)
+
+
+def test_raw_series_is_frozen_and_its_columns_read_only():
+    series = make_series("GOLD", dt.date(2022, 1, 3), [1.5, 2.5])
+    with pytest.raises(AttributeError):
+        series.dates = series.dates[:1]
+    with pytest.raises(ValueError):
+        series.quotes[0, 0] = 9.0
+    with pytest.raises(ValueError):
+        series.dates[0] = series.dates[1]
+
+
+def test_raw_series_columns_match_bars():
+    series = make_series("GOLD", dt.date(2022, 1, 3), [1.5, 2.5])
+    assert series.dates.dtype == "datetime64[D]"
+    assert series.dates.tolist() == [bar.date for bar in series.bars]
+    assert series.quotes.shape == (2, 4)
+    assert series.quotes.tolist() == [[b.open, b.high, b.low, b.close] for b in series.bars]
 
 
 def test_instrument_symbol_validation():
@@ -445,3 +466,211 @@ def test_rate_limiter_rejects_nonpositive_limit():
 def test_provider_config_rejects_bad_rate_limit(tmp_path):
     with pytest.raises(ConfigError):
         ProviderConfig(cache_dir=tmp_path, rate_limit=0)
+
+
+# --- edge cases: the exception and message the row-by-row parser gives ----------
+# Recorded from the row-by-row implementation. numpy's datetime64 parser
+# accepts several of these dates ("NaT", year 0, five-digit years, "today"),
+# so a vectorized parser must not let them through.
+
+
+def row(date: str, open_="1.0", high="2.0", low="0.5", close="1.5") -> str:
+    return ",".join((date, open_, high, low, close))
+
+
+BAD_OHLC_ROW = row("2022-01-04", high="0.4", close="0.45")
+OHLC_ERROR = "OHLC ordering violated on {date}: open=1.0 high=0.4 low=0.5 close=0.45"
+DATA, BAR = DataFormatError, BarInvariantError
+
+CSV_EDGE_CASES = {
+    "nat": ([row("NaT")], DATA, "{path}:2: bad date 'NaT'"),
+    "year_zero": ([row("0000-01-03")], DATA, "{path}:2: bad date '0000-01-03'"),
+    "year_five_digits": ([row("10000-01-03")], DATA, "{path}:2: bad date '10000-01-03'"),
+    "year_negative": ([row("-0001-01-03")], DATA, "{path}:2: bad date '-0001-01-03'"),
+    "today": ([row("2022-01-05"), row("today")], DATA, "{path}:3: bad date 'today'"),
+    "now": ([row("now")], DATA, "{path}:2: bad date 'now'"),
+    "year_month": ([row("2022-01")], DATA, "{path}:2: bad date '2022-01'"),
+    "date_time": ([row("2022-01-03T00")], DATA, "{path}:2: bad date '2022-01-03T00'"),
+    "padded_date": ([row(" 2022-01-03")], DATA, "{path}:2: bad date ' 2022-01-03'"),
+    "day_out_of_range": ([row("2022-02-30")], DATA, "{path}:2: bad date '2022-02-30'"),
+    "inf_quote": (
+        [row("2022-01-05"), row("2022-01-06", high="inf")], BAR, "non-finite quote on 2022-01-06"
+    ),
+    "nan_quote": ([row("2022-01-06", close="nan")], BAR, "non-finite quote on 2022-01-06"),
+    "zero_quote": ([row("2022-01-03", "0.0", low="0.0")], BAR, "non-positive quote on 2022-01-03"),
+    "unparseable_quote": (
+        [row("2022-01-06", low="n/a")], DATA, "unparseable low quote 'n/a' for 2022-01-06"
+    ),
+    # five fields per row on average, but not in any one row
+    "six_then_four_fields": (
+        [row("2022-01-03") + ",9", "2022-01-04,1.0,2.0,0.5"],
+        DATA,
+        "{path}:2: expected 5 fields, got 6",
+    ),
+    "blank_line_inside": (
+        [row("2022-01-03"), "", row("2022-01-04")], DATA, "{path}:3: expected 5 fields, got 1"
+    ),
+    # the first offending row in file order names the error
+    "bad_ohlc_then_duplicate": (
+        [row("2022-01-03"), BAD_OHLC_ROW, row("2022-01-03")],
+        BAR,
+        OHLC_ERROR.format(date="2022-01-04"),
+    ),
+    "duplicate_then_bad_ohlc": (
+        [row("2022-01-03"), row("2022-01-03"), BAD_OHLC_ROW],
+        DATA,
+        "{path}:3: duplicate date 2022-01-03",
+    ),
+    "unsorted_bad_rows": (
+        [BAD_OHLC_ROW, row("2022-01-03", "-1.0")], BAR, OHLC_ERROR.format(date="2022-01-04")
+    ),
+    "bad_quote_then_bad_date": (
+        [row("2022-01-03", low="x"), row("NaT")], DATA, "unparseable low quote 'x' for 2022-01-03"
+    ),
+}
+
+# Lenient forms the parser has always accepted, and what they load as.
+CSV_ACCEPTED = {
+    "basic_date": (
+        [row("2022-01-04"), row("20220103")], [row("2022-01-03"), row("2022-01-04")]
+    ),
+    "week_date": ([row("2022-W01-1")], [row("2022-01-03")]),
+    "underscore_quote": (
+        [row("2022-01-03", "1_0", "20.0")], [row("2022-01-03", "10.0", "20.0")]
+    ),
+    "padded_quote": ([row("2022-01-03", " 1.0")], [row("2022-01-03")]),
+    "unsorted_rows": (
+        [row("2022-01-05"), row("2022-01-03"), row("2022-01-04", "1.1")],
+        [row("2022-01-03"), row("2022-01-04", "1.1"), row("2022-01-05")],
+    ),
+}
+
+
+def write_rows(tmp_path, rows: list[str]):
+    path = tmp_path / "GOLD.csv"
+    path.write_text("date,open,high,low,close\n" + "".join(row + "\n" for row in rows))
+    return path
+
+
+@pytest.mark.parametrize(
+    "rows,error,message", CSV_EDGE_CASES.values(), ids=CSV_EDGE_CASES.keys()
+)
+def test_load_csv_edge_case_errors(tmp_path, rows, error, message):
+    path = write_rows(tmp_path, rows)
+    with pytest.raises(EventLensError) as info:
+        load_csv(path, GOLD)
+    assert type(info.value) is error
+    assert str(info.value) == message.replace("{path}", str(path))
+
+
+@pytest.mark.parametrize("rows,loaded", CSV_ACCEPTED.values(), ids=CSV_ACCEPTED.keys())
+def test_load_csv_edge_case_accepted(tmp_path, rows, loaded):
+    series = load_csv(write_rows(tmp_path, rows), GOLD)
+    expected = "date,open,high,low,close\n" + "".join(row + "\n" for row in loaded)
+    assert series_to_csv_bytes(series).decode() == expected
+
+
+def entry(open_="1.0", high="2.0", low="0.5", close="1.5") -> dict:
+    return {"open": open_, "high": high, "low": low, "close": close}
+
+
+BAD_OHLC_ENTRY = entry(high="0.4", close="0.45")
+
+PAYLOAD_EDGE_CASES = {
+    "year_zero_key": ({"0000-01-03": {"close": "1.5"}}, DATA, "bad date key '0000-01-03'"),
+    "day_out_of_range_key": ({"2022-02-30": {"close": "1.5"}}, DATA, "bad date key '2022-02-30'"),
+    "inf_quote": ({"2022-01-03": entry(high="inf")}, BAR, "non-finite quote on 2022-01-03"),
+    "nan_close_only": ({"2022-01-03": {"close": "nan"}}, BAR, "non-finite quote on 2022-01-03"),
+    "later_bad_bar": (
+        {"2022-01-03": {"close": "1.5"}, "2022-01-04": {"close": "-1.5"}},
+        BAR,
+        "non-positive quote on 2022-01-04",
+    ),
+    # entries are checked in date order: an earlier broken bar wins
+    "bad_bar_then_unparseable": (
+        {"2022-01-03": BAD_OHLC_ENTRY, "2022-01-04": entry(low="x")},
+        BAR,
+        OHLC_ERROR.format(date="2022-01-03"),
+    ),
+    "unparseable_then_bad_bar": (
+        {"2022-01-04": BAD_OHLC_ENTRY, "2022-01-03": entry(low="x")},
+        DATA,
+        "unparseable low quote 'x' for 2022-01-03",
+    ),
+    "bad_bar_then_partial": (
+        {"2022-01-03": BAD_OHLC_ENTRY, "2022-01-04": {"open": "1.0", "close": "1.5"}},
+        BAR,
+        OHLC_ERROR.format(date="2022-01-03"),
+    ),
+    "bad_bar_then_bad_key": (
+        {"2022-01-03": BAD_OHLC_ENTRY, "2022-02-30": {"close": "1.5"}},
+        BAR,
+        OHLC_ERROR.format(date="2022-01-03"),
+    ),
+    "bad_bar_then_no_close": (
+        {"2022-01-03": BAD_OHLC_ENTRY, "2022-01-04": {"open": "1.0"}},
+        BAR,
+        OHLC_ERROR.format(date="2022-01-03"),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "entries,error,message", PAYLOAD_EDGE_CASES.values(), ids=PAYLOAD_EDGE_CASES.keys()
+)
+def test_parse_payload_edge_case_errors(entries, error, message):
+    with pytest.raises(EventLensError) as info:
+        parse_provider_payload(payload_bytes(entries), GOLD)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_parse_payload_accepts_underscore_decimal():
+    body = payload_bytes({"2022-01-03": entry(open_="1_0", high="20")})
+    series = parse_provider_payload(body, GOLD)
+    expected = b"date,open,high,low,close\n2022-01-03,10.0,20.0,0.5,1.5\n"
+    assert series_to_csv_bytes(series) == expected
+
+
+# --- properties -------------------------------------------------------------------
+
+positive_quotes = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def raw_series(draw, symbol: str = "GOLD") -> RawSeries:
+    ordinals = draw(
+        st.lists(
+            st.integers(dt.date.min.toordinal(), dt.date.max.toordinal()), unique=True, max_size=25
+        )
+    )
+    bars = []
+    for ordinal in sorted(ordinals):
+        low, a, b, high = sorted(draw(st.lists(positive_quotes, min_size=4, max_size=4)))
+        open_, close = draw(st.permutations([a, b]))
+        bars.append(DailyBar(dt.date.fromordinal(ordinal), open_, high, low, close))
+    return RawSeries(InstrumentId(symbol, InstrumentKind.COMMODITY), bars)
+
+
+def reference_csv_bytes(series: RawSeries) -> bytes:
+    lines = ["date,open,high,low,close"]
+    for bar in series.bars:
+        lines.append(f"{bar.date.isoformat()},{bar.open!r},{bar.high!r},{bar.low!r},{bar.close!r}")
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+@settings(deadline=None)
+@given(raw_series())
+def test_csv_bytes_match_per_bar_reference(series):
+    assert series_to_csv_bytes(series) == reference_csv_bytes(series)
+
+
+@settings(deadline=None)
+@given(series=raw_series())
+def test_load_csv_inverts_write_csv(tmp_path_factory, series):
+    path = tmp_path_factory.mktemp("roundtrip") / "GOLD.csv"
+    write_csv(series, path)
+    loaded = load_csv(path, series.instrument)
+    assert loaded == series
+    assert loaded.bars == series.bars
+    assert RawSeries(series.instrument, loaded.bars) == series

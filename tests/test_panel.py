@@ -4,11 +4,13 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eventlens import ConfigError, PanelError
-from eventlens.panel import AlignedPanel, BarField, ColumnKey, DateWindow, align
+from eventlens import ConfigError, DailyBar, PanelError, RawSeries
+from eventlens.panel import FIELD_ORDER, AlignedPanel, BarField, ColumnKey, DateWindow, align
 
-from conftest import make_series, random_series
+from conftest import make_instrument, make_series, random_series
 
 D = dt.date
 
@@ -103,6 +105,54 @@ def test_align_is_order_insensitive(rng):
         np.testing.assert_array_equal(forward.column(key), backward.column(key))
 
 
+def reference_align(series_list, fields):
+    """The set-based inner join: dates every series has, cells looked up by date."""
+    common = set.intersection(*({bar.date for bar in series.bars} for series in series_list))
+    dates = tuple(sorted(common))
+    columns = {}
+    for series in series_list:
+        by_date = {bar.date: bar for bar in series.bars}
+        for field in FIELD_ORDER:
+            if field in fields:
+                key = ColumnKey(series.instrument.symbol, field)
+                columns[key] = [getattr(by_date[d], field.value) for d in dates]
+    return dates, columns
+
+
+@st.composite
+def overlapping_series(draw):
+    """A few series over one short stretch of days, so their dates overlap in part."""
+    symbols = draw(st.lists(st.sampled_from("ABCDEFG"), min_size=1, max_size=5, unique=True))
+    series_list = []
+    for symbol in symbols:
+        offsets = draw(st.lists(st.integers(0, 30), min_size=1, max_size=31, unique=True))
+        bars = []
+        for offset in sorted(offsets):
+            close = draw(st.floats(1.0, 1e6))
+            spread = draw(st.floats(0.0, 0.5))
+            bars.append(DailyBar(D(2022, 1, 1) + dt.timedelta(offset), close, close + spread,
+                                 close - spread, close))
+        series_list.append(RawSeries(make_instrument(symbol), bars))
+    return series_list
+
+
+@settings(deadline=None)
+@given(overlapping_series(), st.sets(st.sampled_from(FIELD_ORDER), min_size=1), st.randoms())
+def test_align_matches_set_based_join_in_any_input_order(series_list, fields, random):
+    dates, columns = reference_align(series_list, fields)
+    shuffled = list(series_list)
+    random.shuffle(shuffled)
+    if not dates:
+        with pytest.raises(PanelError, match="no common dates"):
+            align(shuffled, fields)
+        return
+    panel = align(shuffled, fields)
+    assert panel.dates == dates
+    assert panel.keys == tuple(sorted(columns, key=ColumnKey.sort_key))
+    for key, expected in columns.items():
+        np.testing.assert_array_equal(panel.column(key), expected)
+
+
 def test_align_field_subset_keeps_canonical_order():
     series = make_series("A", D(2022, 1, 3), [1.0, 2.0])
     panel = align([series], fields={BarField.CLOSE, BarField.OPEN})
@@ -189,6 +239,33 @@ def test_column_matches_source_bars():
 def test_columns_are_read_only(week_panel):
     with pytest.raises(ValueError):
         week_panel.column(closes("A"))[0] = 99.0
+
+
+def assert_columns_contiguous_read_only(panel):
+    for key in panel.keys:
+        column = panel.column(key)
+        assert column.flags.c_contiguous and not column.flags.writeable, key.name
+
+
+def test_columns_are_contiguous_read_only_views(rng):
+    panel = align([random_series("A", 60, rng), random_series("B", 60, rng)])
+    assert_columns_contiguous_read_only(panel)
+    sliced = panel.slice(DateWindow(panel.dates[5], panel.dates[40]))
+    assert_columns_contiguous_read_only(sliced)
+    assert_columns_contiguous_read_only(sliced.slice(DateWindow(panel.dates[10], panel.dates[20])))
+    assert_columns_contiguous_read_only(sliced.take([3, 0, 1], onto=panel.slice(
+        DateWindow(panel.dates[50], panel.dates[52]))))
+    built = AlignedPanel(panel.dates, {key: list(panel.column(key)) for key in panel.keys})
+    assert_columns_contiguous_read_only(built)
+
+
+def test_take_redates_rows_and_checks_length(week_panel):
+    onto = week_panel.slice(DateWindow(D(2022, 1, 6), D(2022, 1, 7)))
+    taken = week_panel.take([4, 0], onto=onto)
+    assert taken.dates == onto.dates
+    np.testing.assert_array_equal(taken.column(closes("A")), [5.0, 1.0])
+    with pytest.raises(PanelError, match="3 rows requested for 2 dates"):
+        week_panel.take([0, 1, 2], onto=onto)
 
 
 def test_every_column_length_matches_dates(rng):

@@ -137,6 +137,15 @@ def test_date_shifted_equal_lengths_relabels_source_rows():
         np.testing.assert_array_equal(produced.column(key), source.column(key))
 
 
+@pytest.mark.parametrize("mode", list(ProjectionMode))
+def test_projection_features_columns_are_contiguous_read_only(mode):
+    config = linear_config(mode)
+    produced = projection_features(align(linear_universe()), config, config.feature_specs[0])
+    for key in produced.keys:
+        column = produced.column(key)
+        assert column.flags.c_contiguous and not column.flags.writeable
+
+
 def test_date_shifted_cycles_source_rows():
     data = linear_universe()
     config = linear_config(
