@@ -40,7 +40,6 @@ from .regress import (
     RegressionModel,
     fit_ols,
     predict,
-    standardized_weights,
 )
 from .report import ReportBundle, emit
 from .scenario import (
@@ -57,7 +56,7 @@ from .scenario import (
     report_to_json_dict,
     run_scenario,
 )
-from .stats import CorrelationMatrix, correlation_matrix, covariance, pearson
+from .stats import CorrelationMatrix, correlation_matrix, pearson
 
 __version__ = "0.1.0"
 
@@ -97,7 +96,6 @@ __all__ = [
     "config_from_json_dict",
     "config_to_json_dict",
     "correlation_matrix",
-    "covariance",
     "emit",
     "fetch_daily",
     "fetch_universe",
@@ -117,6 +115,5 @@ __all__ = [
     "run_scenario",
     "score",
     "series_to_csv_bytes",
-    "standardized_weights",
     "write_csv",
 ]

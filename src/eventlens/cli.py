@@ -1,8 +1,15 @@
 """Operator-facing command surface.
 
 Subcommands: fetch (populate the cache), correlate / fit / project (run
-one stage against the cache), run (full scenario to a report bundle), and
-report (re-emit a bundle from a saved scenario report).
+some of the protocol's stages against the cache), run (full scenario to a
+report bundle), and report (re-emit a bundle from a saved scenario report).
+
+correlate, fit and project call the same ``scenario`` stages as
+``run_scenario`` (``correlations``, ``fit_target``, ``project_target``)
+and encode with the same ``report`` functions, so each file they write is
+byte-equal to the same-named file of a ``run`` bundle (a fit model to its
+model in the saved report). Every file, the ``--save-report`` document
+included, is written through ``ingest.write_atomic``.
 
 Exit codes: 0 success, 1 data/model errors, 2 usage errors. Failures are
 written to stderr as a single machine-parseable line.
@@ -28,11 +35,10 @@ from pathlib import Path
 from . import report as report_mod
 from . import scenario as scenario_mod
 from .errors import EventLensError, ProviderError
-from .ingest import InstrumentId, ProviderConfig, RawSeries, fetch_daily
-from .panel import FIELD_ORDER, align
-from .regress import fit_ols, model_to_json_dict, predict
+from .ingest import InstrumentId, ProviderConfig, RawSeries, fetch_daily, fetch_universe, write_atomic
+from .panel import FIELD_ORDER, AlignedPanel, align
+from .regress import model_to_json_dict
 from .scenario import ProjectionMode, ScenarioConfig
-from .stats import correlation_matrix, matrix_to_csv_bytes, matrix_to_json_dict
 
 PROG = "eventlens"
 
@@ -80,11 +86,20 @@ def _load_config(path_str: str, parser: argparse.ArgumentParser) -> tuple[Provid
     return provider_config, scenario_config
 
 
-def _load_universe(
-    config: ScenarioConfig, provider: ProviderConfig, offline: bool
-) -> list[RawSeries]:
+def _series(config: ScenarioConfig, provider: ProviderConfig, offline: bool) -> list[RawSeries]:
     transport = _offline_transport if offline else None
-    return [fetch_daily(instrument, provider, transport) for instrument in config.universe]
+    return fetch_universe(config.universe, provider, transport)
+
+
+def _panel(config: ScenarioConfig, provider: ProviderConfig, offline: bool) -> AlignedPanel:
+    series = _series(config, provider, offline)
+    return align(scenario_mod.universe_series(config, series), FIELD_ORDER)
+
+
+def _write_files(out_dir: Path, files: dict[str, bytes]) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, payload in files.items():
+        write_atomic(out_dir / name, payload)
 
 
 def _apply_mode(config: ScenarioConfig, mode: str | None) -> ScenarioConfig:
@@ -112,35 +127,25 @@ def cmd_fetch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def cmd_correlate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     provider, config = _load_config(args.config, parser)
     formats = _parse_formats(args.format, parser)
-    panel = align(_load_universe(config, provider, args.offline), FIELD_ORDER)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, window in (
-        ("corr_before", config.correlation_before),
-        ("corr_after", config.correlation_after),
-    ):
-        matrix = correlation_matrix(panel.slice(window), config.close_keys())
-        if "csv" in formats:
-            (out_dir / f"{name}.csv").write_bytes(matrix_to_csv_bytes(matrix))
-        if "json" in formats:
-            payload = json.dumps(matrix_to_json_dict(matrix), indent=2) + "\n"
-            (out_dir / f"{name}.json").write_text(payload, encoding="ascii")
+    before, after = scenario_mod.correlations(_panel(config, provider, args.offline), config)
+    _write_files(Path(args.out), report_mod.correlation_files(before, after, formats))
+    for name, matrix in (("corr_before", before), ("corr_after", after)):
         print(f"{name}: {len(matrix.labels)}x{len(matrix.labels)} matrix written")
     return 0
 
 
 def cmd_fit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     provider, config = _load_config(args.config, parser)
-    panel = align(_load_universe(config, provider, args.offline), FIELD_ORDER)
-    train = panel.slice(config.train_window)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for spec in config.feature_specs:
-        model = fit_ols(train, spec)
-        payload = json.dumps(model_to_json_dict(model), indent=2) + "\n"
-        (out_dir / f"model_{spec.target.symbol}.json").write_text(payload, encoding="ascii")
-        rss = model.diagnostics.residual_sum_of_squares
-        print(f"{spec.target.symbol}: fit on {model.diagnostics.training_rows} rows, rss={rss:.6g}")
+    panel = _panel(config, provider, args.offline)
+    models = [scenario_mod.fit_target(panel, config, spec) for spec in config.feature_specs]
+    files = {
+        f"model_{model.spec.target.symbol}.json": report_mod.json_bytes(model_to_json_dict(model))
+        for model in models
+    }
+    _write_files(Path(args.out), files)
+    for model in models:
+        symbol, rss = model.spec.target.symbol, model.diagnostics.residual_sum_of_squares
+        print(f"{symbol}: fit on {model.diagnostics.training_rows} rows, rss={rss:.6g}")
     return 0
 
 
@@ -148,27 +153,15 @@ def cmd_project(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     provider, config = _load_config(args.config, parser)
     config = _apply_mode(config, args.mode)
     formats = _parse_formats(args.format, parser)
-    panel = align(_load_universe(config, provider, args.offline), FIELD_ORDER)
-    train = panel.slice(config.train_window)
-    realized_slice = panel.slice(config.projection_window)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    panel = _panel(config, provider, args.offline)
+    files: dict[str, bytes] = {}
     for spec in config.feature_specs:
-        model = fit_ols(train, spec)
-        counterfactual = predict(model, scenario_mod.projection_features(panel, config, spec))
-        realized = realized_slice.column(spec.target)
-        symbol = spec.target.symbol
-        if "csv" in formats:
-            payload = report_mod.counterfactual_csv_bytes(
-                realized_slice.dates, realized, counterfactual
-            )
-            (out_dir / f"counterfactual_{symbol}.csv").write_bytes(payload)
-        if "json" in formats:
-            payload = report_mod.counterfactual_json_bytes(
-                realized_slice.dates, realized, counterfactual
-            )
-            (out_dir / f"counterfactual_{symbol}.json").write_bytes(payload)
-        print(f"counterfactual_{symbol} written")
+        model = scenario_mod.fit_target(panel, config, spec)
+        projection = scenario_mod.project_target(panel, config, model)
+        files.update(report_mod.counterfactual_files(spec.target.symbol, *projection, formats))
+    _write_files(Path(args.out), files)
+    for spec in config.feature_specs:
+        print(f"counterfactual_{spec.target.symbol} written")
     return 0
 
 
@@ -176,12 +169,12 @@ def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     provider, config = _load_config(args.config, parser)
     config = _apply_mode(config, args.mode)
     formats = _parse_formats(args.format, parser)
-    report = scenario_mod.run_scenario(config, _load_universe(config, provider, args.offline))
+    report = scenario_mod.run_scenario(config, _series(config, provider, args.offline))
     bundle = report_mod.emit(report, Path(args.out), formats)
     if args.save_report:
         save_path = Path(args.save_report)
         save_path.parent.mkdir(parents=True, exist_ok=True)
-        save_path.write_bytes(scenario_mod.report_to_json_bytes(report))
+        write_atomic(save_path, scenario_mod.report_to_json_bytes(report))
     print(f"bundle written to {bundle.directory} ({len(bundle.manifest['files'])} files)")
     return 0
 

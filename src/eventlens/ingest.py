@@ -424,25 +424,32 @@ def series_to_csv_bytes(series: RawSeries) -> bytes:
     return "\n".join([CSV_HEADER, *rows, ""]).encode("ascii")
 
 
-_write_locks: dict[str, threading.Lock] = {}
-_write_locks_guard = threading.Lock()
+def write_atomic(path: Path, payload: bytes) -> None:
+    """Replace the file at ``path`` with ``payload`` in one rename.
 
-
-def _lock_for(path: Path) -> threading.Lock:
-    key = str(path.resolve())
-    with _write_locks_guard:
-        return _write_locks.setdefault(key, threading.Lock())
+    Readers see the old file or the new one, never a partial write. The
+    payload first goes to a temp file in the same directory whose random
+    name no other writer (or a stray file left by a crash) shares; it is
+    created with ``O_EXCL`` and mode 0o666 less the umask, like a plain
+    open, and removed if anything fails before the rename. This is the
+    package's only file writer.
+    """
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as handle:
+            handle.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink()
+        raise
 
 
 def write_csv(series: RawSeries, path: Path) -> None:
-    """Write a series atomically (temp file + rename); exclusive per path."""
+    """Write a series in the CSV cache format, atomically."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = series_to_csv_bytes(series)
-    with _lock_for(path):
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(payload)
-        os.replace(tmp, path)
+    write_atomic(path, series_to_csv_bytes(series))
 
 
 def load_csv(path: Path, instrument: InstrumentId) -> RawSeries:

@@ -167,10 +167,6 @@ class AlignedPanel:
         except KeyError:
             raise PanelError(f"unknown column {key.name}") from None
 
-    def matrix(self, keys: Iterable[ColumnKey]) -> np.ndarray:
-        """Stack the requested columns into an (n_rows, n_keys) array."""
-        return np.column_stack([self.column(key) for key in keys])
-
     def slice(self, window: DateWindow) -> "AlignedPanel":
         """Rows with window.start <= date <= window.end, all columns alike,
         as views of this panel's arrays."""
@@ -187,13 +183,6 @@ class AlignedPanel:
         if rows.shape != (onto.n_rows,):
             raise PanelError(f"{rows.size} rows requested for {onto.n_rows} dates")
         return AlignedPanel._of(onto._days, np.take(self._values, rows, axis=1), self._index)
-
-    def to_csv_bytes(self) -> bytes:
-        lines = ["date," + ",".join(key.name for key in self._index)]
-        dates = np.datetime_as_string(self._days).tolist()
-        for date, row in zip(dates, self._values.T.tolist()):
-            lines.append(date + "," + ",".join(map(repr, row)))
-        return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def align(series_set: Iterable[RawSeries], fields: Iterable[BarField] = FIELD_ORDER) -> AlignedPanel:

@@ -5,8 +5,7 @@ of squared residuals. The solve goes through an orthogonal decomposition
 (SVD) of the design matrix rather than the normal equations, which would
 square the condition number; the normal-equations route is reserved for
 test oracles. Rank deficiency is a hard error, never silently
-regularized: a ridge epsilon exists only for deliberately ill-posed
-experiments and defaults to off.
+regularized.
 
 Features are not standardized. OLS predictions are affine-equivariant, so
 scaling is cosmetic, and raw weights stay comparable to quote units.
@@ -91,15 +90,13 @@ def design_matrix(panel: AlignedPanel, spec: FeatureSpec) -> np.ndarray:
     return np.column_stack(columns)
 
 
-def fit_ols(panel: AlignedPanel, spec: FeatureSpec, ridge: float = 0.0) -> RegressionModel:
+def fit_ols(panel: AlignedPanel, spec: FeatureSpec) -> RegressionModel:
     """Fit the spec on the panel by least squares.
 
     Raises FitError when rows are fewer than coefficients, when a feature
     column exactly duplicates the target values, or when the design's
-    condition estimate exceeds CONDITION_LIMIT (with ridge off).
+    condition estimate exceeds CONDITION_LIMIT.
     """
-    if ridge < 0.0:
-        raise ConfigError(f"ridge must be >= 0, got {ridge}")
     y = _feature_column(panel, spec.target)
     for key in spec.features:
         if np.array_equal(_feature_column(panel, key), y):
@@ -112,15 +109,12 @@ def fit_ols(panel: AlignedPanel, spec: FeatureSpec, ridge: float = 0.0) -> Regre
 
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
     condition = float(s[0] / s[-1]) if s[-1] > 0.0 else float("inf")
-    if ridge == 0.0:
-        if not np.isfinite(condition) or condition > CONDITION_LIMIT:
-            raise FitError(
-                f"rank-deficient design for {spec.target.name}: "
-                f"condition estimate {condition:.6e} exceeds {CONDITION_LIMIT:.0e}"
-            )
-        weights = Vt.T @ ((U.T @ y) / s)
-    else:
-        weights = Vt.T @ ((s * (U.T @ y)) / (s * s + ridge))
+    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
+        raise FitError(
+            f"rank-deficient design for {spec.target.name}: "
+            f"condition estimate {condition:.6e} exceeds {CONDITION_LIMIT:.0e}"
+        )
+    weights = Vt.T @ ((U.T @ y) / s)
 
     residual = y - X @ weights
     return RegressionModel(
@@ -140,25 +134,6 @@ def predict(model: RegressionModel, panel: AlignedPanel) -> np.ndarray:
     if model.spec.include_intercept:
         return X @ model.weights[1:] + model.weights[0]
     return X @ model.weights
-
-
-def standardized_weights(model: RegressionModel, panel: AlignedPanel) -> dict[str, float]:
-    """Diagnostic view of the weights in per-standard-deviation units.
-
-    Each feature weight is rescaled by sd(feature)/sd(target) over the
-    given panel, making magnitudes comparable across differently scaled
-    quote units. Purely cosmetic: the fit itself never standardizes.
-    """
-    target = _feature_column(panel, model.spec.target)
-    target_sd = float(np.std(target, ddof=1))
-    if target_sd == 0.0:
-        raise FitError(f"target {model.spec.target.name} has zero variance")
-    offset = 1 if model.spec.include_intercept else 0
-    scaled = {}
-    for i, key in enumerate(model.spec.features):
-        feature_sd = float(np.std(_feature_column(panel, key), ddof=1))
-        scaled[key.name] = float(model.weights[offset + i]) * feature_sd / target_sd
-    return scaled
 
 
 def model_to_json_dict(model: RegressionModel) -> dict:

@@ -1,23 +1,27 @@
 """Serialize scenario outputs into plot-ready tables with a digest manifest.
 
-No figures are rendered; the bundle holds the data behind them. Every
-file is written atomically and the manifest goes last, so a bundle with a
-manifest is complete by construction. Emission is deterministic:
-re-emitting the same report yields byte-identical files.
+No figures are rendered; the bundle holds the data behind them. The
+bundle's file sets are built by ``correlation_files`` (corr_before,
+corr_after), ``counterfactual_files`` (one per target) and the metrics
+tables, all encoded with ``json_bytes`` or as CSV; the CLI's correlate,
+fit and project subcommands write the same bytes. Every file goes through
+``ingest.write_atomic``, the package's one writer, and the manifest goes
+last, so a bundle with a manifest is complete by construction. Emission is
+deterministic: re-emitting the same report yields byte-identical files.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 from .errors import ConfigError
+from .ingest import write_atomic
 from .scenario import ScenarioReport
-from .stats import matrix_to_csv_bytes, matrix_to_json_dict
+from .stats import CorrelationMatrix, matrix_to_csv_bytes, matrix_to_json_dict
 
 MANIFEST_NAME = "manifest.json"
 FORMATS = ("csv", "json")
@@ -50,57 +54,69 @@ def _metrics_csv(report: ScenarioReport) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def counterfactual_csv_bytes(dates, realized, counterfactual) -> bytes:
-    lines = ["date,realized,counterfactual"]
-    for date, r, c in zip(dates, realized, counterfactual):
-        lines.append(f"{date.isoformat()},{float(r)!r},{float(c)!r}")
-    return ("\n".join(lines) + "\n").encode("ascii")
-
-
-def counterfactual_json_bytes(dates, realized, counterfactual) -> bytes:
-    rows = [
-        {"date": date.isoformat(), "realized": float(r), "counterfactual": float(c)}
-        for date, r, c in zip(dates, realized, counterfactual)
-    ]
-    return (json.dumps(rows, indent=2) + "\n").encode("ascii")
-
-
-def _json_bytes(document) -> bytes:
+def json_bytes(document) -> bytes:
+    """The bundle's JSON encoding: two-space indent, ASCII, trailing newline."""
     return (json.dumps(document, indent=2) + "\n").encode("ascii")
 
 
-def render_files(report: ScenarioReport, formats: Iterable[str]) -> dict[str, bytes]:
-    """File name -> content for the requested formats, manifest excluded."""
+def _formats(formats: Iterable[str]) -> list[str]:
     wanted = sorted(set(formats))
     unknown = [fmt for fmt in wanted if fmt not in FORMATS]
     if unknown:
         raise ConfigError(f"unknown report formats: {', '.join(unknown)}")
+    return wanted
 
+
+def correlation_files(
+    before: CorrelationMatrix, after: CorrelationMatrix, formats: Iterable[str]
+) -> dict[str, bytes]:
+    """corr_before and corr_after in each requested format."""
     files: dict[str, bytes] = {}
-    for fmt in wanted:
-        if fmt == "csv":
-            files["metrics.csv"] = _metrics_csv(report)
-            files["corr_before.csv"] = matrix_to_csv_bytes(report.correlation_before)
-            files["corr_after.csv"] = matrix_to_csv_bytes(report.correlation_after)
-            for symbol, result in report.targets.items():
-                files[f"counterfactual_{symbol}.csv"] = counterfactual_csv_bytes(
-                    result.projection_dates, result.realized, result.counterfactual
-                )
-        else:
-            files["metrics.json"] = _json_bytes(_metrics_rows(report))
-            files["corr_before.json"] = _json_bytes(matrix_to_json_dict(report.correlation_before))
-            files["corr_after.json"] = _json_bytes(matrix_to_json_dict(report.correlation_after))
-            for symbol, result in report.targets.items():
-                files[f"counterfactual_{symbol}.json"] = counterfactual_json_bytes(
-                    result.projection_dates, result.realized, result.counterfactual
-                )
+    for fmt in _formats(formats):
+        for name, matrix in (("corr_before", before), ("corr_after", after)):
+            if fmt == "csv":
+                files[f"{name}.csv"] = matrix_to_csv_bytes(matrix)
+            else:
+                files[f"{name}.json"] = json_bytes(matrix_to_json_dict(matrix))
     return files
 
 
-def _write_atomic(path: Path, payload: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+def counterfactual_files(
+    symbol: str, dates, realized, counterfactual, formats: Iterable[str]
+) -> dict[str, bytes]:
+    """counterfactual_<symbol>: realized and counterfactual closes per
+    projection date, in each requested format."""
+    rows = [
+        (date.isoformat(), float(r), float(c))
+        for date, r, c in zip(dates, realized, counterfactual)
+    ]
+    files: dict[str, bytes] = {}
+    for fmt in _formats(formats):
+        if fmt == "csv":
+            lines = ["date,realized,counterfactual", *(f"{d},{r!r},{c!r}" for d, r, c in rows)]
+            files[f"counterfactual_{symbol}.csv"] = ("\n".join(lines) + "\n").encode("ascii")
+        else:
+            files[f"counterfactual_{symbol}.json"] = json_bytes(
+                [{"date": d, "realized": r, "counterfactual": c} for d, r, c in rows]
+            )
+    return files
+
+
+def render_files(report: ScenarioReport, formats: Iterable[str]) -> dict[str, bytes]:
+    """File name -> content for the requested formats, manifest excluded."""
+    files = correlation_files(report.correlation_before, report.correlation_after, formats)
+    for symbol, result in report.targets.items():
+        files.update(
+            counterfactual_files(
+                symbol, result.projection_dates, result.realized, result.counterfactual, formats
+            )
+        )
+    for fmt in _formats(formats):
+        if fmt == "csv":
+            files["metrics.csv"] = _metrics_csv(report)
+        else:
+            files["metrics.json"] = json_bytes(_metrics_rows(report))
+    return files
 
 
 def emit(
@@ -119,7 +135,7 @@ def emit(
     entries = []
     for name in sorted(files):
         payload = files[name]
-        _write_atomic(out_dir / name, payload)
+        write_atomic(out_dir / name, payload)
         entries.append(
             {
                 "file": name,
@@ -129,5 +145,5 @@ def emit(
         )
 
     manifest = {"config_digest": report.provenance.get("config_digest"), "files": entries}
-    _write_atomic(out_dir / MANIFEST_NAME, _json_bytes(manifest))
+    write_atomic(out_dir / MANIFEST_NAME, json_bytes(manifest))
     return ReportBundle(directory=out_dir, manifest=manifest)

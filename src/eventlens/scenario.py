@@ -17,6 +17,14 @@ ambiguous, so both readings are explicit modes:
 - ``oracle_features``: feed the realized projection-window features. The
   projection then isolates how far the fitted relationship itself drifted.
 
+The protocol runs as named stages: ``universe_series`` (one input series
+per universe symbol), ``window_slice`` (a named window's rows, or a
+ConfigError naming the uncovered window), ``correlations``,
+``fit_target`` and ``project_target``. Each stage slices only the windows
+it reads. ``run_scenario`` runs them all; the CLI's correlate, fit and
+project subcommands run the stages they need, so their outputs equal the
+matching parts of a full run and an uncovered window fails them alike.
+
 Given identical config and input series, a scenario run is fully
 deterministic, and its report serializes to byte-identical JSON.
 """
@@ -222,7 +230,55 @@ def series_digest(series: RawSeries) -> str:
     return hashlib.sha256(series_to_csv_bytes(series)).hexdigest()
 
 
-# --- execution -----------------------------------------------------------------
+# --- execution: the protocol's stages -------------------------------------------
+
+def universe_series(config: ScenarioConfig, data: Iterable[RawSeries]) -> list[RawSeries]:
+    """The input series in universe order, exactly one per universe symbol."""
+    by_symbol: dict[str, RawSeries] = {}
+    for series in data:
+        symbol = series.instrument.symbol
+        if symbol in by_symbol:
+            raise ConfigError(f"duplicate input series for {symbol}")
+        by_symbol[symbol] = series
+    missing = [i.symbol for i in config.universe if i.symbol not in by_symbol]
+    if missing:
+        raise ConfigError(f"no input series for universe symbols: {', '.join(missing)}")
+    return [by_symbol[i.symbol] for i in config.universe]
+
+
+def window_slice(panel: AlignedPanel, config: ScenarioConfig, name: str) -> AlignedPanel:
+    """The panel rows inside the config's named window (a named_windows() key)."""
+    try:
+        return panel.slice(getattr(config, name))
+    except PanelError as exc:
+        raise ConfigError(f"{name} not covered by aligned data: {exc}") from exc
+
+
+def correlations(
+    panel: AlignedPanel, config: ScenarioConfig
+) -> tuple[CorrelationMatrix, CorrelationMatrix]:
+    """Close-price correlation matrices over the before and after windows."""
+    close_keys = config.close_keys()
+    return (
+        correlation_matrix(window_slice(panel, config, "correlation_before"), close_keys),
+        correlation_matrix(window_slice(panel, config, "correlation_after"), close_keys),
+    )
+
+
+def fit_target(panel: AlignedPanel, config: ScenarioConfig, spec: FeatureSpec) -> RegressionModel:
+    """The spec's least-squares model, fit on the training window."""
+    return fit_ols(window_slice(panel, config, "train_window"), spec)
+
+
+def project_target(
+    panel: AlignedPanel, config: ScenarioConfig, model: RegressionModel
+) -> tuple[tuple[dt.date, ...], np.ndarray, np.ndarray]:
+    """Projection-window dates, realized target closes, and the model's
+    counterfactual closes over those dates."""
+    projection = window_slice(panel, config, "projection_window")
+    counterfactual = predict(model, projection_features(panel, config, model.spec))
+    return projection.dates, projection.column(model.spec.target), counterfactual
+
 
 def projection_features(
     panel: AlignedPanel, config: ScenarioConfig, spec: FeatureSpec
@@ -236,10 +292,10 @@ def projection_features(
     """
     for key in spec.features:
         panel.column(key)
-    projection = panel.slice(config.projection_window)
+    projection = window_slice(panel, config, "projection_window")
     if config.projection_mode is ProjectionMode.ORACLE_FEATURES:
         return projection
-    source = panel.slice(config.source_window)
+    source = window_slice(panel, config, "source_window")
     return source.take(np.arange(projection.n_rows) % source.n_rows, onto=projection)
 
 
@@ -248,62 +304,43 @@ def projection_cycles(config: ScenarioConfig, panel: AlignedPanel) -> int:
     window (1 means no cycling); always 1 in oracle_features mode."""
     if config.projection_mode is ProjectionMode.ORACLE_FEATURES:
         return 1
-    n_source = panel.slice(config.source_window).n_rows
-    n_projection = panel.slice(config.projection_window).n_rows
+    n_source = window_slice(panel, config, "source_window").n_rows
+    n_projection = window_slice(panel, config, "projection_window").n_rows
     return -(-n_projection // n_source)
 
 
 def run_scenario(config: ScenarioConfig, data: Iterable[RawSeries]) -> ScenarioReport:
     """Execute the full protocol and assemble a deterministic report.
 
-    Steps: align the universe, compute both correlation matrices over the
-    close columns, then per target fit on the training slice, score on the
-    test slice, project the counterfactual path, and measure divergence
-    from realized closes over the projection window.
+    Align the universe, check every window is covered, compute both
+    correlation matrices, then per target fit on the training window,
+    score on the test window, project the counterfactual path, and measure
+    its divergence from realized closes over the projection window.
     """
-    by_symbol: dict[str, RawSeries] = {}
-    for series in data:
-        symbol = series.instrument.symbol
-        if symbol in by_symbol:
-            raise ConfigError(f"duplicate input series for {symbol}")
-        by_symbol[symbol] = series
-    missing = [i.symbol for i in config.universe if i.symbol not in by_symbol]
-    if missing:
-        raise ConfigError(f"no input series for universe symbols: {', '.join(missing)}")
-
-    ordered = [by_symbol[i.symbol] for i in config.universe]
+    ordered = universe_series(config, data)
     data_digests = {series.instrument.symbol: series_digest(series) for series in ordered}
     panel = align(ordered, FIELD_ORDER)
-
-    slices: dict[str, AlignedPanel] = {}
-    for name, window in config.named_windows().items():
-        try:
-            slices[name] = panel.slice(window)
-        except PanelError as exc:
-            raise ConfigError(f"{name} not covered by aligned data: {exc}") from exc
-
-    close_keys = config.close_keys()
-    correlation_before = correlation_matrix(slices["correlation_before"], close_keys)
-    correlation_after = correlation_matrix(slices["correlation_after"], close_keys)
+    # Every window is checked before any stage runs, so the first uncovered
+    # one in named_windows() order is the error reported.
+    slices = {name: window_slice(panel, config, name) for name in config.named_windows()}
+    correlation_before, correlation_after = correlations(panel, config)
     cycles = projection_cycles(config, panel)
 
+    test = slices["test_window"]
     targets: dict[str, TargetResult] = {}
     for spec in config.feature_specs:
         symbol = spec.target.symbol
         try:
-            model = fit_ols(slices["train_window"], spec)
-            test_metrics = score(
-                slices["test_window"].column(spec.target), predict(model, slices["test_window"])
-            )
-            counterfactual = predict(model, projection_features(panel, config, spec))
-            realized = slices["projection_window"].column(spec.target)
+            model = fit_target(panel, config, spec)
+            test_metrics = score(test.column(spec.target), predict(model, test))
+            dates, realized, counterfactual = project_target(panel, config, model)
             divergence_metrics = score(realized, counterfactual)
         except EventLensError as exc:
             raise type(exc)(f"target {symbol}: {exc}") from exc
         targets[symbol] = TargetResult(
             model=model,
             test_metrics=test_metrics,
-            projection_dates=slices["projection_window"].dates,
+            projection_dates=dates,
             realized=realized,
             counterfactual=counterfactual,
             divergence_metrics=divergence_metrics,

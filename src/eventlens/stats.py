@@ -49,23 +49,6 @@ class CorrelationMatrix:
         return float(self.values[index[a], index[b]])
 
 
-def covariance(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> float:
-    """Sample covariance with the n-1 normalization.
-
-    A diagnostic intermediate only: pearson() divides it out again, so the
-    normalization choice never reaches a correlation value.
-    """
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.ndim != 1 or ya.ndim != 1:
-        raise StatsError("covariance expects 1-D inputs")
-    if xa.shape[0] != ya.shape[0]:
-        raise StatsError(f"length mismatch: {xa.shape[0]} vs {ya.shape[0]}")
-    if xa.shape[0] < 2:
-        raise StatsError("covariance requires at least 2 points")
-    return float((xa - xa.mean()) @ (ya - ya.mean())) / (xa.shape[0] - 1)
-
-
 def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> float:
     """Sample Pearson r = cov(x, y) / (sigma_x * sigma_y).
 
@@ -128,16 +111,6 @@ def matrix_to_csv_bytes(matrix: CorrelationMatrix) -> bytes:
     for name, row in zip(names, matrix.values):
         lines.append(name + "," + ",".join(repr(float(v)) for v in row))
     return ("\n".join(lines) + "\n").encode("ascii")
-
-
-def matrix_to_long_records(matrix: CorrelationMatrix) -> list[tuple[str, str, float]]:
-    """Full-grid (label_i, label_j, r) triples for external heatmap tools."""
-    names = [label.name for label in matrix.labels]
-    return [
-        (names[i], names[j], float(matrix.values[i, j]))
-        for i in range(len(names))
-        for j in range(len(names))
-    ]
 
 
 def matrix_to_json_dict(matrix: CorrelationMatrix) -> dict:

@@ -6,6 +6,9 @@ from pathlib import Path
 import pytest
 
 from eventlens import DailyBar, cli
+from eventlens.regress import model_to_json_dict
+from eventlens.report import json_bytes
+from eventlens.scenario import report_from_json_dict
 
 from conftest import SYNTHETIC_DIR
 
@@ -163,6 +166,30 @@ def test_project_does_not_need_correlation_windows(tmp_path, no_network):
         config_path.unlink()
 
 
+@pytest.mark.parametrize("mode", ["date_shifted", "oracle_features"])
+def test_subcommand_files_equal_the_run_bundle(tmp_path, no_network, mode):
+    common = ["--config", NOISY_CONFIG, "--offline"]
+    saved = tmp_path / "report.json"
+    run = ["run", *common, "--mode", mode, "--out", str(tmp_path / "run"), "--save-report", str(saved)]
+    assert cli.main(run) == 0
+    assert cli.main(["correlate", *common, "--out", str(tmp_path / "correlate")]) == 0
+    assert cli.main(["fit", *common, "--out", str(tmp_path / "fit")]) == 0
+    assert cli.main(["project", *common, "--mode", mode, "--out", str(tmp_path / "project")]) == 0
+
+    bundle = read_bundle(tmp_path / "run")
+    assert read_bundle(tmp_path / "correlate") == {
+        name: payload for name, payload in bundle.items() if name.startswith("corr_")
+    }
+    assert read_bundle(tmp_path / "project") == {
+        name: payload for name, payload in bundle.items() if name.startswith("counterfactual_")
+    }
+    report = report_from_json_dict(json.loads(saved.read_text()))
+    assert read_bundle(tmp_path / "fit") == {
+        f"model_{symbol}.json": json_bytes(model_to_json_dict(result.model))
+        for symbol, result in report.targets.items()
+    }
+
+
 def test_fetch_populates_cache(tmp_path, monkeypatch):
     payload = json.dumps(
         {
@@ -259,6 +286,41 @@ def test_data_error_stream_is_stable_across_runs(tmp_path, capsys, no_network):
         assert streams[0].count("\n") == 1
     finally:
         config_path.unlink()
+
+
+@pytest.mark.parametrize(
+    "command, window",
+    [
+        ("correlate", "correlation_before"),
+        ("correlate", "correlation_after"),
+        ("fit", "train_window"),
+        ("project", "train_window"),
+        ("project", "source_window"),
+        ("project", "projection_window"),
+        ("run", "source_window"),
+    ],
+)
+def test_uncovered_window_is_the_same_config_error_for_every_command(
+    tmp_path, capsys, no_network, command, window
+):
+    scenario = json.loads((SYNTHETIC_DIR / "scenario_noisy.json").read_text())["scenario"]
+    scenario[window] = {"start": "1990-01-01", "end": "1990-02-01"}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps({"provider": {"cache_dir": str(SYNTHETIC_DIR / "noisy")}, "scenario": scenario})
+    )
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config_path), "--offline", "--out", str(out)]
+    if command in ("project", "run"):
+        argv += ["--mode", "date_shifted"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"eventlens: error: config-error: {window} not covered by aligned data: "
+        "window 1990-01-01..1990-02-01 contains no panel dates\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_error_line_is_single_line_and_parseable(tmp_path, capsys, no_network):

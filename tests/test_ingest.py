@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import ast
 import datetime as dt
 import json
+import os
+import stat
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +30,8 @@ from eventlens import (
     series_to_csv_bytes,
     write_csv,
 )
-from eventlens.ingest import provider_url
+import eventlens
+from eventlens.ingest import provider_url, write_atomic
 
 from conftest import make_bar, make_series, random_series
 
@@ -270,6 +276,142 @@ def test_csv_round_trip_empty_series(tmp_path):
     series = RawSeries(GOLD, ())
     write_csv(series, tmp_path / "GOLD.csv")
     assert load_csv(tmp_path / "GOLD.csv", GOLD) == series
+
+
+# --- atomic writer -----------------------------------------------------------------
+
+
+def test_failed_replace_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "GOLD.csv"
+    path.write_bytes(b"old")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        write_atomic(path, b"new")
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["GOLD.csv"]
+
+
+def test_stray_temp_file_is_neither_read_nor_clobbered(tmp_path, rng):
+    series = random_series("GOLD", 20, rng)
+    path = tmp_path / "GOLD.csv"
+    stray = tmp_path / "GOLD.csv.tmp"
+    stray.write_bytes(b"left by a crashed writer")
+    write_csv(series, path)
+    assert load_csv(path, series.instrument) == series
+    assert stray.read_bytes() == b"left by a crashed writer"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["GOLD.csv", "GOLD.csv.tmp"]
+
+
+def test_written_file_mode_follows_the_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_atomic(tmp_path / "GOLD.csv", b"x")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "GOLD.csv").stat().st_mode) == 0o640
+
+
+def test_concurrent_writers_to_one_path_never_tear_it(tmp_path):
+    from concurrent.futures import ThreadPoolExecutor
+
+    path = tmp_path / "GOLD.csv"
+    payloads = [bytes([65 + i]) * (4096 * (i + 1)) for i in range(8)]
+    write_atomic(path, payloads[0])
+    seen: set[bytes] = set()
+
+    def writer(payload: bytes) -> None:
+        for _ in range(50):
+            write_atomic(path, payload)
+
+    def reader() -> None:
+        for _ in range(400):
+            seen.add(path.read_bytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(payloads) + 1) as pool:
+            futures = [pool.submit(writer, p) for p in payloads] + [pool.submit(reader)]
+            for future in futures:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen <= set(payloads)
+    assert path.read_bytes() in payloads
+    assert [p.name for p in tmp_path.iterdir()] == ["GOLD.csv"]
+
+
+def _writes_files(call: ast.Call) -> bool:
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    owner = func.value.id if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) else None
+    if name in ("write_bytes", "write_text"):
+        return True
+    if owner == "os" and name in ("replace", "rename", "open", "fdopen"):
+        return True
+    if name != "open":
+        return False
+    # open(file, mode) and io.open(file, mode), but Path.open(mode)
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"]
+    modes += call.args[1:2] if owner in (None, "io") else call.args[:1]
+    return any(
+        not (isinstance(mode, ast.Constant) and isinstance(mode.value, str))
+        or set(mode.value) & set("wax+")
+        for mode in modes
+    )
+
+
+def file_write_sites(source: str, module: str) -> list[tuple[str, str]]:
+    """(enclosing function, callee) for each call in source that writes a file."""
+    sites = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and _writes_files(child):
+                sites.append((scope, ast.unparse(child.func)))
+            visit(child, scope)
+
+    visit(ast.parse(source), module)
+    return sites
+
+
+def test_file_write_detector_flags_every_writer_form():
+    source = """
+def f(path, fd):
+    path.write_bytes(b"")
+    path.write_text("")
+    open(path, "w")
+    open(path, mode="ab")
+    path.open("x")
+    os.fdopen(fd, "wb")
+    os.replace(path, path)
+    open(path)
+    path.open()
+    path.read_bytes()
+"""
+    callees = [callee for _, callee in file_write_sites(source, "m")]
+    assert callees == [
+        "path.write_bytes", "path.write_text", "open", "open", "path.open", "os.fdopen", "os.replace"
+    ]
+
+
+def test_write_atomic_is_the_only_file_writer():
+    # A second writer (a bare write_bytes, its own temp-and-rename) would
+    # bypass the atomicity and unique temp names every output relies on.
+    sites = [
+        site
+        for path in sorted(Path(eventlens.__file__).parent.glob("*.py"))
+        for site in file_write_sites(path.read_text(encoding="utf-8"), path.stem)
+    ]
+    assert {scope for scope, _ in sites} == {"ingest.write_atomic"}, sites
+    assert [callee for _, callee in sites].count("os.replace") == 1
 
 
 # --- fetch + cache ---------------------------------------------------------------

@@ -289,9 +289,3 @@ def test_constructor_rejects_non_finite_cells():
 def test_constructor_rejects_unordered_dates():
     with pytest.raises(PanelError, match="strictly increasing"):
         AlignedPanel([D(2022, 1, 4), D(2022, 1, 3)], {closes("A"): [1.0, 2.0]})
-
-
-def test_csv_export_layout():
-    panel = align([make_series("A", D(2022, 1, 3), [1.5, 2.5])], fields={BarField.CLOSE})
-    expected = b"date,A.close\n2022-01-03,1.5\n2022-01-04,2.5\n"
-    assert panel.to_csv_bytes() == expected

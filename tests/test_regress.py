@@ -12,7 +12,6 @@ from eventlens.regress import (
     design_matrix,
     model_from_json_dict,
     model_to_json_dict,
-    standardized_weights,
 )
 
 D = dt.date
@@ -118,23 +117,6 @@ def test_fit_without_intercept():
     np.testing.assert_allclose(model.weights, [3.0], atol=1e-12)
 
 
-def test_ridge_permits_collinear_design():
-    panel = panel_from(
-        {X1: [1.0, 2.0, 3.0, 4.0], X2: [2.0, 4.0, 6.0, 8.0], Y: [1.0, 2.0, 2.0, 5.0]}
-    )
-    spec = FeatureSpec(target=Y, features=(X1, X2))
-    with pytest.raises(FitError):
-        fit_ols(panel, spec)
-    model = fit_ols(panel, spec, ridge=1e-6)
-    assert np.all(np.isfinite(model.weights))
-
-
-def test_ridge_must_be_non_negative():
-    panel = panel_from({X1: [1.0, 2.0, 3.0], Y: [2.0, 4.0, 6.0]})
-    with pytest.raises(ConfigError):
-        fit_ols(panel, FeatureSpec(target=Y, features=(X1,)), ridge=-1.0)
-
-
 # --- predict -----------------------------------------------------------------------
 
 
@@ -209,20 +191,6 @@ def test_rank_deficiency_reports_condition_estimate():
     )
     with pytest.raises(FitError, match="condition estimate"):
         fit_ols(panel, FeatureSpec(target=Y, features=(X1, X2)))
-
-
-def test_standardized_weights_are_scale_free(rng):
-    panel, spec = random_instance(rng)
-    model = fit_ols(panel, spec)
-    base = standardized_weights(model, panel)
-    # rescale one feature by a constant; its standardized weight must not move
-    key = spec.features[0]
-    scaled_columns = {k: panel.column(k) for k in panel.keys}
-    scaled_columns[key] = panel.column(key) * 40.0
-    scaled_panel = AlignedPanel(panel.dates, scaled_columns)
-    rescaled = standardized_weights(fit_ols(scaled_panel, spec), scaled_panel)
-    for name in base:
-        assert rescaled[name] == pytest.approx(base[name], rel=1e-9), name
 
 
 # --- serialization ----------------------------------------------------------------------

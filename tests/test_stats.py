@@ -9,11 +9,9 @@ from eventlens import StatsError, align, correlation_matrix, pearson
 from eventlens.panel import BarField, ColumnKey
 from eventlens.stats import (
     CorrelationMatrix,
-    covariance,
     matrix_from_json_dict,
     matrix_to_csv_bytes,
     matrix_to_json_dict,
-    matrix_to_long_records,
 )
 
 from conftest import make_series, random_series
@@ -90,23 +88,6 @@ def test_result_is_clamped(rng):
     for _ in range(200):
         x = rng.normal(size=8)
         assert abs(pearson(x, x * rng.uniform(0.5, 2.0))) <= 1.0
-
-
-def test_covariance_hand_value_and_consistency_with_pearson(rng):
-    # centered products sum to 1 over n-1=2 points of freedom
-    assert covariance([1.0, 2.0, 3.0], [1.0, 3.0, 2.0]) == pytest.approx(0.5, abs=1e-15)
-    for _ in range(20):
-        x = rng.normal(size=25)
-        y = rng.normal(size=25)
-        r = covariance(x, y) / (np.std(x, ddof=1) * np.std(y, ddof=1))
-        assert pearson(x, y) == pytest.approx(r, abs=1e-12)
-
-
-def test_covariance_input_validation():
-    with pytest.raises(StatsError, match="length mismatch"):
-        covariance([1.0, 2.0], [1.0])
-    with pytest.raises(StatsError, match="at least 2"):
-        covariance([1.0], [1.0])
 
 
 # --- correlation_matrix --------------------------------------------------------------
@@ -194,14 +175,6 @@ def test_csv_export_has_label_header_and_column(small_matrix):
     assert lines[0] == ",A.close,B.close"
     assert lines[1].startswith("A.close,1.0,")
     assert lines[2].startswith("B.close,")
-
-
-def test_long_records_cover_full_grid(small_matrix):
-    records = matrix_to_long_records(small_matrix)
-    assert len(records) == 4
-    assert ("A.close", "A.close", 1.0) in records
-    r_ab = small_matrix.values[0, 1]
-    assert ("A.close", "B.close", r_ab) in records
 
 
 def test_json_round_trip(small_matrix):
