@@ -72,11 +72,13 @@ def _load_config(path_str: str, parser: argparse.ArgumentParser) -> tuple[Provid
         parser.error(f"config file not found: {path}")
     try:
         document = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(document, dict):
+            raise TypeError(f"top-level JSON is {type(document).__name__}, not an object")
         provider_section = dict(document.get("provider", {}))
+        cache_dir = Path(provider_section.pop("cache_dir", "cache"))
         scenario_config = scenario_mod.config_from_json_dict(document["scenario"])
     except (ValueError, KeyError, TypeError, EventLensError) as exc:
         parser.error(f"unparseable config {path}: {exc}")
-    cache_dir = Path(provider_section.pop("cache_dir", "cache"))
     if not cache_dir.is_absolute():
         cache_dir = path.parent / cache_dir
     try:

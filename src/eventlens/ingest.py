@@ -9,13 +9,15 @@ as an offline dataset and every downstream step is reproducible without
 network access.
 
 A series is stored as columns: a datetime64[D] date array and an (n, 4)
-float64 open/high/low/close array. Both parsers collect plain floats and
-check the bar invariants, date order and duplicates on whole arrays; a
-``DailyBar`` is only built when a caller reads ``RawSeries.bars``.
+float64 open/high/low/close array. ``RawSeries(instrument, dates, quotes)``
+is its one constructor, and it checks the bar invariants and the strict
+date order on whole arrays. The parsers only decode: they collect plain
+day ordinals and floats and hand the columns over. ``DailyBar`` is the row
+type of ``RawSeries.bars``, a view built only when a caller reads it.
 
 Parse failures are fatal for the whole series rather than row-skipping:
 a silently dropped day would corrupt date alignment downstream. When a
-CSV body fails the whole-array checks, it is walked row by row so the
+CSV body fails to decode or to construct, it is walked row by row so the
 error names the first offending row in file order.
 """
 
@@ -31,8 +33,9 @@ import time
 import urllib.parse
 import urllib.request
 from collections import deque
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -76,42 +79,37 @@ class InstrumentId:
             raise ConfigError(f"instrument symbol {self.symbol!r} may not contain '.' or ','")
 
 
-def _check_bar(date: dt.date, open_: float, high: float, low: float, close: float) -> None:
-    """Raise BarInvariantError naming ``date`` if the quotes break a bar invariant."""
+def _check_bar(day: str, open_: float, high: float, low: float, close: float) -> None:
+    """Raise BarInvariantError naming ``day`` if the quotes break a bar invariant."""
     values = (open_, high, low, close)
     if not all(math.isfinite(v) for v in values):
-        raise BarInvariantError(f"non-finite quote on {date.isoformat()}")
+        raise BarInvariantError(f"non-finite quote on {day}")
     if not all(v > 0.0 for v in values):
-        raise BarInvariantError(f"non-positive quote on {date.isoformat()}")
+        raise BarInvariantError(f"non-positive quote on {day}")
     if not (low <= min(open_, close) and max(open_, close) <= high):
         raise BarInvariantError(
-            f"OHLC ordering violated on {date.isoformat()}: "
+            f"OHLC ordering violated on {day}: "
             f"open={open_} high={high} low={low} close={close}"
         )
 
 
-def _valid_bars(quotes: np.ndarray) -> np.ndarray:
-    """Per row of an (n, 4) open/high/low/close array: does it pass ``_check_bar``?"""
+def _check_bars(dates: np.ndarray, quotes: np.ndarray) -> None:
+    """Vectorized ``_check_bar`` over rows in order; the first bad row names the error."""
     open_, high, low, close = quotes.T
-    return (
+    valid = (
         np.isfinite(quotes).all(axis=1)
         & (quotes > 0.0).all(axis=1)
         & (low <= np.minimum(open_, close))
         & (np.maximum(open_, close) <= high)
     )
-
-
-def _check_bars(dates: np.ndarray, quotes: np.ndarray) -> None:
-    """Vectorized ``_check_bar`` over rows in order; the first bad row names the error."""
-    valid = _valid_bars(quotes)
     if not valid.all():
         row = int(np.argmin(valid))
-        _check_bar(dates[row].item(), *quotes[row].tolist())
+        _check_bar(str(dates[row]), *quotes[row].tolist())
 
 
 @dataclass(frozen=True)
 class DailyBar:
-    """One trading day's open/high/low/close quote.
+    """One trading day's open/high/low/close quote: the row type of ``RawSeries.bars``.
 
     All four quotes must be finite and positive, with
     low <= open <= high and low <= close <= high.
@@ -124,68 +122,50 @@ class DailyBar:
     close: float
 
     def __post_init__(self) -> None:
-        _check_bar(self.date, self.open, self.high, self.low, self.close)
+        _check_bar(self.date.isoformat(), self.open, self.high, self.low, self.close)
 
 
+@dataclass(frozen=True, eq=False)
 class RawSeries:
     """An instrument's daily bars, strictly ascending by date, stored as columns.
 
-    ``dates`` is a read-only datetime64[D] array and ``quotes`` a read-only
-    (n, 4) float64 array of open/high/low/close, one row per date.
-    ``bars`` is the same data as a tuple of DailyBar row views, built on
-    first access; the pipeline itself only reads the columns.
+    The constructor copies ``dates`` into a read-only datetime64[D] array and
+    ``quotes`` into a read-only (n, 4) float64 array of open/high/low/close,
+    one row per date, and checks every bar invariant (the first bad row
+    names the error) and the strict date order. ``bars`` is the same data
+    as a tuple of DailyBar row views, built on first access; the pipeline
+    itself only reads the columns.
 
     ``synthetic_ohlc`` flags series whose source quoted only a close, with
     open=high=low=close synthesized. The CSV wire format cannot carry the
     flag, so it is provenance metadata excluded from equality.
     """
 
-    __slots__ = ("instrument", "dates", "quotes", "synthetic_ohlc", "_bars")
+    instrument: InstrumentId
+    dates: np.ndarray
+    quotes: np.ndarray
+    synthetic_ohlc: bool = False
 
-    def __init__(
-        self, instrument: InstrumentId, bars: Iterable[DailyBar], synthetic_ohlc: bool = False
-    ) -> None:
-        bars = tuple(bars)
-        dates = np.array([bar.date for bar in bars], dtype="datetime64[D]")
-        quotes = np.array(
-            [(bar.open, bar.high, bar.low, bar.close) for bar in bars], dtype=float
-        ).reshape(len(bars), 4)
-        self._set(instrument, dates, quotes, synthetic_ohlc, bars)
-
-    @classmethod
-    def _from_columns(
-        cls,
-        instrument: InstrumentId,
-        dates: np.ndarray,
-        quotes: np.ndarray,
-        synthetic_ohlc: bool = False,
-    ) -> "RawSeries":
-        """Wrap columns whose every row already passed the bar invariants."""
-        series = object.__new__(cls)
-        series._set(instrument, dates, quotes, synthetic_ohlc, None)
-        return series
-
-    def _set(self, instrument, dates, quotes, synthetic_ohlc, bars) -> None:
+    def __post_init__(self) -> None:
+        dates = np.array(self.dates, dtype="datetime64[D]")
+        quotes = np.array(self.quotes, dtype=float).reshape(len(dates), 4)
+        _check_bars(dates, quotes)
+        if np.isnat(dates).any():
+            raise DataFormatError(f"series {self.instrument.symbol}: missing date (NaT)")
         later = dates[1:] <= dates[:-1]
         if later.any():
             raise DataFormatError(
-                f"series {instrument.symbol}: dates not strictly increasing "
+                f"series {self.instrument.symbol}: dates not strictly increasing "
                 f"at {dates[int(np.argmax(later)) + 1]}"
             )
         dates.flags.writeable = False
         quotes.flags.writeable = False
-        object.__setattr__(self, "instrument", instrument)
         object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "quotes", quotes)
-        object.__setattr__(self, "synthetic_ohlc", synthetic_ohlc)
-        object.__setattr__(self, "_bars", bars)
 
-    @property
+    @cached_property
     def bars(self) -> tuple[DailyBar, ...]:
-        if self._bars is None:
-            bars = tuple(map(DailyBar, self.dates.tolist(), *self.quotes.T.tolist()))
-            object.__setattr__(self, "_bars", bars)
-        return self._bars
+        return tuple(map(DailyBar, self.dates.tolist(), *self.quotes.T.tolist()))
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -207,12 +187,6 @@ class RawSeries:
             f"RawSeries(instrument={self.instrument!r}, {len(self)} bars, "
             f"synthetic_ohlc={self.synthetic_ohlc})"
         )
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 @dataclass
@@ -399,18 +373,14 @@ def parse_provider_payload(body: bytes, instrument: InstrumentId) -> RawSeries:
     except DataFormatError:
         # Entries are checked in date order, so a broken bar before the
         # malformed entry is the error to report.
-        _check_bars(*_columns(days, rows))
+        RawSeries(instrument, _dates(days), rows)
         raise
-    dates, quotes = _columns(days, rows)
-    _check_bars(dates, quotes)
-    return RawSeries._from_columns(instrument, dates, quotes, synthetic_ohlc=synthesized)
+    return RawSeries(instrument, _dates(days), rows, synthetic_ohlc=synthesized)
 
 
-def _columns(ordinals, rows) -> tuple[np.ndarray, np.ndarray]:
-    """datetime64[D] dates from proleptic Gregorian day ordinals, plus the
-    quote rows as an (n, 4) float array."""
-    dates = (np.asarray(ordinals, dtype=np.int64) - _EPOCH_ORDINAL).astype("datetime64[D]")
-    return dates, np.asarray(rows, dtype=float).reshape(len(dates), 4)
+def _dates(ordinals) -> np.ndarray:
+    """datetime64[D] dates from proleptic Gregorian day ordinals."""
+    return (np.asarray(ordinals, dtype=np.int64) - _EPOCH_ORDINAL).astype("datetime64[D]")
 
 
 # --- CSV fixture / cache format ----------------------------------------------
@@ -471,24 +441,25 @@ def load_csv(path: Path, instrument: InstrumentId) -> RawSeries:
     if text != CSV_HEADER and not text.startswith(CSV_HEADER + "\n"):
         raise DataFormatError(f"{path}: expected header {CSV_HEADER!r}")
 
-    body = text[len(CSV_HEADER) + 1 :].removesuffix("\n")
-    columns = _parse_rows(body) if body else None
-    if columns is None:
-        columns = _walk_rows(path, text)
-    return RawSeries._from_columns(instrument, *columns)
+    try:
+        return RawSeries(instrument, *_parse_rows(text[len(CSV_HEADER) + 1 :].removesuffix("\n")))
+    except DataFormatError:
+        pass
+    # Something is wrong: re-walk the rows so the error names the first
+    # offending row in file order.
+    return RawSeries(instrument, *_walk_rows(path, text))
 
 
-def _parse_rows(body: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """Dates and quotes of a CSV body, sorted by date, with every row checked
-    at once; None unless every row is well formed, uniquely dated and a
-    valid bar, so that ``_walk_rows`` can name what is wrong."""
+def _parse_rows(body: str) -> tuple[np.ndarray, np.ndarray]:
+    """Dates and quotes of a CSV body, sorted by date; raises DataFormatError
+    unless every row has five fields, an ISO date and four decimals."""
     raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
     newline = raw[(raw == ord(",")) | (raw == ord("\n"))] == ord("\n")
     # Each row has exactly five fields iff the separators run ",,,,\n" per row.
     if newline.size % 5 != 4 or not np.array_equal(
         np.flatnonzero(newline), np.arange(4, newline.size, 5)
     ):
-        return None
+        raise DataFormatError("malformed CSV body")
     cells = body.replace("\n", ",").split(",")
     n = len(cells) // 5
     try:
@@ -496,21 +467,14 @@ def _parse_rows(body: str) -> tuple[np.ndarray, np.ndarray] | None:
             map(dt.date.toordinal, map(dt.date.fromisoformat, cells[::5])), dtype=np.int64, count=n
         )
         del cells[::5]
-        quotes = np.fromiter(map(float, cells), dtype=float, count=4 * n)
-    except ValueError:
-        return None
-    quotes = quotes.reshape(n, 4)
-    if not _valid_bars(quotes).all():
-        return None
-    if not (days[1:] > days[:-1]).all():
-        order = np.argsort(days)
-        days, quotes = days[order], quotes[order]
-        if not (days[1:] > days[:-1]).all():
-            return None
-    return _columns(days, quotes)
+        quotes = np.fromiter(map(float, cells), dtype=float, count=4 * n).reshape(n, 4)
+    except ValueError as exc:
+        raise DataFormatError(f"malformed CSV cell: {exc}") from exc
+    order = np.argsort(days)
+    return _dates(days[order]), quotes[order]
 
 
-def _walk_rows(path: Path, text: str) -> tuple[np.ndarray, np.ndarray]:
+def _walk_rows(path: Path, text: str) -> tuple[np.ndarray, list[list[float]]]:
     """The row-by-row reference parse: raises for the first offending row in
     file order, or returns the sorted columns when no row offends."""
     lines = text.split("\n")
@@ -534,11 +498,11 @@ def _walk_rows(path: Path, text: str) -> tuple[np.ndarray, np.ndarray]:
             _parse_quote(raw, date.isoformat(), name)
             for raw, name in zip(parts[1:], ("open", "high", "low", "close"))
         ]
-        _check_bar(date, *quotes)
+        _check_bar(date.isoformat(), *quotes)
         days.append(date.toordinal())
         rows.append(quotes)
     order = sorted(range(len(days)), key=days.__getitem__)
-    return _columns([days[i] for i in order], [rows[i] for i in order])
+    return _dates([days[i] for i in order]), [rows[i] for i in order]
 
 
 def fetch_daily(

@@ -16,12 +16,14 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import ConfigError
 from .ingest import write_atomic
-from .scenario import ScenarioReport
 from .stats import CorrelationMatrix, matrix_to_csv_bytes, matrix_to_json_dict
+
+if TYPE_CHECKING:
+    from .scenario import ScenarioReport
 
 MANIFEST_NAME = "manifest.json"
 FORMATS = ("csv", "json")

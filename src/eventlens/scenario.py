@@ -52,12 +52,23 @@ from .regress import (
     model_to_json_dict,
     predict,
 )
+from .report import json_bytes
 from .stats import CorrelationMatrix, correlation_matrix, matrix_from_json_dict, matrix_to_json_dict
 
 
 class ProjectionMode(str, Enum):
     DATE_SHIFTED = "date_shifted"
     ORACLE_FEATURES = "oracle_features"
+
+
+WINDOW_NAMES = (
+    "train_window",
+    "test_window",
+    "correlation_before",
+    "correlation_after",
+    "source_window",
+    "projection_window",
+)
 
 
 @dataclass(frozen=True)
@@ -107,14 +118,7 @@ class ScenarioConfig:
                     )
 
     def named_windows(self) -> dict[str, DateWindow]:
-        return {
-            "train_window": self.train_window,
-            "test_window": self.test_window,
-            "correlation_before": self.correlation_before,
-            "correlation_after": self.correlation_after,
-            "source_window": self.source_window,
-            "projection_window": self.projection_window,
-        }
+        return {name: getattr(self, name) for name in WINDOW_NAMES}
 
     def close_keys(self) -> tuple[ColumnKey, ...]:
         return tuple(ColumnKey(i.symbol, BarField.CLOSE) for i in self.universe)
@@ -161,9 +165,12 @@ def _window_to_json(window: DateWindow) -> dict:
 
 
 def _window_from_json(document: dict, name: str) -> DateWindow:
+    if name not in document:
+        raise ConfigError(f"malformed scenario config: missing {name}")
     try:
+        window = document[name]
         return DateWindow(
-            dt.date.fromisoformat(document["start"]), dt.date.fromisoformat(document["end"])
+            dt.date.fromisoformat(window["start"]), dt.date.fromisoformat(window["end"])
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed {name}: {exc}") from exc
@@ -206,17 +213,8 @@ def config_from_json_dict(document: dict) -> ScenarioConfig:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed scenario config: {exc}") from exc
-    return ScenarioConfig(
-        universe=universe,
-        feature_specs=feature_specs,
-        train_window=_window_from_json(document["train_window"], "train_window"),
-        test_window=_window_from_json(document["test_window"], "test_window"),
-        correlation_before=_window_from_json(document["correlation_before"], "correlation_before"),
-        correlation_after=_window_from_json(document["correlation_after"], "correlation_after"),
-        source_window=_window_from_json(document["source_window"], "source_window"),
-        projection_window=_window_from_json(document["projection_window"], "projection_window"),
-        projection_mode=mode,
-    )
+    windows = {name: _window_from_json(document, name) for name in WINDOW_NAMES}
+    return ScenarioConfig(universe, feature_specs, **windows, projection_mode=mode)
 
 
 def config_digest(config: ScenarioConfig) -> str:
@@ -382,7 +380,7 @@ def report_to_json_dict(report: ScenarioReport) -> dict:
 
 
 def report_to_json_bytes(report: ScenarioReport) -> bytes:
-    return (json.dumps(report_to_json_dict(report), indent=2) + "\n").encode("ascii")
+    return json_bytes(report_to_json_dict(report))
 
 
 def report_from_json_dict(document: dict) -> ScenarioReport:

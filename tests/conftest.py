@@ -23,11 +23,19 @@ def make_bar(date: dt.date, close: float, spread: float = 1.0) -> DailyBar:
     return DailyBar(date=date, open=close, high=close + spread, low=max(close - spread, 1e-6), close=close)
 
 
+def series_of(instrument: InstrumentId, bars) -> RawSeries:
+    """The RawSeries holding ``bars`` in the given order, through its one constructor."""
+    bars = tuple(bars)
+    dates = [bar.date for bar in bars]
+    quotes = [(bar.open, bar.high, bar.low, bar.close) for bar in bars]
+    return RawSeries(instrument, dates, quotes)
+
+
 def make_series(symbol: str, start: dt.date, closes) -> RawSeries:
     bars = tuple(
         make_bar(start + dt.timedelta(days=i), float(c)) for i, c in enumerate(closes)
     )
-    return RawSeries(make_instrument(symbol), bars)
+    return series_of(make_instrument(symbol), bars)
 
 
 def random_series(symbol: str, n: int, rng: np.random.Generator, level: float = 100.0) -> RawSeries:

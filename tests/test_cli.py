@@ -234,13 +234,37 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
     assert excinfo.value.code == 2
 
 
+def _edited_noisy_config(edit) -> str:
+    document = json.loads(Path(NOISY_CONFIG).read_text())
+    edit(document)
+    return json.dumps(document)
+
+
+UNPARSEABLE_CONFIGS = {
+    "not-json": "{not json",
+    "top-level-list": "[]",
+    "top-level-string": '"x"',
+    "no-scenario": '{"provider": {}}',
+    "scenario-not-object": '{"scenario": 5}',
+    "cache-dir-not-a-path": _edited_noisy_config(lambda d: d.update(provider={"cache_dir": 5})),
+    "cache-dir-null": _edited_noisy_config(lambda d: d.update(provider={"cache_dir": None})),
+    "provider-not-object": _edited_noisy_config(lambda d: d.update(provider=5)),
+    "missing-window": _edited_noisy_config(lambda d: d["scenario"].pop("projection_window")),
+}
+
+
 def test_unparseable_config_is_a_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["run", "--config", str(bad)])
-    assert excinfo.value.code == 2
-    assert "unparseable config" in capsys.readouterr().err
+    for case, text in UNPARSEABLE_CONFIGS.items():
+        bad.write_text(text)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["run", "--config", str(bad), "--offline", "--out", str(tmp_path / "out")])
+        assert excinfo.value.code == 2, case
+        err = capsys.readouterr().err
+        # the usage line, then exactly one error line and no traceback
+        assert len(err.splitlines()) == 2, (case, err)
+        assert err.splitlines()[1].startswith(f"eventlens: error: unparseable config {bad}: "), case
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_format_is_a_usage_error(capsys):

@@ -8,6 +8,7 @@ import stat
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,9 +32,9 @@ from eventlens import (
     write_csv,
 )
 import eventlens
-from eventlens.ingest import provider_url, write_atomic
+from eventlens.ingest import _walk_rows, provider_url, write_atomic
 
-from conftest import make_bar, make_series, random_series
+from conftest import make_bar, make_series, random_series, series_of
 
 GOLD = InstrumentId("GOLD", InstrumentKind.COMMODITY)
 RUBCNY = InstrumentId("RUBCNY", InstrumentKind.FX_PAIR)
@@ -70,13 +71,13 @@ def test_daily_bar_rejects_invalid_quotes(open_, high, low, close):
 def test_raw_series_rejects_unordered_dates():
     bars = (make_bar(dt.date(2022, 1, 4), 2.0), make_bar(dt.date(2022, 1, 3), 2.0))
     with pytest.raises(DataFormatError, match="strictly increasing"):
-        RawSeries(GOLD, bars)
+        series_of(GOLD, bars)
 
 
 def test_raw_series_rejects_duplicate_dates():
     bars = (make_bar(dt.date(2022, 1, 3), 2.0), make_bar(dt.date(2022, 1, 3), 2.0))
     with pytest.raises(DataFormatError):
-        RawSeries(GOLD, bars)
+        series_of(GOLD, bars)
 
 
 def test_raw_series_is_frozen_and_its_columns_read_only():
@@ -87,6 +88,16 @@ def test_raw_series_is_frozen_and_its_columns_read_only():
         series.quotes[0, 0] = 9.0
     with pytest.raises(ValueError):
         series.dates[0] = series.dates[1]
+
+
+def test_raw_series_copies_its_columns_and_rejects_missing_dates():
+    dates = np.array(["2022-01-03", "2022-01-04"], dtype="datetime64[D]")
+    quotes = np.array([[1.0, 2.0, 0.5, 1.5], [1.5, 2.5, 1.0, 2.0]])
+    series = RawSeries(GOLD, dates, quotes)
+    quotes[0, 0] = 9.0
+    assert series.quotes[0, 0] == 1.0 and dates.flags.writeable and quotes.flags.writeable
+    with pytest.raises(DataFormatError, match="series GOLD: missing date"):
+        RawSeries(GOLD, ["NaT"], [[1.0, 2.0, 0.5, 1.5]])
 
 
 def test_raw_series_columns_match_bars():
@@ -273,7 +284,7 @@ def test_csv_round_trip_reproduces_series(tmp_path, rng):
 
 
 def test_csv_round_trip_empty_series(tmp_path):
-    series = RawSeries(GOLD, ())
+    series = series_of(GOLD, ())
     write_csv(series, tmp_path / "GOLD.csv")
     assert load_csv(tmp_path / "GOLD.csv", GOLD) == series
 
@@ -791,7 +802,7 @@ def raw_series(draw, symbol: str = "GOLD") -> RawSeries:
         low, a, b, high = sorted(draw(st.lists(positive_quotes, min_size=4, max_size=4)))
         open_, close = draw(st.permutations([a, b]))
         bars.append(DailyBar(dt.date.fromordinal(ordinal), open_, high, low, close))
-    return RawSeries(InstrumentId(symbol, InstrumentKind.COMMODITY), bars)
+    return series_of(InstrumentId(symbol, InstrumentKind.COMMODITY), bars)
 
 
 def reference_csv_bytes(series: RawSeries) -> bytes:
@@ -815,4 +826,105 @@ def test_load_csv_inverts_write_csv(tmp_path_factory, series):
     loaded = load_csv(path, series.instrument)
     assert loaded == series
     assert loaded.bars == series.bars
-    assert RawSeries(series.instrument, loaded.bars) == series
+    assert series_of(series.instrument, loaded.bars) == series
+
+
+# --- the constructor decides, the walk names the error ------------------------------
+
+CSV_FAULTS = ("broken_bar", "repeated_date", "out_of_order", "malformed_cell")
+any_cell = st.text(alphabet="0123456789.,-+eE_ :TWnaif", max_size=12)
+
+
+@st.composite
+def csv_text_with_one_fault(draw) -> str:
+    """The CSV text of a valid series with one injected fault, which may or
+    may not end up making the text invalid."""
+    rows = series_to_csv_bytes(draw(raw_series())).decode("ascii").split("\n")[1:-1]
+    fault = draw(st.sampled_from(CSV_FAULTS))
+    if rows and fault == "broken_bar":
+        i, column = draw(st.integers(0, len(rows) - 1)), draw(st.integers(1, 4))
+        cells = rows[i].split(",")
+        cells[column] = repr(draw(st.floats()))
+        rows[i] = ",".join(cells)
+    elif rows and fault == "repeated_date":
+        i, at = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows)))
+        rows.insert(at, rows[i])
+    elif fault == "out_of_order":
+        rows = draw(st.permutations(rows))
+    elif rows:
+        i, column = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 4))
+        cells = rows[i].split(",")
+        cells[column] = draw(any_cell)
+        rows[i] = ",".join(cells)
+    return "".join(f"{line}\n" for line in ["date,open,high,low,close", *rows])
+
+
+def outcome(build):
+    """What ``build()`` gives: its series' exact CSV bytes, or its error's type and text."""
+    try:
+        return series_to_csv_bytes(build())
+    except EventLensError as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None)
+@given(text=csv_text_with_one_fault())
+def test_load_csv_fails_or_loads_exactly_as_the_row_walk(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("walk") / "GOLD.csv"
+    path.write_text(text)
+    assert outcome(lambda: load_csv(path, GOLD)) == outcome(
+        lambda: RawSeries(GOLD, *_walk_rows(path, text))
+    )
+
+
+def reference_error(instrument, dates, rows):
+    """Row by row, a DailyBar per row and then a strict order check: the
+    first error's type and text, or None."""
+    try:
+        for date, quotes in zip(dates, rows):
+            DailyBar(date, *quotes)
+        for earlier, date in zip(dates, dates[1:]):
+            if date <= earlier:
+                raise DataFormatError(
+                    f"series {instrument.symbol}: dates not strictly increasing at {date}"
+                )
+    except EventLensError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def bar_rows(draw, n: int) -> list[tuple[float, ...]]:
+    """``n`` open/high/low/close rows, all valid but for up to two rows of any four floats."""
+    rows = []
+    for _ in range(n):
+        low, a, b, high = sorted(draw(st.lists(positive_quotes, min_size=4, max_size=4)))
+        open_, close = draw(st.permutations([a, b]))
+        rows.append((open_, high, low, close))
+    for broken in draw(st.lists(st.integers(0, n - 1), max_size=2)) if n else ():
+        rows[broken] = tuple(draw(st.lists(st.floats(), min_size=4, max_size=4)))
+    return rows
+
+
+@st.composite
+def date_and_quote_columns(draw):
+    days = st.one_of(st.dates(), st.dates(dt.date(2022, 1, 3), dt.date(2022, 1, 12)))
+    dates = draw(st.lists(days, max_size=8))
+    if draw(st.booleans()):
+        dates = sorted(set(dates))
+    return dates, draw(bar_rows(len(dates)))
+
+
+@settings(deadline=None)
+@given(columns=date_and_quote_columns())
+def test_constructor_raises_exactly_as_the_row_by_row_reference(columns):
+    dates, rows = columns
+    expected = reference_error(GOLD, dates, rows)
+    if expected is None:
+        series = RawSeries(GOLD, dates, rows)
+        assert series.dates.tolist() == dates
+        assert series.quotes.tolist() == [list(quotes) for quotes in rows]
+    else:
+        with pytest.raises(EventLensError) as info:
+            RawSeries(GOLD, dates, rows)
+        assert (type(info.value), str(info.value)) == expected

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eventlens import ConfigError, DailyBar, PanelError, RawSeries
+from eventlens import ConfigError, DailyBar, PanelError
 from eventlens.panel import FIELD_ORDER, AlignedPanel, BarField, ColumnKey, DateWindow, align
 
-from conftest import make_instrument, make_series, random_series
+from conftest import make_instrument, make_series, random_series, series_of
 
 D = dt.date
 
@@ -88,11 +88,8 @@ def test_align_duplicate_symbols_rejected():
 def test_align_rejects_empty_inputs():
     with pytest.raises(PanelError):
         align([])
-    from eventlens import RawSeries
-    from conftest import make_instrument
-
     with pytest.raises(PanelError, match="empty"):
-        align([RawSeries(make_instrument("A"), ())])
+        align([series_of(make_instrument("A"), ())])
 
 
 def test_align_is_order_insensitive(rng):
@@ -132,7 +129,7 @@ def overlapping_series(draw):
             spread = draw(st.floats(0.0, 0.5))
             bars.append(DailyBar(D(2022, 1, 1) + dt.timedelta(offset), close, close + spread,
                                  close - spread, close))
-        series_list.append(RawSeries(make_instrument(symbol), bars))
+        series_list.append(series_of(make_instrument(symbol), bars))
     return series_list
 
 

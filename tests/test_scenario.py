@@ -112,6 +112,18 @@ def test_config_from_json_rejects_missing_sections():
         config_from_json_dict({"universe": []})
 
 
+@pytest.mark.parametrize("name", list(linear_config().named_windows()))
+def test_config_from_json_names_a_missing_or_malformed_window(name):
+    document = config_to_json_dict(linear_config())
+    del document[name]
+    with pytest.raises(ConfigError) as info:
+        config_from_json_dict(document)
+    assert str(info.value) == f"malformed scenario config: missing {name}"
+    document[name] = ["2022-01-03", "2022-01-10"]
+    with pytest.raises(ConfigError, match=f"^malformed {name}: "):
+        config_from_json_dict(document)
+
+
 # --- projection_features ------------------------------------------------------------
 
 
