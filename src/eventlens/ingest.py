@@ -2,11 +2,11 @@
 
 The provider speaks a JSON daily-series dialect: a metadata object plus a
 map of "YYYY-MM-DD" keys to per-day objects whose open/high/low/close
-values are quoted as decimal strings (key names may carry numeric prefixes
-such as "1. open"). Fetched series are cached one CSV file per symbol, in
-the same layout the test fixtures use, so a warm cache directory doubles
-as an offline dataset and every downstream step is reproducible without
-network access.
+values are quoted as ASCII decimal strings (key names may carry numeric
+prefixes such as "1. open", but no field may be named twice). Fetched
+series are cached one CSV file per symbol, in the same layout the test
+fixtures use, so a warm cache directory doubles as an offline dataset and
+every downstream step is reproducible without network access.
 
 A series is stored as columns: a datetime64[D] date array and an (n, 4)
 float64 open/high/low/close array. ``RawSeries(instrument, dates, quotes)``
@@ -295,22 +295,26 @@ def _http_get(url: str, timeout: float = 30.0) -> bytes:
         return response.read()
 
 
-def _match_fields(entry: dict) -> dict[str, str]:
-    found: dict[str, str] = {}
+def _match_fields(entry: dict, date_str: str) -> dict[str, object]:
+    found: dict[str, object] = {}
     for key, value in entry.items():
         match = _FIELD_KEY.fullmatch(str(key).strip().lower())
         if match:
-            found.setdefault(match.group(1), value)
+            field = match[1]
+            if field in found:
+                raise DataFormatError(f"entry {date_str} has two {field} quotes")
+            found[field] = value
     return found
 
 
 def _parse_quote(raw: object, date_str: str, field_name: str) -> float:
-    try:
-        return float(raw)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        raise DataFormatError(
-            f"unparseable {field_name} quote {raw!r} for {date_str}"
-        ) from None
+    """A quote from its decimal text; only ASCII strings are quote text."""
+    if isinstance(raw, str) and raw.isascii():
+        try:
+            return float(raw)
+        except ValueError:
+            pass
+    raise DataFormatError(f"unparseable {field_name} quote {raw!r} for {date_str}")
 
 
 def parse_provider_payload(body: bytes, instrument: InstrumentId) -> RawSeries:
@@ -353,7 +357,7 @@ def parse_provider_payload(body: bytes, instrument: InstrumentId) -> RawSeries:
                 date = dt.date.fromisoformat(date_str)
             except ValueError as exc:
                 raise DataFormatError(f"bad date key {date_str!r}") from exc
-            fields = _match_fields(series_map[date_str])
+            fields = _match_fields(series_map[date_str], date_str)
             if "close" not in fields:
                 raise DataFormatError(f"entry {date_str} has no close quote")
             close = _parse_quote(fields["close"], date_str, "close")

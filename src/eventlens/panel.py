@@ -5,9 +5,9 @@ is dropped for all of them. Forward-filling is deliberately not offered
 because it would manufacture flat quotes around exactly the dates an event
 study cares about. The join intersects the series' date arrays and looks
 each one's rows up by binary search. A panel is one read-only
-(n_columns, n_rows) array, and slicing it by a date window returns views,
-so panels are immutable after construction and safe to share across
-threads.
+(n_columns, n_rows) array with a key->row index; ``align``, ``slice`` and
+``take`` all build it through its one checked constructor, so a window
+slice is a view and panels are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from __future__ import annotations
 import datetime as dt
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -63,9 +65,6 @@ class ColumnKey:
         except ValueError:
             raise ConfigError(f"unknown bar field in column name {name!r}") from None
 
-    def sort_key(self) -> tuple[str, int]:
-        return (self.symbol, FIELD_ORDER.index(self.field))
-
 
 @dataclass(frozen=True)
 class DateWindow:
@@ -78,103 +77,80 @@ class DateWindow:
         if self.start > self.end:
             raise ConfigError(f"window start {self.start} after end {self.end}")
 
-    def contains(self, date: dt.date) -> bool:
-        return self.start <= date <= self.end
-
-    def intersect(self, other: "DateWindow") -> "DateWindow | None":
-        start = max(self.start, other.start)
-        end = min(self.end, other.end)
-        return DateWindow(start, end) if start <= end else None
-
     def __str__(self) -> str:
         return f"{self.start.isoformat()}..{self.end.isoformat()}"
 
 
+@dataclass(frozen=True, eq=False)
 class AlignedPanel:
     """A date-indexed matrix of named columns with no missing cells.
 
-    Cells live in one read-only (n_columns, n_rows) C-order float array with
-    a key->row index, columns in canonical (symbol, field) order, so every
-    column is a contiguous read-only view exactly as long as the date
-    index. Keep it so: BLAS dot products round strided vectors differently.
-    Slices share the array and index of the panel they come from.
+    ``days`` are the strictly increasing dates, ``values`` holds one
+    contiguous row of cells per column (BLAS dot products round strided
+    vectors differently) and ``index`` maps each column key to its row.
+    Read-only arrays (over read-only memory) and index are kept, so slices
+    share their parent's; writeable ones are replaced by read-only copies.
     """
 
-    __slots__ = ("_days", "_values", "_index", "_dates")
+    days: np.ndarray
+    values: np.ndarray
+    index: Mapping[ColumnKey, int]
 
-    def __init__(
-        self,
-        dates: Sequence[dt.date],
-        columns: Mapping[ColumnKey, Sequence[float] | np.ndarray],
-    ) -> None:
-        days = np.array(dates, dtype="datetime64[D]")
+    def __post_init__(self) -> None:
+        days = _read_only(self.days, np.dtype("datetime64[D]"))
+        values = _read_only(self.values, np.dtype(float))
+        index = self.index
+        if not isinstance(index, MappingProxyType):
+            index = MappingProxyType(dict(index))
         if not days.size:
             raise PanelError("panel requires at least one date")
+        if np.isnat(days).any():
+            raise PanelError("panel dates include a missing date (NaT)")
         later = days[1:] <= days[:-1]
         if later.any():
             cur = days[int(np.argmax(later)) + 1]
             raise PanelError(f"panel dates not strictly increasing at {cur}")
-        if not columns:
+        if not index:
             raise PanelError("panel requires at least one column")
+        if list(index.values()) != list(range(len(index))):
+            raise PanelError("panel index must number its columns 0, 1, ... in order")
+        if values.shape != (len(index), days.size):
+            raise PanelError(f"{values.shape} values for {len(index)} columns and {days.size} dates")
+        if not np.isfinite(values).all():
+            key = list(index)[int(np.argmin(np.isfinite(values).all(axis=1)))]
+            raise PanelError(f"column {key.name} contains non-finite cells")
+        if not values[0].flags.c_contiguous:
+            raise PanelError("panel rows are not contiguous")
+        object.__setattr__(self, "days", days)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "index", index)
 
-        keys = sorted(columns, key=ColumnKey.sort_key)
-        values = np.empty((len(keys), days.size))
-        for row, key in enumerate(keys):
-            array = np.asarray(columns[key], dtype=float)
-            if array.shape != (days.size,):
-                raise PanelError(
-                    f"column {key.name} has {array.shape} values for {days.size} dates"
-                )
-            if not np.all(np.isfinite(array)):
-                raise PanelError(f"column {key.name} contains non-finite cells")
-            values[row] = array
-        self._set(days, values, {key: row for row, key in enumerate(keys)})
-
-    @classmethod
-    def _of(
-        cls, days: np.ndarray, values: np.ndarray, index: dict[ColumnKey, int]
-    ) -> "AlignedPanel":
-        """A panel over arrays that already hold a panel's invariants."""
-        panel = object.__new__(cls)
-        panel._set(days, values, index)
-        return panel
-
-    def _set(self, days: np.ndarray, values: np.ndarray, index: dict[ColumnKey, int]) -> None:
-        days.flags.writeable = False
-        values.flags.writeable = False
-        self._days = days
-        self._values = values
-        self._index = index
-        self._dates = None
-
-    @property
+    @cached_property
     def dates(self) -> tuple[dt.date, ...]:
-        if self._dates is None:
-            self._dates = tuple(self._days.tolist())
-        return self._dates
+        return tuple(self.days.tolist())
 
     @property
     def keys(self) -> tuple[ColumnKey, ...]:
-        return tuple(self._index)
+        return tuple(self.index)
 
     @property
     def n_rows(self) -> int:
-        return self._days.size
+        return self.days.size
 
     def column(self, key: ColumnKey) -> np.ndarray:
         try:
-            return self._values[self._index[key]]
+            return self.values[self.index[key]]
         except KeyError:
             raise PanelError(f"unknown column {key.name}") from None
 
     def slice(self, window: DateWindow) -> "AlignedPanel":
         """Rows with window.start <= date <= window.end, all columns alike,
         as views of this panel's arrays."""
-        lo = int(np.searchsorted(self._days, np.datetime64(window.start, "D"), "left"))
-        hi = int(np.searchsorted(self._days, np.datetime64(window.end, "D"), "right"))
+        lo = int(np.searchsorted(self.days, np.datetime64(window.start, "D"), "left"))
+        hi = int(np.searchsorted(self.days, np.datetime64(window.end, "D"), "right"))
         if lo >= hi:
             raise PanelError(f"window {window} contains no panel dates")
-        return AlignedPanel._of(self._days[lo:hi], self._values[:, lo:hi], self._index)
+        return AlignedPanel(self.days[lo:hi], self.values[:, lo:hi], self.index)
 
     def take(self, rows: Sequence[int] | np.ndarray, onto: "AlignedPanel") -> "AlignedPanel":
         """Rows ``rows`` of every column, in that order, re-dated onto the
@@ -182,7 +158,21 @@ class AlignedPanel:
         rows = np.asarray(rows, dtype=np.intp)
         if rows.shape != (onto.n_rows,):
             raise PanelError(f"{rows.size} rows requested for {onto.n_rows} dates")
-        return AlignedPanel._of(onto._days, np.take(self._values, rows, axis=1), self._index)
+        return AlignedPanel(onto.days, _frozen(np.take(self.values, rows, axis=1)), self.index)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _read_only(array: object, dtype: np.dtype) -> np.ndarray:
+    """``array`` if it is ``dtype`` and no one can write its memory, else a read-only copy."""
+    if isinstance(array, np.ndarray) and array.dtype == dtype and not array.flags.writeable:
+        base = array.base
+        if base is None or isinstance(base, np.ndarray) and not base.flags.writeable:
+            return array
+    return _frozen(np.array(array, dtype=dtype))
 
 
 def align(series_set: Iterable[RawSeries], fields: Iterable[BarField] = FIELD_ORDER) -> AlignedPanel:
@@ -215,7 +205,6 @@ def align(series_set: Iterable[RawSeries], fields: Iterable[BarField] = FIELD_OR
     if not days.size:
         raise PanelError("series share no common dates")
 
-    # Series hold finite, strictly dated quotes, so the panel needs no checks.
     quote_columns = [FIELD_ORDER.index(f) for f in field_list]
     ordered = sorted(series_list, key=lambda series: series.instrument.symbol)
     values = np.empty((len(ordered), len(field_list), days.size))
@@ -224,4 +213,4 @@ def align(series_set: Iterable[RawSeries], fields: Iterable[BarField] = FIELD_OR
         values[i] = series.quotes[np.searchsorted(series.dates, days)].T[quote_columns]
         for j, field in enumerate(field_list):
             index[ColumnKey(series.instrument.symbol, field)] = len(index)
-    return AlignedPanel._of(days, values.reshape(len(index), days.size), index)
+    return AlignedPanel(_frozen(days), _frozen(values).reshape(len(index), days.size), index)

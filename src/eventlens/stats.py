@@ -72,6 +72,11 @@ def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) ->
         raise StatsError("zero variance in first input")
     if syy == 0.0:
         raise StatsError("zero variance in second input")
+    return _coefficient(xc, yc, sxx, syy)
+
+
+def _coefficient(xc: np.ndarray, yc: np.ndarray, sxx: float, syy: float) -> float:
+    """r from two centered vectors and their sums of squares."""
     r = float(xc @ yc) / math.sqrt(sxx * syy)
     return min(1.0, max(-1.0, r))
 
@@ -79,8 +84,9 @@ def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) ->
 def correlation_matrix(panel: AlignedPanel, keys: Iterable[ColumnKey]) -> CorrelationMatrix:
     """Pairwise Pearson matrix over the selected panel columns.
 
-    The diagonal is forced to exactly 1; failures name the offending
-    column or pair.
+    Each column is centered once; every entry equals ``pearson`` of its
+    two columns exactly. The diagonal is forced to exactly 1; failures
+    name the offending column.
     """
     labels = tuple(keys)
     if not labels:
@@ -88,18 +94,17 @@ def correlation_matrix(panel: AlignedPanel, keys: Iterable[ColumnKey]) -> Correl
     if panel.n_rows < 2:
         raise StatsError("correlation_matrix requires at least 2 panel rows")
     columns = [panel.column(key) for key in labels]
-    for key, col in zip(labels, columns):
-        if float(np.var(col)) == 0.0:
+    centered = [column - column.mean() for column in columns]
+    squares = [float(c @ c) for c in centered]
+    for key, square in zip(labels, squares):
+        if square == 0.0:
             raise StatsError(f"column {key.name} has zero variance")
 
     n = len(labels)
     values = np.ones((n, n), dtype=float)
     for i in range(n):
         for j in range(i + 1, n):
-            try:
-                r = pearson(columns[i], columns[j])
-            except StatsError as exc:
-                raise StatsError(f"{labels[i].name} vs {labels[j].name}: {exc}") from exc
+            r = _coefficient(centered[i], centered[j], squares[i], squares[j])
             values[i, j] = values[j, i] = r
     return CorrelationMatrix(labels, values)
 

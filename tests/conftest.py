@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from eventlens import DailyBar, InstrumentId, InstrumentKind, RawSeries, load_csv
+from eventlens.panel import FIELD_ORDER, AlignedPanel
 from eventlens.scenario import ScenarioConfig, config_from_json_dict
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -29,6 +30,14 @@ def series_of(instrument: InstrumentId, bars) -> RawSeries:
     dates = [bar.date for bar in bars]
     quotes = [(bar.open, bar.high, bar.low, bar.close) for bar in bars]
     return RawSeries(instrument, dates, quotes)
+
+
+def panel_of(dates, columns) -> AlignedPanel:
+    """The AlignedPanel over ``dates`` holding ``columns`` (key -> cells), in
+    canonical (symbol, field) order, through its one constructor."""
+    keys = sorted(columns, key=lambda key: (key.symbol, FIELD_ORDER.index(key.field)))
+    values = [np.asarray(columns[key], dtype=float) for key in keys]
+    return AlignedPanel(dates, values, {key: row for row, key in enumerate(keys)})
 
 
 def make_series(symbol: str, start: dt.date, closes) -> RawSeries:

@@ -765,6 +765,36 @@ PAYLOAD_EDGE_CASES = {
         BAR,
         OHLC_ERROR.format(date="2022-01-03"),
     ),
+    # quotes are decimal text: only ASCII strings parse
+    "boolean_quote": (
+        {"2022-01-03": {"close": True}}, DATA, "unparseable close quote True for 2022-01-03"
+    ),
+    "number_quote": (
+        {"2022-01-03": entry(high=2.0)}, DATA, "unparseable high quote 2.0 for 2022-01-03"
+    ),
+    "null_quote": (
+        {"2022-01-03": entry(low=None)}, DATA, "unparseable low quote None for 2022-01-03"
+    ),
+    "arabic_indic_digits": (
+        {"2022-01-03": {"close": "\u0661.\u0665"}},
+        DATA,
+        "unparseable close quote '\u0661.\u0665' for 2022-01-03",
+    ),
+    "fullwidth_digits": (
+        {"2022-01-03": entry(open_="\uff11.0")},
+        DATA,
+        "unparseable open quote '\uff11.0' for 2022-01-03",
+    ),
+    "two_closes": (
+        {"2022-01-03": {"1. close": "1.5", "2. close": "1.6"}},
+        DATA,
+        "entry 2022-01-03 has two close quotes",
+    ),
+    "bad_bar_then_two_closes": (
+        {"2022-01-03": BAD_OHLC_ENTRY, "2022-01-04": {"close": "1.5", "4. close": "1.6"}},
+        BAR,
+        OHLC_ERROR.format(date="2022-01-03"),
+    ),
 }
 
 

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import ast
 import datetime as dt
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eventlens
 from eventlens import ConfigError, DailyBar, PanelError
 from eventlens.panel import FIELD_ORDER, AlignedPanel, BarField, ColumnKey, DateWindow, align
 
-from conftest import make_instrument, make_series, random_series, series_of
+from conftest import make_instrument, make_series, panel_of, random_series, series_of
 
 D = dt.date
 
@@ -25,15 +28,6 @@ def closes(symbol: str) -> ColumnKey:
 def test_window_rejects_reversed_bounds():
     with pytest.raises(ConfigError):
         DateWindow(D(2022, 2, 1), D(2022, 1, 1))
-
-
-def test_window_contains_and_intersect():
-    w = DateWindow(D(2022, 1, 1), D(2022, 2, 1))
-    assert w.contains(D(2022, 2, 1)) and w.contains(D(2022, 1, 1))
-    assert not w.contains(D(2022, 2, 2))
-    other = DateWindow(D(2022, 1, 15), D(2022, 3, 1))
-    assert w.intersect(other) == DateWindow(D(2022, 1, 15), D(2022, 2, 1))
-    assert w.intersect(DateWindow(D(2023, 1, 1), D(2023, 2, 1))) is None
 
 
 # --- ColumnKey -------------------------------------------------------------------
@@ -145,7 +139,8 @@ def test_align_matches_set_based_join_in_any_input_order(series_list, fields, ra
         return
     panel = align(shuffled, fields)
     assert panel.dates == dates
-    assert panel.keys == tuple(sorted(columns, key=ColumnKey.sort_key))
+    canonical = sorted(columns, key=lambda key: (key.symbol, FIELD_ORDER.index(key.field)))
+    assert panel.keys == tuple(canonical)
     for key, expected in columns.items():
         np.testing.assert_array_equal(panel.column(key), expected)
 
@@ -204,13 +199,13 @@ def test_slice_composition_equals_intersection(rng):
         c, d = sorted(int(v) for v in offsets[2:])
         w1 = DateWindow(first + dt.timedelta(a), first + dt.timedelta(b))
         w2 = DateWindow(first + dt.timedelta(c), first + dt.timedelta(d))
-        both = w1.intersect(w2)
+        start, end = max(w1.start, w2.start), min(w1.end, w2.end)
         try:
             nested = panel.slice(w1).slice(w2)
         except PanelError:
             continue
-        assert both is not None
-        direct = panel.slice(both)
+        assert start <= end
+        direct = panel.slice(DateWindow(start, end))
         assert nested.dates == direct.dates
         for key in panel.keys:
             np.testing.assert_array_equal(nested.column(key), direct.column(key))
@@ -252,7 +247,7 @@ def test_columns_are_contiguous_read_only_views(rng):
     assert_columns_contiguous_read_only(sliced.slice(DateWindow(panel.dates[10], panel.dates[20])))
     assert_columns_contiguous_read_only(sliced.take([3, 0, 1], onto=panel.slice(
         DateWindow(panel.dates[50], panel.dates[52]))))
-    built = AlignedPanel(panel.dates, {key: list(panel.column(key)) for key in panel.keys})
+    built = panel_of(panel.dates, {key: list(panel.column(key)) for key in panel.keys})
     assert_columns_contiguous_read_only(built)
 
 
@@ -274,15 +269,93 @@ def test_every_column_length_matches_dates(rng):
 
 
 def test_constructor_rejects_length_mismatch():
-    with pytest.raises(PanelError, match="A.close"):
-        AlignedPanel([D(2022, 1, 3), D(2022, 1, 4)], {closes("A"): [1.0]})
+    with pytest.raises(PanelError, match=r"\(1, 1\) values for 1 columns and 2 dates"):
+        panel_of([D(2022, 1, 3), D(2022, 1, 4)], {closes("A"): [1.0]})
 
 
 def test_constructor_rejects_non_finite_cells():
     with pytest.raises(PanelError, match="non-finite"):
-        AlignedPanel([D(2022, 1, 3)], {closes("A"): [float("nan")]})
+        panel_of([D(2022, 1, 3)], {closes("A"): [float("nan")]})
+    # the first column with a non-finite cell is named
+    columns = {closes("A"): [1.0, 2.0], closes("B"): [3.0, np.nan], closes("C"): [np.inf, 6.0]}
+    with pytest.raises(PanelError, match="column B.close contains non-finite cells"):
+        panel_of([D(2022, 1, 3), D(2022, 1, 4)], columns)
 
 
 def test_constructor_rejects_unordered_dates():
     with pytest.raises(PanelError, match="strictly increasing"):
-        AlignedPanel([D(2022, 1, 4), D(2022, 1, 3)], {closes("A"): [1.0, 2.0]})
+        panel_of([D(2022, 1, 4), D(2022, 1, 3)], {closes("A"): [1.0, 2.0]})
+    with pytest.raises(PanelError, match="NaT"):
+        panel_of([D(2022, 1, 3), None], {closes("A"): [1.0, 2.0]})
+
+
+def test_constructor_rejects_index_that_misnumbers_rows():
+    days = [D(2022, 1, 3), D(2022, 1, 4)]
+    with pytest.raises(PanelError, match="in order"):
+        AlignedPanel(days, [[1.0, 2.0], [3.0, 4.0]], {closes("A"): 1, closes("B"): 0})
+
+
+def test_constructor_rejects_strided_rows():
+    # BLAS dot products round strided vectors differently, so a
+    # Fortran-order array must not become a panel, writeable or not.
+    days = np.array([D(2022, 1, 3), D(2022, 1, 4), D(2022, 1, 5)], dtype="datetime64[D]")
+    index = {closes("A"): 0, closes("B"): 1}
+    values = np.asfortranarray([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    with pytest.raises(PanelError, match="not contiguous"):
+        AlignedPanel(days, values, index)
+    values.flags.writeable = False
+    with pytest.raises(PanelError, match="not contiguous"):
+        AlignedPanel(days, values, index)
+
+
+def test_constructor_copies_writeable_input():
+    days = np.array([D(2022, 1, 3), D(2022, 1, 4)], dtype="datetime64[D]")
+    values = np.array([[1.0, 2.0]])
+    index = {closes("A"): 0}
+    panel = AlignedPanel(days, values, index)
+    days[1] = np.datetime64("2030-01-01")
+    values[0, 0] = 99.0
+    index[closes("B")] = 1
+    assert panel.dates == (D(2022, 1, 3), D(2022, 1, 4))
+    np.testing.assert_array_equal(panel.column(closes("A")), [1.0, 2.0])
+    assert panel.keys == (closes("A"),)
+    assert_columns_contiguous_read_only(panel)
+    # a read-only view does not protect the memory it views
+    view = values.view()
+    view.flags.writeable = False
+    viewing = AlignedPanel(days, view, {closes("A"): 0})
+    values[0, 1] = 77.0
+    np.testing.assert_array_equal(viewing.column(closes("A")), [99.0, 2.0])
+
+
+def test_slices_are_views_and_takes_are_copies(week_panel):
+    # align hands over the array it built, read-only, so it is not copied
+    assert not week_panel.values.flags.owndata
+    sliced = week_panel.slice(DateWindow(D(2022, 1, 4), D(2022, 1, 6)))
+    assert np.shares_memory(sliced.values, week_panel.values)
+    assert np.shares_memory(sliced.days, week_panel.days)
+    assert sliced.index is week_panel.index
+    taken = week_panel.take([2, 1, 0], onto=sliced)
+    assert not np.shares_memory(taken.values, week_panel.values)
+    assert taken.days is sliced.days
+
+
+def new_calls(source: str) -> list[str]:
+    """The callee of every ``__new__`` call in source."""
+    return [
+        ast.unparse(node.func)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "__new__"
+    ]
+
+
+def test_no_type_is_built_around_its_constructor():
+    # ``object.__new__`` plus hand-set fields skips the checks in a type's
+    # one constructor; no module may build an instance that way.
+    assert new_calls("object.__new__(cls)\nsuper().__new__(cls)\nnew(cls)") == [
+        "object.__new__", "super().__new__"
+    ]
+    sources = Path(eventlens.__file__).parent.glob("*.py")
+    sites = {path.name: new_calls(path.read_text(encoding="utf-8")) for path in sources}
+    assert not any(sites.values()), sites

@@ -14,6 +14,8 @@ from eventlens.regress import (
     model_to_json_dict,
 )
 
+from conftest import panel_of
+
 D = dt.date
 Y = ColumnKey("Y", BarField.CLOSE)
 X1 = ColumnKey("X1", BarField.CLOSE)
@@ -23,7 +25,7 @@ X2 = ColumnKey("X2", BarField.CLOSE)
 def panel_from(columns: dict[ColumnKey, list[float]]) -> AlignedPanel:
     n = len(next(iter(columns.values())))
     dates = [D(2022, 1, 3) + dt.timedelta(days=i) for i in range(n)]
-    return AlignedPanel(dates, columns)
+    return panel_of(dates, columns)
 
 
 def normal_equations(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -177,7 +179,7 @@ def test_target_scaling_equivariance(rng):
     c = 12.5
     scaled_columns = {key: panel.column(key) for key in spec.features}
     scaled_columns[Y] = panel.column(Y) * c
-    scaled_panel = AlignedPanel(panel.dates, scaled_columns)
+    scaled_panel = panel_of(panel.dates, scaled_columns)
     scaled = fit_ols(scaled_panel, spec)
     np.testing.assert_allclose(scaled.weights, c * base.weights, rtol=1e-12)
     np.testing.assert_allclose(

@@ -4,6 +4,8 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventlens import StatsError, align, correlation_matrix, pearson
 from eventlens.panel import BarField, ColumnKey
@@ -14,7 +16,7 @@ from eventlens.stats import (
     matrix_to_json_dict,
 )
 
-from conftest import make_series, random_series
+from conftest import make_series, panel_of, random_series
 
 D = dt.date
 
@@ -128,6 +130,28 @@ def test_matrix_invariants_on_random_panels(rng):
         assert np.all(values.diagonal() == 1.0)
         assert np.all(np.abs(values) <= 1.0 + 1e-12)
         assert np.all(np.isfinite(values))
+
+
+@st.composite
+def close_columns(draw):
+    """Two to six non-constant columns of positive prices over one set of dates."""
+    n_rows = draw(st.integers(2, 30))
+    n_cols = draw(st.integers(2, 6))
+    prices = st.lists(st.floats(1.0, 1e6), min_size=n_rows, max_size=n_rows)
+    return [draw(prices.filter(lambda cells: min(cells) < max(cells))) for _ in range(n_cols)]
+
+
+@settings(deadline=None)
+@given(close_columns())
+def test_every_matrix_entry_is_exactly_pearson_of_its_columns(columns):
+    keys = [key(f"S{i}") for i in range(len(columns))]
+    dates = [D(2022, 1, 3) + dt.timedelta(days=i) for i in range(len(columns[0]))]
+    panel = panel_of(dates, dict(zip(keys, columns)))
+    matrix = correlation_matrix(panel, keys)
+    for i, a in enumerate(keys):
+        for j, b in enumerate(keys):
+            if i != j:
+                assert matrix.values[i, j] == pearson(panel.column(a), panel.column(b))
 
 
 def test_zero_variance_column_is_named():
