@@ -8,6 +8,12 @@ each one's rows up by binary search. A panel is one read-only
 (n_columns, n_rows) array with a key->row index; ``align``, ``slice`` and
 ``take`` all build it through its one checked constructor, so a window
 slice is a view and panels are immutable and safe to share across threads.
+
+A panel keeps the slice it built for each window, next to its ``dates``,
+so the protocol's stages can each ask for the windows they read and the
+constructor still checks each window's rows only once per run. The memo
+needs no lock: two threads that slice one window at once build equal
+views, and storing either in the dict is atomic.
 """
 
 from __future__ import annotations
@@ -57,6 +63,8 @@ class ColumnKey:
 
     @classmethod
     def parse(cls, name: str) -> "ColumnKey":
+        if not isinstance(name, str):
+            raise ConfigError(f"column name must be a string, got {name!r}")
         symbol, sep, field = name.rpartition(".")
         if not sep or not symbol:
             raise ConfigError(f"column name must look like SYMBOL.field, got {name!r}")
@@ -129,6 +137,10 @@ class AlignedPanel:
     def dates(self) -> tuple[dt.date, ...]:
         return tuple(self.days.tolist())
 
+    @cached_property
+    def _slices(self) -> dict[DateWindow, "AlignedPanel"]:
+        return {}
+
     @property
     def keys(self) -> tuple[ColumnKey, ...]:
         return tuple(self.index)
@@ -145,12 +157,16 @@ class AlignedPanel:
 
     def slice(self, window: DateWindow) -> "AlignedPanel":
         """Rows with window.start <= date <= window.end, all columns alike,
-        as views of this panel's arrays."""
-        lo = int(np.searchsorted(self.days, np.datetime64(window.start, "D"), "left"))
-        hi = int(np.searchsorted(self.days, np.datetime64(window.end, "D"), "right"))
-        if lo >= hi:
-            raise PanelError(f"window {window} contains no panel dates")
-        return AlignedPanel(self.days[lo:hi], self.values[:, lo:hi], self.index)
+        as views of this panel's arrays; built once per window and panel."""
+        sliced = self._slices.get(window)
+        if sliced is None:
+            lo = int(np.searchsorted(self.days, np.datetime64(window.start, "D"), "left"))
+            hi = int(np.searchsorted(self.days, np.datetime64(window.end, "D"), "right"))
+            if lo >= hi:
+                raise PanelError(f"window {window} contains no panel dates")
+            sliced = AlignedPanel(self.days[lo:hi], self.values[:, lo:hi], self.index)
+            self._slices[window] = sliced
+        return sliced
 
     def take(self, rows: Sequence[int] | np.ndarray, onto: "AlignedPanel") -> "AlignedPanel":
         """Rows ``rows`` of every column, in that order, re-dated onto the

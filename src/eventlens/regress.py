@@ -7,6 +7,11 @@ square the condition number; the normal-equations route is reserved for
 test oracles. Rank deficiency is a hard error, never silently
 regularized.
 
+A fit or a prediction resolves its spec's column keys to panel rows once
+and gathers them in one fancy-index take; the design handed to the SVD and
+to ``@`` is the C-contiguous (n_rows, n_coef) array ``np.column_stack``
+would build, because BLAS rounds strided operands differently.
+
 Features are not standardized. OLS predictions are affine-equivariant, so
 scaling is cosmetic, and raw weights stay comparable to quote units.
 """
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FitError, PanelError
+from .errors import ConfigError, FitError
 from .panel import AlignedPanel, BarField, ColumnKey
 
 CONDITION_LIMIT = 1e12
@@ -33,6 +38,11 @@ class FeatureSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "features", tuple(self.features))
+        if not isinstance(self.include_intercept, bool):
+            raise ConfigError(
+                f"include_intercept for {self.target.name} must be true or false, "
+                f"got {self.include_intercept!r}"
+            )
         if not self.features:
             raise ConfigError(f"feature list for {self.target.name} is empty")
         if self.target.field is not BarField.CLOSE:
@@ -74,35 +84,50 @@ class RegressionModel:
         object.__setattr__(self, "weights", weights)
 
 
-def _feature_column(panel: AlignedPanel, key: ColumnKey) -> np.ndarray:
+def _gather(panel: AlignedPanel, keys: tuple[ColumnKey, ...]) -> np.ndarray:
+    """The cells of ``keys``' columns, one row per key in order, in one
+    fancy-index take; the first key missing from the panel is named."""
     try:
-        return panel.column(key)
-    except PanelError as exc:
-        raise FitError(str(exc)) from exc
+        rows = np.fromiter(map(panel.index.__getitem__, keys), np.intp, len(keys))
+    except KeyError as exc:
+        raise FitError(f"unknown column {exc.args[0].name}") from None
+    return panel.values[rows]
+
+
+def _design(columns: np.ndarray, include_intercept: bool) -> np.ndarray:
+    """``columns`` (one row per feature) as the columns of a C-contiguous
+    (n_rows, n_coef) array, after a constant-1 column when
+    ``include_intercept``: the layout ``np.column_stack`` gives."""
+    n_features, n_rows = columns.shape
+    X = np.empty((n_rows, include_intercept + n_features))
+    if include_intercept:
+        X[:, 0] = 1.0
+    X[:, include_intercept:] = columns.T
+    return X
 
 
 def design_matrix(panel: AlignedPanel, spec: FeatureSpec) -> np.ndarray:
     """Feature columns in spec order, with a constant-1 column prepended
     when the spec includes an intercept."""
-    columns = [_feature_column(panel, key) for key in spec.features]
-    if spec.include_intercept:
-        columns.insert(0, np.ones(panel.n_rows))
-    return np.column_stack(columns)
+    return _design(_gather(panel, spec.features), spec.include_intercept)
 
 
 def fit_ols(panel: AlignedPanel, spec: FeatureSpec) -> RegressionModel:
     """Fit the spec on the panel by least squares.
 
-    Raises FitError when rows are fewer than coefficients, when a feature
-    column exactly duplicates the target values, or when the design's
-    condition estimate exceeds CONDITION_LIMIT.
+    Raises FitError when a column is missing from the panel, when rows are
+    fewer than coefficients, when a feature column exactly duplicates the
+    target values (the first such feature in spec order is named), or when
+    the design's condition estimate exceeds CONDITION_LIMIT.
     """
-    y = _feature_column(panel, spec.target)
-    for key in spec.features:
-        if np.array_equal(_feature_column(panel, key), y):
-            raise FitError(f"feature {key.name} is an exact copy of the target values")
+    cells = _gather(panel, (spec.target, *spec.features))
+    y, features = cells[0], cells[1:]
+    copies = (features == y).all(axis=1)
+    if copies.any():
+        key = spec.features[int(np.argmax(copies))]
+        raise FitError(f"feature {key.name} is an exact copy of the target values")
 
-    X = design_matrix(panel, spec)
+    X = _design(features, spec.include_intercept)
     n_rows, n_coef = X.shape
     if n_rows < n_coef:
         raise FitError(f"too few rows: {n_rows} rows for {n_coef} coefficients")
@@ -130,7 +155,7 @@ def fit_ols(panel: AlignedPanel, spec: FeatureSpec) -> RegressionModel:
 
 def predict(model: RegressionModel, panel: AlignedPanel) -> np.ndarray:
     """One point prediction per panel row: intercept + dot(weights, features)."""
-    X = np.column_stack([_feature_column(panel, key) for key in model.spec.features])
+    X = _design(_gather(panel, model.spec.features), False)
     if model.spec.include_intercept:
         return X @ model.weights[1:] + model.weights[0]
     return X @ model.weights
@@ -157,7 +182,7 @@ def model_from_json_dict(document: dict) -> RegressionModel:
         spec = FeatureSpec(
             target=ColumnKey.parse(document["spec"]["target"]),
             features=tuple(ColumnKey.parse(n) for n in document["spec"]["features"]),
-            include_intercept=bool(document["spec"]["include_intercept"]),
+            include_intercept=document["spec"]["include_intercept"],
         )
         diagnostics = FitDiagnostics(
             residual_sum_of_squares=float(document["diagnostics"]["residual_sum_of_squares"]),

@@ -8,13 +8,20 @@ fit and project subcommands write the same bytes. Every file goes through
 ``ingest.write_atomic``, the package's one writer, and the manifest goes
 last, so a bundle with a manifest is complete by construction. Emission is
 deterministic: re-emitting the same report yields byte-identical files.
+
+``json_bytes`` writes the bytes ``json.dumps(document, indent=2)`` writes,
+ASCII with a trailing newline, through its own encoder: CPython's C encoder
+does not indent, and its pure-Python one spends most of a large report on
+per-float calls. A list of floats is joined from ``float.__repr__`` in one
+pass, strings go through json's ``encode_basestring_ascii``, and ``NaN``
+and ``Infinity`` are spelled as json spells them.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -57,8 +64,85 @@ def _metrics_csv(report: ScenarioReport) -> bytes:
 
 
 def json_bytes(document) -> bytes:
-    """The bundle's JSON encoding: two-space indent, ASCII, trailing newline."""
-    return (json.dumps(document, indent=2) + "\n").encode("ascii")
+    """The bundle's JSON encoding: two-space indent, ASCII, trailing newline.
+
+    Equal to ``(json.dumps(document, indent=2) + "\\n").encode("ascii")`` for
+    documents of str-keyed dicts, lists, tuples, str, int, float, bool and
+    None; any other value or key type raises TypeError.
+    """
+    out: list[str] = []
+    _encode(document, "\n", out)
+    out.append("\n")
+    return "".join(out).encode("ascii")
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+def _joined(items, separator: str) -> str | None:
+    """``items``' texts joined by ``separator`` in one pass when all of them
+    are floats or all are strings, else None."""
+    try:
+        text = separator.join(map(float.__repr__, items))
+    except TypeError:
+        try:
+            return separator.join(map(encode_basestring_ascii, items))
+        except TypeError:
+            return None
+    # A finite float's repr has no "n"; "nan" and "inf" do.
+    return separator.join(map(_float, items)) if "n" in text else text
+
+
+def _encode(value, newline: str, out: list[str]) -> None:
+    """Append ``value``'s text to ``out``; ``newline`` is a line break plus
+    the indent of the line ``value`` starts on."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "," + inner
+        text = _joined(value, separator)
+        if text is None:
+            out.append("[")
+            for position, item in enumerate(value):
+                out.append(separator if position else inner)
+                _encode(item, inner, out)
+        else:
+            out.append("[" + inner + text)
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "," + inner
+        out.append("{")
+        for position, (key, item) in enumerate(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append((separator if position else inner) + encode_basestring_ascii(key) + ": ")
+            _encode(item, inner, out)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _formats(formats: Iterable[str]) -> list[str]:

@@ -195,6 +195,15 @@ def config_to_json_dict(config: ScenarioConfig) -> dict:
 
 
 def config_from_json_dict(document: dict) -> ScenarioConfig:
+    # Specs share most of their column names; each distinct name is parsed once.
+    keys: dict[str, ColumnKey] = {}
+
+    def column_key(name: str) -> ColumnKey:
+        key = keys.get(name)
+        if key is None:
+            key = keys[name] = ColumnKey.parse(name)
+        return key
+
     try:
         universe = tuple(
             InstrumentId(entry["symbol"], InstrumentKind(entry["kind"]))
@@ -202,9 +211,9 @@ def config_from_json_dict(document: dict) -> ScenarioConfig:
         )
         feature_specs = tuple(
             FeatureSpec(
-                target=ColumnKey.parse(entry["target"]),
-                features=tuple(ColumnKey.parse(name) for name in entry["features"]),
-                include_intercept=bool(entry.get("include_intercept", True)),
+                target=column_key(entry["target"]),
+                features=tuple(map(column_key, entry["features"])),
+                include_intercept=entry.get("include_intercept", True),
             )
             for entry in document["feature_specs"]
         )

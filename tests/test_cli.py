@@ -250,6 +250,21 @@ UNPARSEABLE_CONFIGS = {
     "cache-dir-null": _edited_noisy_config(lambda d: d.update(provider={"cache_dir": None})),
     "provider-not-object": _edited_noisy_config(lambda d: d.update(provider=5)),
     "missing-window": _edited_noisy_config(lambda d: d["scenario"].pop("projection_window")),
+    "intercept-string": _edited_noisy_config(
+        lambda d: d["scenario"]["feature_specs"][0].update(include_intercept="false")
+    ),
+    "intercept-zero": _edited_noisy_config(
+        lambda d: d["scenario"]["feature_specs"][0].update(include_intercept=0)
+    ),
+    "intercept-list": _edited_noisy_config(
+        lambda d: d["scenario"]["feature_specs"][0].update(include_intercept=[])
+    ),
+    "feature-name-number": _edited_noisy_config(
+        lambda d: d["scenario"]["feature_specs"][0]["features"].insert(0, 5)
+    ),
+    "feature-name-list": _edited_noisy_config(
+        lambda d: d["scenario"]["feature_specs"][0]["features"].insert(0, ["A.close"])
+    ),
 }
 
 

@@ -332,6 +332,7 @@ def test_slices_are_views_and_takes_are_copies(week_panel):
     # align hands over the array it built, read-only, so it is not copied
     assert not week_panel.values.flags.owndata
     sliced = week_panel.slice(DateWindow(D(2022, 1, 4), D(2022, 1, 6)))
+    assert week_panel.slice(DateWindow(D(2022, 1, 4), D(2022, 1, 6))) is sliced
     assert np.shares_memory(sliced.values, week_panel.values)
     assert np.shares_memory(sliced.days, week_panel.days)
     assert sliced.index is week_panel.index

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 
 import numpy as np
@@ -20,6 +21,8 @@ D = dt.date
 Y = ColumnKey("Y", BarField.CLOSE)
 X1 = ColumnKey("X1", BarField.CLOSE)
 X2 = ColumnKey("X2", BarField.CLOSE)
+X3 = ColumnKey("X3", BarField.CLOSE)
+X4 = ColumnKey("X4", BarField.CLOSE)
 
 
 def panel_from(columns: dict[ColumnKey, list[float]]) -> AlignedPanel:
@@ -101,6 +104,16 @@ def test_exact_copy_of_target_is_rejected():
         fit_ols(panel, FeatureSpec(target=Y, features=(X1,)))
 
 
+def test_first_feature_copying_the_target_in_spec_order_is_named():
+    # X2 and X3 both copy Y; the spec lists X3 2nd and X2 4th, against panel order
+    panel = panel_from(
+        {X1: [1.0, 5.0, 2.0], X2: [1.0, 2.0, 3.0], X3: [1.0, 2.0, 3.0], X4: [0.0, 5.0, 1.0],
+         Y: [1.0, 2.0, 3.0]}
+    )
+    with pytest.raises(FitError, match="^feature X3.close is an exact copy of the target values$"):
+        fit_ols(panel, FeatureSpec(target=Y, features=(X1, X3, X4, X2)))
+
+
 def test_too_few_rows():
     panel = panel_from({X1: [1.0], Y: [2.0]})
     with pytest.raises(FitError, match="too few rows"):
@@ -150,6 +163,23 @@ def test_predict_missing_feature_column():
 
 
 # --- numerical properties -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("include_intercept", [True, False])
+def test_design_matrix_is_the_column_stack_bit_for_bit(rng, include_intercept):
+    # SVD and BLAS round strided or reordered operands differently, so the
+    # one-take design must be np.column_stack's array exactly, in its layout.
+    for _ in range(10):
+        panel, spec = random_instance(rng)
+        features = spec.features[::-1][::2] + spec.features[::-1][1::2]
+        spec = dataclasses.replace(spec, features=features, include_intercept=include_intercept)
+        columns = [panel.column(key) for key in spec.features]
+        if include_intercept:
+            columns.insert(0, np.ones(panel.n_rows))
+        reference = np.column_stack(columns)
+        X = design_matrix(panel, spec)
+        assert X.flags.c_contiguous
+        assert X.shape == reference.shape and X.tobytes() == reference.tobytes()
 
 
 def test_matches_normal_equations_oracle(rng):
@@ -206,6 +236,15 @@ def test_model_json_round_trip():
     assert rebuilt.spec == model.spec
     np.testing.assert_array_equal(rebuilt.weights, model.weights)
     assert model_to_json_dict(rebuilt) == document
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1, [], None])
+def test_model_json_include_intercept_must_be_a_boolean(value):
+    panel = panel_from({X1: [0.0, 1.0, 2.0], Y: [1.0, 2.0, 2.0]})
+    document = model_to_json_dict(fit_ols(panel, FeatureSpec(target=Y, features=(X1,))))
+    document["spec"]["include_intercept"] = value
+    with pytest.raises(ConfigError, match="include_intercept for Y.close must be true or false"):
+        model_from_json_dict(document)
 
 
 def test_model_json_rejects_garbage():

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
+import math
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import eventlens
 from eventlens import ConfigError, run_scenario
-from eventlens.report import MANIFEST_NAME, emit, render_files
+from eventlens.report import MANIFEST_NAME, emit, json_bytes, render_files
 
 from test_scenario import linear_config, linear_universe
 
@@ -107,3 +114,54 @@ def test_counterfactual_dates_match_projection_window(report, tmp_path):
     rows = json.loads(files["counterfactual_Y.json"])
     result = report.targets["Y"]
     assert [row["date"] for row in rows] == [d.isoformat() for d in result.projection_dates]
+
+
+# --- json_bytes -------------------------------------------------------------------
+
+FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf])
+# Any code point, control characters and lone surrogates included.
+TEXT = st.text(st.characters(exclude_categories=()))
+SCALARS = st.none() | st.booleans() | st.integers(-(2**200), 2**200) | FLOATS | TEXT
+DOCUMENTS = st.recursive(
+    SCALARS | st.lists(FLOATS) | st.lists(TEXT),
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(TEXT, children),
+    max_leaves=30,
+)
+
+
+@settings(deadline=None)
+@given(DOCUMENTS)
+def test_json_bytes_equals_indented_json_dumps(document):
+    assert json_bytes(document) == (json.dumps(document, indent=2) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "document", [np.int64(1), {1: 2.0}, [1.0, {"a": {2.0}}], b"x", [np.float32(1.0)]]
+)
+def test_json_bytes_rejects_what_json_does_not_encode(document):
+    with pytest.raises(TypeError):
+        json_bytes(document)
+
+
+def indented_dumps_calls(source: str) -> list[str]:
+    """Every ``dumps(..., indent=...)`` call in source."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "dumps"
+        and any(keyword.arg == "indent" for keyword in node.keywords)
+    ]
+
+
+def test_no_module_encodes_indented_json_with_json_dumps():
+    # json.dumps with an indent runs json's pure-Python encoder; json_bytes
+    # writes the same bytes and is the program's one indented encoding.
+    assert indented_dumps_calls("json.dumps(d, indent=2)\ndumps(d, indent=None)\njson.dumps(d)") == [
+        "json.dumps(d, indent=2)", "dumps(d, indent=None)"
+    ]
+    sources = Path(eventlens.__file__).parent.glob("*.py")
+    sites = {path.name: indented_dumps_calls(path.read_text(encoding="utf-8")) for path in sources}
+    assert not any(sites.values()), sites

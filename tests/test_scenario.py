@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from eventlens import ConfigError, align
-from eventlens.panel import BarField, ColumnKey, DateWindow
+from eventlens.panel import AlignedPanel, BarField, ColumnKey, DateWindow
 from eventlens.regress import FeatureSpec
 from eventlens.scenario import (
     ProjectionMode,
@@ -105,6 +105,14 @@ def test_config_json_round_trip_and_digest():
         config, projection_window=DateWindow(D(2022, 1, 24), D(2022, 1, 30))
     )
     assert config_digest(moved) != digest
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, [], None])
+def test_config_from_json_include_intercept_must_be_a_boolean(value):
+    document = config_to_json_dict(linear_config())
+    document["feature_specs"][0]["include_intercept"] = value
+    with pytest.raises(ConfigError, match="include_intercept for Y.close must be true or false"):
+        config_from_json_dict(document)
 
 
 def test_config_from_json_rejects_missing_sections():
@@ -264,6 +272,26 @@ def test_oracle_mode_reports_single_cycle():
 
 
 # --- determinism and serialization -----------------------------------------------------
+
+
+@pytest.mark.parametrize("config_name", ["scenario_noisy.json", "scenario_noisy_dateshift.json"])
+def test_run_builds_each_window_once_and_one_take_per_target(monkeypatch, config_name):
+    # One align, one slice per distinct window however many stages read it,
+    # and in date_shifted mode one take of the source rows per target.
+    built = []
+    check = AlignedPanel.__post_init__
+
+    def counted(panel: AlignedPanel) -> None:
+        check(panel)
+        built.append(panel)
+
+    monkeypatch.setattr(AlignedPanel, "__post_init__", counted)
+    _, config = load_fixture_config(config_name)
+    data = load_fixture_data("noisy", config)
+    run_scenario(config, data)
+    windows = set(config.named_windows().values())
+    takes = len(config.feature_specs) if config.projection_mode is ProjectionMode.DATE_SHIFTED else 0
+    assert len(built) == 1 + len(windows) + takes
 
 
 def test_identical_inputs_give_byte_identical_reports():
