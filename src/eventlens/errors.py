@@ -3,6 +3,10 @@
 Every error raised deliberately by this package derives from
 :class:`EventLensError`, so callers (and the CLI) can distinguish
 data/model failures from programming errors.
+
+``json_number`` reads a saved document's numbers: ``json.loads`` gives
+exactly ``int`` or ``float`` for one, so a boolean, a string or a
+fractional count is rejected instead of coerced.
 """
 
 from __future__ import annotations
@@ -46,3 +50,11 @@ class MetricError(EventLensError):
 
 class ConfigError(EventLensError):
     """A configuration document or scenario setup is inconsistent."""
+
+
+def json_number(value: object, name: str, whole: bool = False) -> float:
+    """``value`` as a float, or as an int if ``whole``, when it is a JSON
+    number (a JSON integer if ``whole``); else ConfigError."""
+    if type(value) is not int and (whole or type(value) is not float):
+        raise ConfigError(f"{name} must be {'an integer' if whole else 'a number'}, got {value!r}")
+    return value if whole else float(value)

@@ -15,6 +15,9 @@ date order on whole arrays. The parsers only decode: they collect plain
 day ordinals and floats and hand the columns over. ``DailyBar`` is the row
 type of ``RawSeries.bars``, a view built only when a caller reads it.
 
+Every CSV the package writes, a cache file or a report table, comes from
+``csv_bytes``: a header line, then one line of comma-joined cells per row.
+
 Parse failures are fatal for the whole series rather than row-skipping:
 a silently dropped day would corrupt date alignment downstream. When a
 CSV body fails to decode or to construct, it is walked row by row so the
@@ -389,13 +392,18 @@ def _dates(ordinals) -> np.ndarray:
 
 # --- CSV fixture / cache format ----------------------------------------------
 
+def csv_bytes(header: Iterable[str], rows: Iterable[Iterable[str]]) -> bytes:
+    """The package's one CSV layout: the header line, then one line per row,
+    each its cells joined by commas and ended by an LF; ASCII."""
+    return "\n".join([",".join(header), *map(",".join, rows), ""]).encode("ascii")
+
+
 def series_to_csv_bytes(series: RawSeries) -> bytes:
-    """Serialize to the bit-exact CSV format: LF newlines, shortest
-    round-trip decimals, single trailing newline."""
+    """Serialize to the bit-exact CSV format: ISO dates and shortest
+    round-trip decimals in ``csv_bytes``' layout."""
     dates = np.datetime_as_string(series.dates).tolist()
     cells = list(map(repr, series.quotes.ravel().tolist()))
-    rows = map(",".join, zip(dates, cells[0::4], cells[1::4], cells[2::4], cells[3::4]))
-    return "\n".join([CSV_HEADER, *rows, ""]).encode("ascii")
+    return csv_bytes((CSV_HEADER,), zip(dates, cells[0::4], cells[1::4], cells[2::4], cells[3::4]))
 
 
 def write_atomic(path: Path, payload: bytes) -> None:

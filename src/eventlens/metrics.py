@@ -14,12 +14,12 @@ dropping points would misstate n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .errors import MetricError
+from .errors import MetricError, json_number
 
 Vector = Sequence[float] | np.ndarray
 
@@ -46,24 +46,10 @@ class MetricsReport:
         if self.mae > self.rmse + 1e-12:
             raise MetricError(f"mae {self.mae} exceeds rmse {self.rmse}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mse": self.mse,
-            "rmse": self.rmse,
-            "mae": self.mae,
-            "mape": self.mape,
-            "n": self.n,
-        }
-
     @classmethod
     def from_json_dict(cls, document: dict) -> "MetricsReport":
-        return cls(
-            mse=float(document["mse"]),
-            rmse=float(document["rmse"]),
-            mae=float(document["mae"]),
-            mape=float(document["mape"]),
-            n=int(document["n"]),
-        )
+        """The report saved as ``dataclasses.asdict(report)``, numbers checked."""
+        return cls(*(json_number(document[f.name], f.name, f.name == "n") for f in fields(cls)))
 
 
 def _paired(true: Vector, pred: Vector) -> tuple[np.ndarray, np.ndarray]:

@@ -57,7 +57,7 @@ class ColumnKey:
             except ValueError:
                 raise ConfigError(f"unknown bar field {self.field!r}") from None
 
-    @property
+    @cached_property
     def name(self) -> str:
         return f"{self.symbol}.{self.field.value}"
 

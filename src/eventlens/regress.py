@@ -18,11 +18,11 @@ scaling is cosmetic, and raw weights stay comparable to quote units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FitError
+from .errors import ConfigError, FitError, json_number
 from .panel import AlignedPanel, BarField, ColumnKey
 
 CONDITION_LIMIT = 1e12
@@ -168,27 +168,26 @@ def model_to_json_dict(model: RegressionModel) -> dict:
             "features": [key.name for key in model.spec.features],
             "include_intercept": model.spec.include_intercept,
         },
-        "weights": [float(w) for w in model.weights],
-        "diagnostics": {
-            "residual_sum_of_squares": model.diagnostics.residual_sum_of_squares,
-            "training_rows": model.diagnostics.training_rows,
-            "condition_estimate": model.diagnostics.condition_estimate,
-        },
+        "weights": model.weights.tolist(),
+        "diagnostics": asdict(model.diagnostics),
     }
 
 
 def model_from_json_dict(document: dict) -> RegressionModel:
+    """The model of a ``model_to_json_dict`` document; every number is checked."""
     try:
         spec = FeatureSpec(
             target=ColumnKey.parse(document["spec"]["target"]),
             features=tuple(ColumnKey.parse(n) for n in document["spec"]["features"]),
             include_intercept=document["spec"]["include_intercept"],
         )
+        saved = document["diagnostics"]
         diagnostics = FitDiagnostics(
-            residual_sum_of_squares=float(document["diagnostics"]["residual_sum_of_squares"]),
-            training_rows=int(document["diagnostics"]["training_rows"]),
-            condition_estimate=float(document["diagnostics"]["condition_estimate"]),
+            json_number(saved["residual_sum_of_squares"], "residual_sum_of_squares"),
+            json_number(saved["training_rows"], "training_rows", whole=True),
+            json_number(saved["condition_estimate"], "condition_estimate"),
         )
-        return RegressionModel(spec, np.array(document["weights"], dtype=float), diagnostics)
-    except (KeyError, TypeError, ValueError) as exc:
+        weights = [json_number(w, "weight") for w in document["weights"]]
+        return RegressionModel(spec, weights, diagnostics)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed model document: {exc}") from exc

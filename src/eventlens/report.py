@@ -1,13 +1,14 @@
 """Serialize scenario outputs into plot-ready tables with a digest manifest.
 
-No figures are rendered; the bundle holds the data behind them. The
-bundle's file sets are built by ``correlation_files`` (corr_before,
-corr_after), ``counterfactual_files`` (one per target) and the metrics
-tables, all encoded with ``json_bytes`` or as CSV; the CLI's correlate,
-fit and project subcommands write the same bytes. Every file goes through
-``ingest.write_atomic``, the package's one writer, and the manifest goes
-last, so a bundle with a manifest is complete by construction. Emission is
-deterministic: re-emitting the same report yields byte-identical files.
+No figures are rendered; the bundle holds the data behind them. Each
+table (corr_before, corr_after, counterfactual_<symbol> per target,
+metrics) is one header plus rows, and ``_files`` writes it as a CSV/JSON
+pair: the CSV through ``ingest.csv_bytes``, the JSON as one object per row
+keyed by the header (a correlation matrix's is its own document), so the
+two cannot disagree. The CLI's correlate and project subcommands write the
+same bytes. Every file goes through ``ingest.write_atomic`` and the
+manifest goes last, so a bundle with a manifest is complete by
+construction; re-emitting a report yields byte-identical files.
 
 ``json_bytes`` writes the bytes ``json.dumps(document, indent=2)`` writes,
 ASCII with a trailing newline, through its own encoder: CPython's C encoder
@@ -20,47 +21,31 @@ and ``Infinity`` are spelled as json spells them.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import ConfigError
-from .ingest import write_atomic
-from .stats import CorrelationMatrix, matrix_to_csv_bytes, matrix_to_json_dict
+from .ingest import csv_bytes, write_atomic
+from .metrics import MetricsReport
+from .stats import CorrelationMatrix, matrix_to_json_dict
 
 if TYPE_CHECKING:
     from .scenario import ScenarioReport
 
 MANIFEST_NAME = "manifest.json"
 FORMATS = ("csv", "json")
+COUNTERFACTUAL_HEADER = ("date", "realized", "counterfactual")
+METRICS_HEADER = ("symbol", "phase", *(field.name for field in fields(MetricsReport)))
+_metric_values = attrgetter(*METRICS_HEADER[2:])
 
 
 @dataclass(frozen=True)
 class ReportBundle:
     directory: Path
     manifest: dict
-
-
-def _metrics_rows(report: ScenarioReport) -> list[dict]:
-    rows = []
-    for symbol, result in report.targets.items():
-        for phase, metrics in (
-            ("test", result.test_metrics),
-            ("divergence", result.divergence_metrics),
-        ):
-            rows.append({"symbol": symbol, "phase": phase, **metrics.to_json_dict()})
-    return rows
-
-
-def _metrics_csv(report: ScenarioReport) -> bytes:
-    lines = ["symbol,phase,mse,rmse,mae,mape,n"]
-    for row in _metrics_rows(report):
-        lines.append(
-            f"{row['symbol']},{row['phase']},{row['mse']!r},{row['rmse']!r},"
-            f"{row['mae']!r},{row['mape']!r},{row['n']}"
-        )
-    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def json_bytes(document) -> bytes:
@@ -145,26 +130,51 @@ def _encode(value, newline: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _formats(formats: Iterable[str]) -> list[str]:
-    wanted = sorted(set(formats))
-    unknown = [fmt for fmt in wanted if fmt not in FORMATS]
+def _files(formats: Iterable[str], *tables: tuple) -> dict[str, bytes]:
+    """``<stem>.csv`` and ``<stem>.json`` of each ``(stem, header, rows,
+    document)`` table, for the requested formats, which are checked once.
+
+    A CSV cell is its value's ``str``, which is ``repr`` for a float. The
+    JSON is ``document``, or when that is None one object per row keyed by
+    the header.
+    """
+    wanted = set(formats)
+    unknown = sorted(wanted - set(FORMATS))
     if unknown:
         raise ConfigError(f"unknown report formats: {', '.join(unknown)}")
-    return wanted
+    files = {}
+    for stem, header, rows, document in tables:
+        if "csv" in wanted:
+            files[f"{stem}.csv"] = csv_bytes(header, (map(str, row) for row in rows))
+        if "json" in wanted:
+            if document is None:
+                document = [dict(zip(header, row)) for row in rows]
+            files[f"{stem}.json"] = json_bytes(document)
+    return files
+
+
+def _correlation_tables(before: CorrelationMatrix, after: CorrelationMatrix) -> list[tuple]:
+    """corr_before and corr_after: a header of labels and one labelled row
+    per label; the JSON is the matrix's ``{labels, values}`` document."""
+    tables = []
+    for stem, matrix in (("corr_before", before), ("corr_after", after)):
+        document = matrix_to_json_dict(matrix)
+        labels = document["labels"]
+        rows = [[label, *values] for label, values in zip(labels, document["values"])]
+        tables.append((stem, ["", *labels], rows, document))
+    return tables
+
+
+def _counterfactual_table(symbol: str, dates, realized, counterfactual) -> tuple:
+    rows = list(zip([d.isoformat() for d in dates], realized.tolist(), counterfactual.tolist()))
+    return f"counterfactual_{symbol}", COUNTERFACTUAL_HEADER, rows, None
 
 
 def correlation_files(
     before: CorrelationMatrix, after: CorrelationMatrix, formats: Iterable[str]
 ) -> dict[str, bytes]:
     """corr_before and corr_after in each requested format."""
-    files: dict[str, bytes] = {}
-    for fmt in _formats(formats):
-        for name, matrix in (("corr_before", before), ("corr_after", after)):
-            if fmt == "csv":
-                files[f"{name}.csv"] = matrix_to_csv_bytes(matrix)
-            else:
-                files[f"{name}.json"] = json_bytes(matrix_to_json_dict(matrix))
-    return files
+    return _files(formats, *_correlation_tables(before, after))
 
 
 def counterfactual_files(
@@ -172,37 +182,19 @@ def counterfactual_files(
 ) -> dict[str, bytes]:
     """counterfactual_<symbol>: realized and counterfactual closes per
     projection date, in each requested format."""
-    rows = [
-        (date.isoformat(), float(r), float(c))
-        for date, r, c in zip(dates, realized, counterfactual)
-    ]
-    files: dict[str, bytes] = {}
-    for fmt in _formats(formats):
-        if fmt == "csv":
-            lines = ["date,realized,counterfactual", *(f"{d},{r!r},{c!r}" for d, r, c in rows)]
-            files[f"counterfactual_{symbol}.csv"] = ("\n".join(lines) + "\n").encode("ascii")
-        else:
-            files[f"counterfactual_{symbol}.json"] = json_bytes(
-                [{"date": d, "realized": r, "counterfactual": c} for d, r, c in rows]
-            )
-    return files
+    return _files(formats, _counterfactual_table(symbol, dates, realized, counterfactual))
 
 
 def render_files(report: ScenarioReport, formats: Iterable[str]) -> dict[str, bytes]:
     """File name -> content for the requested formats, manifest excluded."""
-    files = correlation_files(report.correlation_before, report.correlation_after, formats)
+    tables = _correlation_tables(report.correlation_before, report.correlation_after)
+    metrics = []
     for symbol, result in report.targets.items():
-        files.update(
-            counterfactual_files(
-                symbol, result.projection_dates, result.realized, result.counterfactual, formats
-            )
-        )
-    for fmt in _formats(formats):
-        if fmt == "csv":
-            files["metrics.csv"] = _metrics_csv(report)
-        else:
-            files["metrics.json"] = json_bytes(_metrics_rows(report))
-    return files
+        paths = result.projection_dates, result.realized, result.counterfactual
+        tables.append(_counterfactual_table(symbol, *paths))
+        metrics.append((symbol, "test", *_metric_values(result.test_metrics)))
+        metrics.append((symbol, "divergence", *_metric_values(result.divergence_metrics)))
+    return _files(formats, *tables, ("metrics", METRICS_HEADER, metrics, None))
 
 
 def emit(

@@ -34,13 +34,13 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, EventLensError, PanelError
+from .errors import ConfigError, EventLensError, PanelError, json_number
 from .ingest import InstrumentId, InstrumentKind, RawSeries, series_to_csv_bytes
 from .metrics import MetricsReport, score
 from .panel import FIELD_ORDER, AlignedPanel, BarField, ColumnKey, DateWindow, align
@@ -126,7 +126,8 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class TargetResult:
-    """Fit, test score, and counterfactual-vs-realized paths for one target."""
+    """Fit, test score, and counterfactual-vs-realized paths for one target;
+    the two paths are finite and share the projection dates."""
 
     model: RegressionModel
     test_metrics: MetricsReport
@@ -141,6 +142,8 @@ class TargetResult:
         n = len(self.projection_dates)
         if realized.shape != (n,) or counterfactual.shape != (n,):
             raise ConfigError("realized and counterfactual series must share the projection dates")
+        if not (np.isfinite(realized).all() and np.isfinite(counterfactual).all()):
+            raise ConfigError("realized and counterfactual series must be finite")
         realized.flags.writeable = False
         counterfactual.flags.writeable = False
         object.__setattr__(self, "realized", realized)
@@ -377,11 +380,11 @@ def report_to_json_dict(report: ScenarioReport) -> dict:
         "targets": {
             symbol: {
                 "model": model_to_json_dict(result.model),
-                "test_metrics": result.test_metrics.to_json_dict(),
+                "test_metrics": asdict(result.test_metrics),
                 "projection_dates": [d.isoformat() for d in result.projection_dates],
-                "realized": [float(v) for v in result.realized],
-                "counterfactual": [float(v) for v in result.counterfactual],
-                "divergence_metrics": result.divergence_metrics.to_json_dict(),
+                "realized": result.realized.tolist(),
+                "counterfactual": result.counterfactual.tolist(),
+                "divergence_metrics": asdict(result.divergence_metrics),
             }
             for symbol, result in report.targets.items()
         },
@@ -401,8 +404,8 @@ def report_from_json_dict(document: dict) -> ScenarioReport:
                 projection_dates=tuple(
                     dt.date.fromisoformat(d) for d in entry["projection_dates"]
                 ),
-                realized=np.array(entry["realized"], dtype=float),
-                counterfactual=np.array(entry["counterfactual"], dtype=float),
+                realized=[json_number(v, "realized") for v in entry["realized"]],
+                counterfactual=[json_number(v, "counterfactual") for v in entry["counterfactual"]],
                 divergence_metrics=MetricsReport.from_json_dict(entry["divergence_metrics"]),
             )
             for symbol, entry in document["targets"].items()
@@ -415,5 +418,5 @@ def report_from_json_dict(document: dict) -> ScenarioReport:
         )
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed scenario report document: {exc}") from exc

@@ -4,6 +4,9 @@ Correlations are computed on close-price levels, matching the regression
 features; that choice is a known econometric caveat (levels of trending
 series correlate strongly) and is documented rather than hidden behind a
 returns transform.
+
+In a report bundle a matrix is one table: a header of labels and one
+labelled row per label, with ``matrix_to_json_dict``'s document as JSON.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import StatsError
+from .errors import StatsError, json_number
 from .panel import AlignedPanel, ColumnKey
 
 ENTRY_SLACK = 1e-12
@@ -109,22 +112,12 @@ def correlation_matrix(panel: AlignedPanel, keys: Iterable[ColumnKey]) -> Correl
     return CorrelationMatrix(labels, values)
 
 
-def matrix_to_csv_bytes(matrix: CorrelationMatrix) -> bytes:
-    """CSV with a label header row and a label first column."""
-    names = [label.name for label in matrix.labels]
-    lines = ["," + ",".join(names)]
-    for name, row in zip(names, matrix.values):
-        lines.append(name + "," + ",".join(repr(float(v)) for v in row))
-    return ("\n".join(lines) + "\n").encode("ascii")
-
-
 def matrix_to_json_dict(matrix: CorrelationMatrix) -> dict:
-    return {
-        "labels": [label.name for label in matrix.labels],
-        "values": [[float(v) for v in row] for row in matrix.values],
-    }
+    return {"labels": [label.name for label in matrix.labels], "values": matrix.values.tolist()}
 
 
 def matrix_from_json_dict(document: dict) -> CorrelationMatrix:
+    """The matrix of a ``matrix_to_json_dict`` document; every value is checked."""
     labels = tuple(ColumnKey.parse(name) for name in document["labels"])
-    return CorrelationMatrix(labels, np.array(document["values"], dtype=float))
+    values = [[json_number(v, "correlation value") for v in row] for row in document["values"]]
+    return CorrelationMatrix(labels, values)

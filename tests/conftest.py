@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eventlens import DailyBar, InstrumentId, InstrumentKind, RawSeries, load_csv
-from eventlens.panel import FIELD_ORDER, AlignedPanel
+from eventlens import DailyBar, InstrumentId, InstrumentKind, RawSeries, align, load_csv
+from eventlens.panel import FIELD_ORDER, AlignedPanel, BarField, ColumnKey
 from eventlens.scenario import ScenarioConfig, config_from_json_dict
+from eventlens.stats import CorrelationMatrix, correlation_matrix
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 SYNTHETIC_DIR = FIXTURE_DIR / "synthetic"
@@ -69,6 +70,13 @@ def load_fixture_data(variant: str, config: ScenarioConfig) -> list[RawSeries]:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20220224)
+
+
+@pytest.fixture
+def small_matrix(rng) -> CorrelationMatrix:
+    """The correlation matrix of two random close columns, A and B."""
+    panel = align([random_series("A", 20, rng), random_series("B", 20, rng)])
+    return correlation_matrix(panel, [ColumnKey(s, BarField.CLOSE) for s in ("A", "B")])
 
 
 @pytest.fixture(scope="session")

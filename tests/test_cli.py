@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from eventlens.regress import model_to_json_dict
 from eventlens.report import json_bytes
 from eventlens.scenario import report_from_json_dict
 
-from conftest import SYNTHETIC_DIR
+from conftest import GOLDEN_DIR, SYNTHETIC_DIR
 
 NOISY_CONFIG = str(SYNTHETIC_DIR / "scenario_noisy.json")
 
@@ -373,3 +374,64 @@ def test_error_line_is_single_line_and_parseable(tmp_path, capsys, no_network):
 
     assert excinfo.value.code == 2
     assert "FAC1.close" in capsys.readouterr().err
+
+
+# A saved report is re-emitted only if every value decodes as it was written:
+# (id, path into the golden report, replacement, error text after "config-error: ").
+SAVED_REPORT_FAULTS = [
+    ("realized-nan", ("targets", "TGT1", "realized", 0), math.nan,
+     "realized and counterfactual series must be finite"),
+    ("counterfactual-infinity", ("targets", "TGT2", "counterfactual", 3), math.inf,
+     "realized and counterfactual series must be finite"),
+    ("counterfactual-minus-infinity", ("targets", "TGT3", "counterfactual", 0), -math.inf,
+     "realized and counterfactual series must be finite"),
+    ("n-fraction", ("targets", "TGT1", "test_metrics", "n"), 150.9,
+     "n must be an integer, got 150.9"),
+    ("n-float", ("targets", "TGT1", "divergence_metrics", "n"), 20.0,
+     "n must be an integer, got 20.0"),
+    ("mse-string", ("targets", "TGT2", "test_metrics", "mse"), "0.0022",
+     "mse must be a number, got '0.0022'"),
+    ("n-string", ("targets", "TGT3", "test_metrics", "n"), "150",
+     "n must be an integer, got '150'"),
+    ("mae-list", ("targets", "TGT3", "test_metrics", "mae"), [0.01],
+     "mae must be a number, got [0.01]"),
+    ("mape-null", ("targets", "TGT2", "divergence_metrics", "mape"), None,
+     "mape must be a number, got None"),
+    ("training-rows-true", ("targets", "TGT1", "model", "diagnostics", "training_rows"), True,
+     "training_rows must be an integer, got True"),
+    ("rss-string", ("targets", "TGT1", "model", "diagnostics", "residual_sum_of_squares"), "1",
+     "residual_sum_of_squares must be a number, got '1'"),
+    ("weight-string", ("targets", "TGT3", "model", "weights", 1), "0.5",
+     "weight must be a number, got '0.5'"),
+    ("weight-false", ("targets", "TGT3", "model", "weights", 0), False,
+     "weight must be a number, got False"),
+    ("realized-string", ("targets", "TGT1", "realized", 2), "100.0",
+     "realized must be a number, got '100.0'"),
+    ("counterfactual-true", ("targets", "TGT1", "counterfactual", 2), True,
+     "counterfactual must be a number, got True"),
+    ("correlation-string", ("correlation_before", "values", 0, 1), "0.5",
+     "correlation value must be a number, got '0.5'"),
+    ("correlation-diagonal-true", ("correlation_after", "values", 1, 1), True,
+     "correlation value must be a number, got True"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [case[1:] for case in SAVED_REPORT_FAULTS],
+    ids=[case[0] for case in SAVED_REPORT_FAULTS],
+)
+def test_report_rejects_a_saved_value_it_would_not_write(tmp_path, capsys, path, value, message):
+    document = json.loads((GOLDEN_DIR / "scenario_report.json").read_text())
+    parent = document
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    saved = tmp_path / "report.json"
+    saved.write_text(json.dumps(document))
+    out = tmp_path / "out"
+    assert cli.main(["report", "--from", str(saved), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"eventlens: error: config-error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()

@@ -859,6 +859,17 @@ def test_load_csv_inverts_write_csv(tmp_path_factory, series):
     assert series_of(series.instrument, loaded.bars) == series
 
 
+@given(series=raw_series().filter(len))
+def test_parse_payload_inverts_a_payload_written_from_the_series(series):
+    # Newest day first, with numbered field keys, as the provider writes them.
+    fields = ("1. open", "2. high", "3. low", "4. close")
+    days = reversed(list(zip(series.dates.tolist(), series.quotes.tolist())))
+    entries = {day.isoformat(): dict(zip(fields, map(repr, quotes))) for day, quotes in days}
+    parsed = parse_provider_payload(payload_bytes(entries), series.instrument)
+    assert parsed == series
+    assert not parsed.synthetic_ohlc
+
+
 # --- the constructor decides, the walk names the error ------------------------------
 
 CSV_FAULTS = ("broken_bar", "repeated_date", "out_of_order", "malformed_cell")

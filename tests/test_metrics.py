@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -149,7 +150,7 @@ def test_report_rejects_bad_counts_and_negatives():
 
 def test_report_json_key_order_is_fixed():
     report = score(TRUE, PRED)
-    payload = json.dumps(report.to_json_dict())
+    payload = json.dumps(dataclasses.asdict(report))
     assert payload.index('"mse"') < payload.index('"rmse"') < payload.index('"mae"')
     assert payload.index('"mae"') < payload.index('"mape"') < payload.index('"n"')
-    assert MetricsReport.from_json_dict(report.to_json_dict()) == report
+    assert MetricsReport.from_json_dict(dataclasses.asdict(report)) == report

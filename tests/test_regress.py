@@ -5,6 +5,8 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventlens import ConfigError, FitError, fit_ols, predict
 from eventlens.panel import AlignedPanel, BarField, ColumnKey
@@ -214,6 +216,39 @@ def test_target_scaling_equivariance(rng):
     np.testing.assert_allclose(scaled.weights, c * base.weights, rtol=1e-12)
     np.testing.assert_allclose(
         predict(scaled, scaled_panel), c * predict(base, panel), rtol=1e-12
+    )
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_features=st.integers(1, 4),
+    extra_rows=st.integers(1, 30),
+    shift=st.floats(0.0, 1e3),
+)
+def test_predictions_are_invariant_under_an_affine_map_of_the_features(
+    seed, n_features, extra_rows, shift
+):
+    # With an intercept, X -> XA + b (A invertible) spans the same column
+    # space, so the fitted values and every prediction stay the same.
+    rng = np.random.default_rng(seed)
+    keys = (X1, X2, X3, X4)[:n_features]
+    n_rows = n_features + 1 + extra_rows
+    X = rng.normal(size=(n_rows + 10, n_features))
+    y = X[:n_rows] @ rng.normal(size=n_features) + rng.normal(size=n_rows)
+    Q, _ = np.linalg.qr(rng.normal(size=(n_features, n_features)))
+    A = Q * rng.uniform(0.5, 2.0, size=n_features)
+    b = shift * rng.normal(size=n_features)
+    spec = FeatureSpec(target=Y, features=keys)
+
+    def fit_and_predict(features):
+        train = panel_from({**dict(zip(keys, features[:n_rows].T)), Y: y})
+        held_out = panel_from(dict(zip(keys, features[n_rows:].T)))
+        model = fit_ols(train, spec)
+        return np.concatenate([predict(model, train), predict(model, held_out)])
+
+    np.testing.assert_allclose(
+        fit_and_predict(X @ A + b), fit_and_predict(X), rtol=1e-9, atol=1e-9 * np.abs(y).max()
     )
 
 

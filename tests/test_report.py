@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import eventlens
 from eventlens import ConfigError, run_scenario
-from eventlens.report import MANIFEST_NAME, emit, json_bytes, render_files
+from eventlens.report import MANIFEST_NAME, correlation_files, emit, json_bytes, render_files
 
 from test_scenario import linear_config, linear_universe
 
@@ -107,6 +107,14 @@ def test_csv_and_json_correlations_agree(report):
     for line, values in zip(lines[1:], document["values"]):
         cells = line.split(",")[1:]
         assert [float(c) for c in cells] == values
+
+
+def test_csv_export_has_label_header_and_column(small_matrix):
+    csv = correlation_files(small_matrix, small_matrix, ("csv",))["corr_before.csv"]
+    lines = csv.decode().splitlines()
+    assert lines[0] == ",A.close,B.close"
+    assert lines[1].startswith("A.close,1.0,")
+    assert lines[2].startswith("B.close,")
 
 
 def test_counterfactual_dates_match_projection_window(report, tmp_path):

@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 
 from eventlens import StatsError, align, correlation_matrix, pearson
 from eventlens.panel import BarField, ColumnKey
-from eventlens.stats import (
-    CorrelationMatrix,
-    matrix_from_json_dict,
-    matrix_to_csv_bytes,
-    matrix_to_json_dict,
-)
+from eventlens.stats import CorrelationMatrix, matrix_from_json_dict, matrix_to_json_dict
 
 from conftest import make_series, panel_of, random_series
 
@@ -186,19 +181,6 @@ def test_constructor_rejects_out_of_range_entries():
 
 
 # --- exports ----------------------------------------------------------------------
-
-
-@pytest.fixture
-def small_matrix(rng):
-    panel = align([random_series("A", 20, rng), random_series("B", 20, rng)])
-    return correlation_matrix(panel, [key("A"), key("B")])
-
-
-def test_csv_export_has_label_header_and_column(small_matrix):
-    lines = matrix_to_csv_bytes(small_matrix).decode().splitlines()
-    assert lines[0] == ",A.close,B.close"
-    assert lines[1].startswith("A.close,1.0,")
-    assert lines[2].startswith("B.close,")
 
 
 def test_json_round_trip(small_matrix):
