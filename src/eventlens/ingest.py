@@ -19,14 +19,17 @@ Every CSV the package writes, a cache file or a report table, comes from
 ``csv_bytes``: a header line, then one line of comma-joined cells per row.
 
 Parse failures are fatal for the whole series rather than row-skipping:
-a silently dropped day would corrupt date alignment downstream. When a
-CSV body fails to decode or to construct, it is walked row by row so the
-error names the first offending row in file order.
+a silently dropped day would corrupt date alignment downstream. A CSV file
+loads only if it holds exactly the bytes ``write_csv`` writes for the
+series it decodes, so ``RawSeries.digest`` is the SHA-256 of the file.
+Any other file is walked row by row, and the error names the first
+offending row in file order, else the first line unlike the writer's.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import hashlib
 import json
 import math
 import os
@@ -36,6 +39,7 @@ import time
 import urllib.parse
 import urllib.request
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -137,7 +141,7 @@ class RawSeries:
     one row per date, and checks every bar invariant (the first bad row
     names the error) and the strict date order. ``bars`` is the same data
     as a tuple of DailyBar row views, built on first access; the pipeline
-    itself only reads the columns.
+    itself only reads the columns and ``digest``.
 
     ``synthetic_ohlc`` flags series whose source quoted only a close, with
     open=high=low=close synthesized. The CSV wire format cannot carry the
@@ -165,6 +169,11 @@ class RawSeries:
         quotes.flags.writeable = False
         object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "quotes", quotes)
+
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 of the series' CSV bytes, as ``write_csv`` writes them."""
+        return hashlib.sha256(series_to_csv_bytes(self)).hexdigest()
 
     @cached_property
     def bars(self) -> tuple[DailyBar, ...]:
@@ -435,66 +444,57 @@ def write_csv(series: RawSeries, path: Path) -> None:
 
 
 def load_csv(path: Path, instrument: InstrumentId) -> RawSeries:
-    """Load a CSV fixture or cache file, enforcing every bar invariant.
+    """Load a CSV fixture or cache file holding exactly what ``write_csv`` writes.
 
-    Duplicate dates, a wrong header, or any malformed row fail the whole
-    load. An empty body under a valid header yields an empty series.
-    Rows may come in any date order; the series is sorted.
+    The series loads only if its ``digest`` is the SHA-256 of the bytes read.
+    Otherwise the error names the first malformed row, date not after the
+    row before it, or broken bar in file order, else the first line that
+    differs from the writer's. A header with no rows is an empty series.
     """
     path = Path(path)
+    data = path.read_bytes()
     try:
-        text = path.read_bytes().decode("ascii")
+        text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not ASCII: {exc}") from exc
     if "\r" in text:
-        # CRLF files would not round-trip byte-exactly and would silently
-        # change data digests on the next cache rewrite
-        raise DataFormatError(f"{path}: carriage returns found; the format is LF-only")
+        lineno = text.count("\n", 0, text.index("\r")) + 1
+        raise DataFormatError(f"{path}:{lineno}: carriage return found; the format is LF-only")
     if text != CSV_HEADER and not text.startswith(CSV_HEADER + "\n"):
         raise DataFormatError(f"{path}: expected header {CSV_HEADER!r}")
 
-    try:
-        return RawSeries(instrument, *_parse_rows(text[len(CSV_HEADER) + 1 :].removesuffix("\n")))
-    except DataFormatError:
-        pass
-    # Something is wrong: re-walk the rows so the error names the first
-    # offending row in file order.
-    return RawSeries(instrument, *_walk_rows(path, text))
+    with suppress(ValueError, DataFormatError):
+        series = RawSeries(instrument, *_parse_rows(text[len(CSV_HEADER) + 1 :].removesuffix("\n")))
+        if series.digest == hashlib.sha256(data).hexdigest():
+            return series
+    series = RawSeries(instrument, *_walk_rows(path, text))
+    written = series_to_csv_bytes(series).decode("ascii")
+    for lineno, (found, line) in enumerate(zip(text.splitlines(True), written.splitlines(True)), 1):
+        if found != line:
+            raise DataFormatError(f"{path}:{lineno}: not canonical: {found!r} is written {line!r}")
+    return series
 
 
 def _parse_rows(body: str) -> tuple[np.ndarray, np.ndarray]:
-    """Dates and quotes of a CSV body, sorted by date; raises DataFormatError
-    unless every row has five fields, an ISO date and four decimals."""
-    raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-    newline = raw[(raw == ord(",")) | (raw == ord("\n"))] == ord("\n")
-    # Each row has exactly five fields iff the separators run ",,,,\n" per row.
-    if newline.size % 5 != 4 or not np.array_equal(
-        np.flatnonzero(newline), np.arange(4, newline.size, 5)
-    ):
-        raise DataFormatError("malformed CSV body")
+    """Dates and quotes of a CSV body read five cells a row; raises ValueError
+    for a date or quote cell that does not parse."""
     cells = body.replace("\n", ",").split(",")
     n = len(cells) // 5
-    try:
-        days = np.fromiter(
-            map(dt.date.toordinal, map(dt.date.fromisoformat, cells[::5])), dtype=np.int64, count=n
-        )
-        del cells[::5]
-        quotes = np.fromiter(map(float, cells), dtype=float, count=4 * n).reshape(n, 4)
-    except ValueError as exc:
-        raise DataFormatError(f"malformed CSV cell: {exc}") from exc
-    order = np.argsort(days)
-    return _dates(days[order]), quotes[order]
+    days = np.fromiter(
+        map(dt.date.toordinal, map(dt.date.fromisoformat, cells[::5])), dtype=np.int64, count=n
+    )
+    del cells[::5]
+    return _dates(days), np.fromiter(map(float, cells), dtype=float, count=4 * n)
 
 
 def _walk_rows(path: Path, text: str) -> tuple[np.ndarray, list[list[float]]]:
-    """The row-by-row reference parse: raises for the first offending row in
-    file order, or returns the sorted columns when no row offends."""
+    """The row-by-row reference parse: the columns, or an error naming the first
+    offending row in file order (a date not after the row before it offends)."""
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
     days: list[int] = []
     rows: list[list[float]] = []
-    seen: set[dt.date] = set()
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 5:
@@ -503,9 +503,9 @@ def _walk_rows(path: Path, text: str) -> tuple[np.ndarray, list[list[float]]]:
             date = dt.date.fromisoformat(parts[0])
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: bad date {parts[0]!r}") from exc
-        if date in seen:
-            raise DataFormatError(f"{path}:{lineno}: duplicate date {date.isoformat()}")
-        seen.add(date)
+        if days and date.toordinal() <= days[-1]:
+            order = "duplicate" if date.toordinal() == days[-1] else "out-of-order"
+            raise DataFormatError(f"{path}:{lineno}: {order} date {date.isoformat()}")
         quotes = [
             _parse_quote(raw, date.isoformat(), name)
             for raw, name in zip(parts[1:], ("open", "high", "low", "close"))
@@ -513,8 +513,7 @@ def _walk_rows(path: Path, text: str) -> tuple[np.ndarray, list[list[float]]]:
         _check_bar(date.isoformat(), *quotes)
         days.append(date.toordinal())
         rows.append(quotes)
-    order = sorted(range(len(days)), key=days.__getitem__)
-    return _dates([days[i] for i in order]), [rows[i] for i in order]
+    return _dates(days), rows
 
 
 def fetch_daily(

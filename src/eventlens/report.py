@@ -222,6 +222,6 @@ def emit(
             }
         )
 
-    manifest = {"config_digest": report.provenance.get("config_digest"), "files": entries}
+    manifest = {"config_digest": report.provenance["config_digest"], "files": entries}
     write_atomic(out_dir / MANIFEST_NAME, json_bytes(manifest))
     return ReportBundle(directory=out_dir, manifest=manifest)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
+import re
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Iterable
@@ -41,7 +42,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, EventLensError, PanelError, json_number
-from .ingest import InstrumentId, InstrumentKind, RawSeries, series_to_csv_bytes
+from .ingest import InstrumentId, InstrumentKind, RawSeries
 from .metrics import MetricsReport, score
 from .panel import FIELD_ORDER, AlignedPanel, BarField, ColumnKey, DateWindow, align
 from .regress import (
@@ -60,6 +61,9 @@ class ProjectionMode(str, Enum):
     DATE_SHIFTED = "date_shifted"
     ORACLE_FEATURES = "oracle_features"
 
+
+PROVENANCE_KEYS = ("config_digest", "data_digests", "projection_mode", "projection_cycles")
+_SHA256_HEX = re.compile("[0-9a-f]{64}")
 
 WINDOW_NAMES = (
     "train_window",
@@ -127,7 +131,8 @@ class ScenarioConfig:
 @dataclass(frozen=True)
 class TargetResult:
     """Fit, test score, and counterfactual-vs-realized paths for one target;
-    the two paths are finite and share the projection dates."""
+    the two paths are finite and share the strictly increasing projection
+    dates."""
 
     model: RegressionModel
     test_metrics: MetricsReport
@@ -144,21 +149,47 @@ class TargetResult:
             raise ConfigError("realized and counterfactual series must share the projection dates")
         if not (np.isfinite(realized).all() and np.isfinite(counterfactual).all()):
             raise ConfigError("realized and counterfactual series must be finite")
+        dates = tuple(self.projection_dates)
+        if any(later <= earlier for earlier, later in zip(dates, dates[1:])):
+            raise ConfigError("projection dates must be strictly increasing")
         realized.flags.writeable = False
         counterfactual.flags.writeable = False
         object.__setattr__(self, "realized", realized)
         object.__setattr__(self, "counterfactual", counterfactual)
-        object.__setattr__(self, "projection_dates", tuple(self.projection_dates))
+        object.__setattr__(self, "projection_dates", dates)
 
 
 @dataclass(frozen=True)
 class ScenarioReport:
-    """Everything a scenario run produced, keyed by target symbol."""
+    """Everything a scenario run produced, keyed by target symbol.
+
+    Each target's model predicts that target. ``provenance`` has exactly the
+    ``PROVENANCE_KEYS``: SHA-256 hex digests of the config and of each input
+    series, the ``ProjectionMode`` value and the number of projection cycles.
+    """
 
     targets: dict[str, TargetResult]
     correlation_before: CorrelationMatrix
     correlation_after: CorrelationMatrix
     provenance: dict
+
+    def __post_init__(self) -> None:
+        for symbol, result in self.targets.items():
+            if result.model.spec.target.symbol != symbol:
+                raise ConfigError(f"target {symbol} has a model of {result.model.spec.target.name}")
+        provenance = self.provenance
+        if set(provenance) != set(PROVENANCE_KEYS):
+            raise ConfigError(f"provenance keys must be {', '.join(PROVENANCE_KEYS)}")
+        digests = provenance["data_digests"]
+        if not isinstance(digests, dict) or not all(
+            isinstance(digest, str) and _SHA256_HEX.fullmatch(digest)
+            for digest in (provenance["config_digest"], *digests.values())
+        ):
+            raise ConfigError("provenance digests must be 64 lowercase hex characters")
+        if provenance["projection_mode"] not in tuple(mode.value for mode in ProjectionMode):
+            raise ConfigError(f"unknown projection_mode {provenance['projection_mode']!r}")
+        if json_number(provenance["projection_cycles"], "projection_cycles", whole=True) < 1:
+            raise ConfigError("projection_cycles must be at least 1")
 
 
 # --- config (de)serialization -------------------------------------------------
@@ -221,8 +252,6 @@ def config_from_json_dict(document: dict) -> ScenarioConfig:
             for entry in document["feature_specs"]
         )
         mode = ProjectionMode(document.get("projection_mode", ProjectionMode.DATE_SHIFTED.value))
-    except ConfigError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed scenario config: {exc}") from exc
     windows = {name: _window_from_json(document, name) for name in WINDOW_NAMES}
@@ -237,7 +266,7 @@ def config_digest(config: ScenarioConfig) -> str:
 
 def series_digest(series: RawSeries) -> str:
     """SHA-256 of the series' canonical CSV bytes."""
-    return hashlib.sha256(series_to_csv_bytes(series)).hexdigest()
+    return series.digest
 
 
 # --- execution: the protocol's stages -------------------------------------------
@@ -395,15 +424,21 @@ def report_to_json_bytes(report: ScenarioReport) -> bytes:
     return json_bytes(report_to_json_dict(report))
 
 
+def _iso_date(text: str) -> dt.date:
+    """The date ``text`` names in the YYYY-MM-DD form reports are written in."""
+    date = dt.date.fromisoformat(text)
+    if date.isoformat() != text:
+        raise ConfigError(f"projection date {text!r} is not in YYYY-MM-DD form")
+    return date
+
+
 def report_from_json_dict(document: dict) -> ScenarioReport:
     try:
         targets = {
             symbol: TargetResult(
                 model=model_from_json_dict(entry["model"]),
                 test_metrics=MetricsReport.from_json_dict(entry["test_metrics"]),
-                projection_dates=tuple(
-                    dt.date.fromisoformat(d) for d in entry["projection_dates"]
-                ),
+                projection_dates=tuple(map(_iso_date, entry["projection_dates"])),
                 realized=[json_number(v, "realized") for v in entry["realized"]],
                 counterfactual=[json_number(v, "counterfactual") for v in entry["counterfactual"]],
                 divergence_metrics=MetricsReport.from_json_dict(entry["divergence_metrics"]),
@@ -416,7 +451,5 @@ def report_from_json_dict(document: dict) -> ScenarioReport:
             correlation_after=matrix_from_json_dict(document["correlation_after"]),
             provenance=dict(document["provenance"]),
         )
-    except ConfigError:
-        raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed scenario report document: {exc}") from exc

@@ -378,6 +378,7 @@ def test_error_line_is_single_line_and_parseable(tmp_path, capsys, no_network):
 
 # A saved report is re-emitted only if every value decodes as it was written:
 # (id, path into the golden report, replacement, error text after "config-error: ").
+DELETED = object()  # the replacement that removes the key instead
 SAVED_REPORT_FAULTS = [
     ("realized-nan", ("targets", "TGT1", "realized", 0), math.nan,
      "realized and counterfactual series must be finite"),
@@ -413,6 +414,24 @@ SAVED_REPORT_FAULTS = [
      "correlation value must be a number, got '0.5'"),
     ("correlation-diagonal-true", ("correlation_after", "values", 1, 1), True,
      "correlation value must be a number, got True"),
+    ("projection-dates-descending", ("targets", "TGT1", "projection_dates", 0), "2021-06-17",
+     "projection dates must be strictly increasing"),
+    ("projection-date-basic-format", ("targets", "TGT2", "projection_dates", 0), "20210615",
+     "projection date '20210615' is not in YYYY-MM-DD form"),
+    ("model-of-another-target", ("targets", "TGT1", "model", "spec", "target"), "TGT2.close",
+     "target TGT1 has a model of TGT2.close"),
+    ("provenance-without-config-digest", ("provenance", "config_digest"), DELETED,
+     "provenance keys must be config_digest, data_digests, projection_mode, projection_cycles"),
+    ("provenance-extra-key", ("provenance", "comment"), "hand-edited",
+     "provenance keys must be config_digest, data_digests, projection_mode, projection_cycles"),
+    ("config-digest-number", ("provenance", "config_digest"), 5,
+     "provenance digests must be 64 lowercase hex characters"),
+    ("data-digest-uppercase", ("provenance", "data_digests", "TGT1"), "9822FC3C" * 8,
+     "provenance digests must be 64 lowercase hex characters"),
+    ("projection-mode-unknown", ("provenance", "projection_mode"), "sideways",
+     "unknown projection_mode 'sideways'"),
+    ("projection-cycles-zero", ("provenance", "projection_cycles"), 0,
+     "projection_cycles must be at least 1"),
 ]
 
 
@@ -426,7 +445,10 @@ def test_report_rejects_a_saved_value_it_would_not_write(tmp_path, capsys, path,
     parent = document
     for step in path[:-1]:
         parent = parent[step]
-    parent[path[-1]] = value
+    if value is DELETED:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
     saved = tmp_path / "report.json"
     saved.write_text(json.dumps(document))
     out = tmp_path / "out"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import datetime as dt
+import hashlib
 import json
 import os
 import stat
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eventlens import (
@@ -257,12 +258,28 @@ def test_load_csv_missing_file(tmp_path):
         load_csv(tmp_path / "nope.csv", GOLD)
 
 
-def test_load_csv_sorts_rows(tmp_path):
+def test_load_csv_rejects_unsorted_rows(tmp_path):
     path = tmp_path / "GOLD.csv"
     path.write_text(
         "date,open,high,low,close\n2022-01-04,1.0,2.0,0.5,1.6\n2022-01-03,1.0,2.0,0.5,1.5\n"
     )
-    assert [b.date.day for b in load_csv(path, GOLD).bars] == [3, 4]
+    with pytest.raises(DataFormatError) as info:
+        load_csv(path, GOLD)
+    assert str(info.value) == f"{path}:3: out-of-order date 2022-01-03"
+
+
+def test_load_csv_rejects_a_missing_final_newline(tmp_path):
+    path = tmp_path / "GOLD.csv"
+    path.write_text("date,open,high,low,close\n2022-01-03,1.0,2.0,0.5,1.5")
+    with pytest.raises(DataFormatError) as info:
+        load_csv(path, GOLD)
+    assert str(info.value) == (
+        f"{path}:2: not canonical: '2022-01-03,1.0,2.0,0.5,1.5' is written "
+        "'2022-01-03,1.0,2.0,0.5,1.5\\n'"
+    )
+    path.write_text("date,open,high,low,close")
+    with pytest.raises(DataFormatError, match=":1: not canonical: "):
+        load_csv(path, GOLD)
 
 
 def test_csv_bytes_format_is_exact():
@@ -425,6 +442,31 @@ def test_write_atomic_is_the_only_file_writer():
     assert [callee for _, callee in sites].count("os.replace") == 1
 
 
+def names_used(source: str, imports: bool = True) -> set[str]:
+    """Every name and attribute in source, and every name it imports if ``imports``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias) and imports:
+            names.add(node.asname or node.name)
+    return names
+
+
+def test_only_ingest_knows_the_csv_format():
+    # Data digests come from RawSeries.digest; a module serializing a
+    # series itself would be a second place that knows the CSV layout.
+    # The package's __init__ may import it to re-export it, and nothing more.
+    users = {
+        path.stem
+        for path in Path(eventlens.__file__).parent.glob("*.py")
+        if "series_to_csv_bytes" in names_used(path.read_text(), imports=path.stem != "__init__")
+    }
+    assert users == {"ingest"}
+
+
 # --- fetch + cache ---------------------------------------------------------------
 
 
@@ -483,7 +525,10 @@ def test_fetch_cache_write_failure(tmp_path):
 def test_load_csv_rejects_crlf_line_endings(tmp_path):
     path = tmp_path / "GOLD.csv"
     path.write_bytes(b"date,open,high,low,close\r\n2022-01-03,1.0,2.0,0.5,1.5\r\n")
-    with pytest.raises(DataFormatError):
+    with pytest.raises(DataFormatError, match=r"GOLD\.csv:1: carriage return found"):
+        load_csv(path, GOLD)
+    path.write_bytes(b"date,open,high,low,close\n2022-01-03,1.0,2.0,0.5,1.5\r\n")
+    with pytest.raises(DataFormatError, match=r"GOLD\.csv:2: carriage return found"):
         load_csv(path, GOLD)
 
 
@@ -682,19 +727,40 @@ CSV_EDGE_CASES = {
     ),
 }
 
-# Lenient forms the parser has always accepted, and what they load as.
+def not_canonical(lineno: int, found: str, written: str) -> str:
+    """The error text for a line that differs from the one the writer writes."""
+    found, written = found + "\n", written + "\n"
+    return f"{{path}}:{lineno}: not canonical: {found!r} is written {written!r}"
+
+
+# Lenient forms Python's date and float parsers read, which eventlens never
+# writes: each is rejected, naming its line, and is accepted only in the
+# form it is written in.
 CSV_ACCEPTED = {
     "basic_date": (
-        [row("2022-01-04"), row("20220103")], [row("2022-01-03"), row("2022-01-04")]
+        [row("2022-01-04"), row("20220103")],
+        [row("2022-01-03"), row("2022-01-04")],
+        "{path}:3: out-of-order date 2022-01-03",
     ),
-    "week_date": ([row("2022-W01-1")], [row("2022-01-03")]),
+    "week_date": (
+        [row("2022-W01-1")],
+        [row("2022-01-03")],
+        not_canonical(2, row("2022-W01-1"), row("2022-01-03")),
+    ),
     "underscore_quote": (
-        [row("2022-01-03", "1_0", "20.0")], [row("2022-01-03", "10.0", "20.0")]
+        [row("2022-01-03", "1_0", "20.0")],
+        [row("2022-01-03", "10.0", "20.0")],
+        not_canonical(2, row("2022-01-03", "1_0", "20.0"), row("2022-01-03", "10.0", "20.0")),
     ),
-    "padded_quote": ([row("2022-01-03", " 1.0")], [row("2022-01-03")]),
+    "padded_quote": (
+        [row("2022-01-03", " 1.0")],
+        [row("2022-01-03")],
+        not_canonical(2, row("2022-01-03", " 1.0"), row("2022-01-03")),
+    ),
     "unsorted_rows": (
         [row("2022-01-05"), row("2022-01-03"), row("2022-01-04", "1.1")],
         [row("2022-01-03"), row("2022-01-04", "1.1"), row("2022-01-05")],
+        "{path}:3: out-of-order date 2022-01-03",
     ),
 }
 
@@ -716,11 +782,14 @@ def test_load_csv_edge_case_errors(tmp_path, rows, error, message):
     assert str(info.value) == message.replace("{path}", str(path))
 
 
-@pytest.mark.parametrize("rows,loaded", CSV_ACCEPTED.values(), ids=CSV_ACCEPTED.keys())
-def test_load_csv_edge_case_accepted(tmp_path, rows, loaded):
-    series = load_csv(write_rows(tmp_path, rows), GOLD)
-    expected = "date,open,high,low,close\n" + "".join(row + "\n" for row in loaded)
-    assert series_to_csv_bytes(series).decode() == expected
+@pytest.mark.parametrize("rows,loaded,message", CSV_ACCEPTED.values(), ids=CSV_ACCEPTED.keys())
+def test_load_csv_edge_case_accepted(tmp_path, rows, loaded, message):
+    path = write_rows(tmp_path, rows)
+    with pytest.raises(DataFormatError) as info:
+        load_csv(path, GOLD)
+    assert str(info.value) == message.replace("{path}", str(path))
+    path = write_rows(tmp_path, loaded)
+    assert series_to_csv_bytes(load_csv(path, GOLD)) == path.read_bytes()
 
 
 def entry(open_="1.0", high="2.0", low="0.5", close="1.5") -> dict:
@@ -821,7 +890,7 @@ positive_quotes = st.floats(min_value=0.0, exclude_min=True, allow_infinity=Fals
 
 
 @st.composite
-def raw_series(draw, symbol: str = "GOLD") -> RawSeries:
+def raw_series(draw, symbol: str = "GOLD", quotes=positive_quotes) -> RawSeries:
     ordinals = draw(
         st.lists(
             st.integers(dt.date.min.toordinal(), dt.date.max.toordinal()), unique=True, max_size=25
@@ -829,7 +898,7 @@ def raw_series(draw, symbol: str = "GOLD") -> RawSeries:
     )
     bars = []
     for ordinal in sorted(ordinals):
-        low, a, b, high = sorted(draw(st.lists(positive_quotes, min_size=4, max_size=4)))
+        low, a, b, high = sorted(draw(st.lists(quotes, min_size=4, max_size=4)))
         open_, close = draw(st.permutations([a, b]))
         bars.append(DailyBar(dt.date.fromordinal(ordinal), open_, high, low, close))
     return series_of(InstrumentId(symbol, InstrumentKind.COMMODITY), bars)
@@ -855,6 +924,7 @@ def test_load_csv_inverts_write_csv(tmp_path_factory, series):
     write_csv(series, path)
     loaded = load_csv(path, series.instrument)
     assert loaded == series
+    assert loaded.digest == series.digest == hashlib.sha256(path.read_bytes()).hexdigest()
     assert loaded.bars == series.bars
     assert series_of(series.instrument, loaded.bars) == series
 
@@ -910,12 +980,63 @@ def outcome(build):
 
 @settings(deadline=None)
 @given(text=csv_text_with_one_fault())
-def test_load_csv_fails_or_loads_exactly_as_the_row_walk(tmp_path_factory, text):
+def test_load_csv_fails_as_the_row_walk_or_loads_only_the_written_bytes(tmp_path_factory, text):
+    # The walk's error, else its series if the text is exactly that series'
+    # bytes, else the first line that differs from them.
     path = tmp_path_factory.mktemp("walk") / "GOLD.csv"
     path.write_text(text)
-    assert outcome(lambda: load_csv(path, GOLD)) == outcome(
-        lambda: RawSeries(GOLD, *_walk_rows(path, text))
-    )
+    expected = outcome(lambda: RawSeries(GOLD, *_walk_rows(path, text)))
+    if isinstance(expected, bytes) and expected != text.encode("ascii"):
+        lines = zip(text.split("\n"), expected.decode("ascii").split("\n"))
+        lineno, (found, written) = next((i, p) for i, p in enumerate(lines, 1) if p[0] != p[1])
+        message = not_canonical(lineno, found, written).replace("{path}", str(path))
+        expected = DataFormatError, message
+    assert outcome(lambda: load_csv(path, GOLD)) == expected
+
+
+def trailing_zero(cell: str) -> str:
+    significand, e, exponent = cell.partition("e")
+    return significand + ("0" if "." in significand else ".0") + e + exponent
+
+
+# Edits that keep a quote's value but not its written text.
+QUOTE_EDITS = {
+    "trailing_zero": trailing_zero,
+    "as_integer": lambda cell: str(int(float(cell))),  # for integral quotes only
+    "padded": lambda cell: f" {cell}",
+}
+positive_or_integral_quotes = st.one_of(positive_quotes, st.integers(1, 10**20).map(float))
+
+
+@settings(deadline=None)
+@given(
+    series=raw_series(quotes=positive_or_integral_quotes).filter(len),
+    edit=st.sampled_from([*QUOTE_EDITS, "basic_date", "swapped_rows"]),
+    data=st.data(),
+)
+def test_load_csv_names_the_line_of_a_non_canonical_edit(tmp_path_factory, series, edit, data):
+    path = tmp_path_factory.mktemp("edit") / "GOLD.csv"
+    lines = series_to_csv_bytes(series).decode("ascii").split("\n")
+    i = data.draw(st.integers(1, len(series)), label="edited line index")
+    cells = lines[i].split(",")
+    if edit == "swapped_rows":
+        assume(len(series) > 1)
+        j = data.draw(st.integers(1, len(series)).filter(lambda j: j != i), label="swapped with")
+        i, j = sorted((i, j))
+        lines[i], lines[j] = lines[j], lines[i]
+        i += 1  # the first row now dated before the row above it
+    elif edit == "basic_date":
+        lines[i] = ",".join([cells[0].replace("-", ""), *cells[1:]])
+    else:
+        columns = [c for c in range(1, 5) if edit != "as_integer" or float(cells[c]).is_integer()]
+        assume(columns)
+        column = data.draw(st.sampled_from(columns), label="edited column")
+        cells[column] = QUOTE_EDITS[edit](cells[column])
+        lines[i] = ",".join(cells)
+    path.write_text("\n".join(lines))
+    with pytest.raises(DataFormatError) as info:
+        load_csv(path, GOLD)
+    assert str(info.value).startswith(f"{path}:{i + 1}: ")
 
 
 def reference_error(instrument, dates, rows):
