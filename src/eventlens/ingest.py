@@ -207,7 +207,8 @@ class ProviderConfig:
 
     ``api_key`` falls back to the EVENTLENS_API_KEY environment variable.
     ``rate_limit`` is the maximum number of requests in any sliding
-    60-second window, shared by all fetches made through this config.
+    60-second window, kept by ``limiter`` for all fetches made through this
+    config.
     """
 
     cache_dir: Path
@@ -219,13 +220,7 @@ class ProviderConfig:
         self.cache_dir = Path(self.cache_dir)
         if not self.api_key:
             self.api_key = os.environ.get(API_KEY_ENV, "")
-        if self.rate_limit < 1:
-            raise ConfigError(f"rate_limit must be >= 1, got {self.rate_limit}")
-        self._limiter = RateLimiter(self.rate_limit)
-
-    @property
-    def limiter(self) -> "RateLimiter":
-        return self._limiter
+        self.limiter = RateLimiter(self.rate_limit)
 
 
 class RateLimiter:

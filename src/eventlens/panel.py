@@ -5,15 +5,16 @@ is dropped for all of them. Forward-filling is deliberately not offered
 because it would manufacture flat quotes around exactly the dates an event
 study cares about. The join intersects the series' date arrays and looks
 each one's rows up by binary search. A panel is one read-only
-(n_columns, n_rows) array with a key->row index; ``align``, ``slice`` and
-``take`` all build it through its one checked constructor, so a window
-slice is a view and panels are immutable and safe to share across threads.
+(n_columns, n_rows) array with a key->row index; ``align`` and ``slice``
+build it through its one checked constructor, so a window slice is a view
+and panels are immutable and safe to share across threads.
 
-A panel keeps the slice it built for each window, next to its ``dates``,
-so the protocol's stages can each ask for the windows they read and the
-constructor still checks each window's rows only once per run. The memo
-needs no lock: two threads that slice one window at once build equal
-views, and storing either in the dict is atomic.
+``slice(window, onto=other)`` copies the window's rows, cycled and re-dated
+onto window ``other``'s rows. A panel keeps every slice it built, next to
+its ``dates``, so the protocol's stages can each ask for the windows they
+read and each panel a run reads is built and checked once. The memo needs
+no lock: two threads that slice one window at once build equal panels, and
+storing either in the dict is atomic.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -138,7 +139,7 @@ class AlignedPanel:
         return tuple(self.days.tolist())
 
     @cached_property
-    def _slices(self) -> dict[DateWindow, "AlignedPanel"]:
+    def _slices(self) -> dict[tuple[DateWindow, DateWindow | None], "AlignedPanel"]:
         return {}
 
     @property
@@ -155,26 +156,24 @@ class AlignedPanel:
         except KeyError:
             raise PanelError(f"unknown column {key.name}") from None
 
-    def slice(self, window: DateWindow) -> "AlignedPanel":
-        """Rows with window.start <= date <= window.end, all columns alike,
-        as views of this panel's arrays; built once per window and panel."""
-        sliced = self._slices.get(window)
+    def slice(self, window: DateWindow, onto: DateWindow | None = None) -> "AlignedPanel":
+        """Rows with window.start <= date <= window.end, all columns alike, as
+        views of this panel's arrays; given ``onto``, a copy of those rows cycled
+        in order and re-dated onto the rows of window ``onto``. Built once each."""
+        sliced = self._slices.get((window, onto))
         if sliced is None:
-            lo = int(np.searchsorted(self.days, np.datetime64(window.start, "D"), "left"))
-            hi = int(np.searchsorted(self.days, np.datetime64(window.end, "D"), "right"))
-            if lo >= hi:
-                raise PanelError(f"window {window} contains no panel dates")
-            sliced = AlignedPanel(self.days[lo:hi], self.values[:, lo:hi], self.index)
-            self._slices[window] = sliced
+            if onto is not None:
+                rows, onto_rows = self.slice(window), self.slice(onto)
+                cycled = np.take(rows.values, np.arange(onto_rows.n_rows) % rows.n_rows, axis=1)
+                sliced = AlignedPanel(onto_rows.days, _frozen(cycled), self.index)
+            else:
+                lo = int(np.searchsorted(self.days, np.datetime64(window.start, "D"), "left"))
+                hi = int(np.searchsorted(self.days, np.datetime64(window.end, "D"), "right"))
+                if lo >= hi:
+                    raise PanelError(f"window {window} contains no panel dates")
+                sliced = AlignedPanel(self.days[lo:hi], self.values[:, lo:hi], self.index)
+            self._slices[window, onto] = sliced
         return sliced
-
-    def take(self, rows: Sequence[int] | np.ndarray, onto: "AlignedPanel") -> "AlignedPanel":
-        """Rows ``rows`` of every column, in that order, re-dated onto the
-        dates of ``onto``, which has exactly one date per requested row."""
-        rows = np.asarray(rows, dtype=np.intp)
-        if rows.shape != (onto.n_rows,):
-            raise PanelError(f"{rows.size} rows requested for {onto.n_rows} dates")
-        return AlignedPanel(onto.days, _frozen(np.take(self.values, rows, axis=1)), self.index)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:

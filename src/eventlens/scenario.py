@@ -198,14 +198,20 @@ def _window_to_json(window: DateWindow) -> dict:
     return {"start": window.start.isoformat(), "end": window.end.isoformat()}
 
 
+def _iso_date(text: str, what: str = "projection date") -> dt.date:
+    """The date ``text`` names in the YYYY-MM-DD form configs and reports are written in."""
+    date = dt.date.fromisoformat(text)
+    if date.isoformat() != text:
+        raise ConfigError(f"{what} {text!r} is not in YYYY-MM-DD form")
+    return date
+
+
 def _window_from_json(document: dict, name: str) -> DateWindow:
     if name not in document:
         raise ConfigError(f"malformed scenario config: missing {name}")
     try:
         window = document[name]
-        return DateWindow(
-            dt.date.fromisoformat(window["start"]), dt.date.fromisoformat(window["end"])
-        )
+        return DateWindow(*(_iso_date(window[bound], f"{name} {bound}") for bound in ("start", "end")))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed {name}: {exc}") from exc
 
@@ -334,8 +340,8 @@ def projection_features(
     projection = window_slice(panel, config, "projection_window")
     if config.projection_mode is ProjectionMode.ORACLE_FEATURES:
         return projection
-    source = window_slice(panel, config, "source_window")
-    return source.take(np.arange(projection.n_rows) % source.n_rows, onto=projection)
+    window_slice(panel, config, "source_window")  # names an uncovered source window
+    return panel.slice(config.source_window, onto=config.projection_window)
 
 
 def projection_cycles(config: ScenarioConfig, panel: AlignedPanel) -> int:
@@ -422,14 +428,6 @@ def report_to_json_dict(report: ScenarioReport) -> dict:
 
 def report_to_json_bytes(report: ScenarioReport) -> bytes:
     return json_bytes(report_to_json_dict(report))
-
-
-def _iso_date(text: str) -> dt.date:
-    """The date ``text`` names in the YYYY-MM-DD form reports are written in."""
-    date = dt.date.fromisoformat(text)
-    if date.isoformat() != text:
-        raise ConfigError(f"projection date {text!r} is not in YYYY-MM-DD form")
-    return date
 
 
 def report_from_json_dict(document: dict) -> ScenarioReport:

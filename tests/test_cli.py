@@ -153,18 +153,15 @@ def test_project_does_not_need_correlation_windows(tmp_path, no_network):
     # the project stage must run even when a correlation window is uncovered
     scenario = json.loads((SYNTHETIC_DIR / "scenario_noisy.json").read_text())["scenario"]
     scenario["correlation_before"] = {"start": "1990-01-01", "end": "1990-02-01"}
-    config_path = SYNTHETIC_DIR.parent / "tmp_project_config.json"
+    config_path = tmp_path / "config.json"
     config_path.write_text(
-        json.dumps({"provider": {"cache_dir": "synthetic/noisy"}, "scenario": scenario})
+        json.dumps({"provider": {"cache_dir": str(SYNTHETIC_DIR / "noisy")}, "scenario": scenario})
     )
-    try:
-        out = tmp_path / "proj"
-        assert cli.main(["project", "--config", str(config_path), "--offline", "--out", str(out)]) == 0
-        assert (out / "counterfactual_TGT1.csv").exists()
-        # while the full run rightly fails on the same config
-        assert cli.main(["run", "--config", str(config_path), "--offline", "--out", str(out)]) == 1
-    finally:
-        config_path.unlink()
+    out = tmp_path / "proj"
+    assert cli.main(["project", "--config", str(config_path), "--offline", "--out", str(out)]) == 0
+    assert (out / "counterfactual_TGT1.csv").exists()
+    # while the full run rightly fails on the same config
+    assert cli.main(["run", "--config", str(config_path), "--offline", "--out", str(out)]) == 1
 
 
 @pytest.mark.parametrize("mode", ["date_shifted", "oracle_features"])
@@ -251,6 +248,12 @@ UNPARSEABLE_CONFIGS = {
     "cache-dir-null": _edited_noisy_config(lambda d: d.update(provider={"cache_dir": None})),
     "provider-not-object": _edited_noisy_config(lambda d: d.update(provider=5)),
     "missing-window": _edited_noisy_config(lambda d: d["scenario"].pop("projection_window")),
+    "window-date-basic-format": _edited_noisy_config(
+        lambda d: d["scenario"]["train_window"].update(start="20190101")
+    ),
+    "window-date-week-date": _edited_noisy_config(
+        lambda d: d["scenario"]["train_window"].update(start="2019-W01-1")
+    ),
     "intercept-string": _edited_noisy_config(
         lambda d: d["scenario"]["feature_specs"][0].update(include_intercept="false")
     ),
@@ -309,23 +312,18 @@ def test_data_error_stream_is_stable_across_runs(tmp_path, capsys, no_network):
     # a projection window past the fixture's last date cannot be covered
     scenario["projection_window"] = {"start": "2031-01-01", "end": "2031-02-01"}
     scenario["correlation_after"] = {"start": "2031-01-01", "end": "2031-02-01"}
-    config_path = SYNTHETIC_DIR.parent / "tmp_bad_config.json"
+    config_path = tmp_path / "config.json"
     config_path.write_text(
-        json.dumps({"provider": {"cache_dir": "synthetic/noisy"}, "scenario": scenario})
+        json.dumps({"provider": {"cache_dir": str(SYNTHETIC_DIR / "noisy")}, "scenario": scenario})
     )
-    try:
-        streams = []
-        for _ in range(2):
-            code = cli.main(
-                ["run", "--config", str(config_path), "--offline", "--out", str(tmp_path / "o")]
-            )
-            assert code == 1
-            streams.append(capsys.readouterr().err)
-        assert streams[0] == streams[1]
-        assert streams[0].startswith("eventlens: error: config-error: correlation_after not covered")
-        assert streams[0].count("\n") == 1
-    finally:
-        config_path.unlink()
+    streams = []
+    for _ in range(2):
+        code = cli.main(["run", "--config", str(config_path), "--offline", "--out", str(tmp_path / "o")])
+        assert code == 1
+        streams.append(capsys.readouterr().err)
+    assert streams[0] == streams[1]
+    assert streams[0].startswith("eventlens: error: config-error: correlation_after not covered")
+    assert streams[0].count("\n") == 1
 
 
 @pytest.mark.parametrize(

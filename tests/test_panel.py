@@ -245,19 +245,36 @@ def test_columns_are_contiguous_read_only_views(rng):
     sliced = panel.slice(DateWindow(panel.dates[5], panel.dates[40]))
     assert_columns_contiguous_read_only(sliced)
     assert_columns_contiguous_read_only(sliced.slice(DateWindow(panel.dates[10], panel.dates[20])))
-    assert_columns_contiguous_read_only(sliced.take([3, 0, 1], onto=panel.slice(
-        DateWindow(panel.dates[50], panel.dates[52]))))
+    cycled = panel.slice(
+        DateWindow(panel.dates[5], panel.dates[7]), onto=DateWindow(panel.dates[50], panel.dates[57])
+    )
+    assert_columns_contiguous_read_only(cycled)
     built = panel_of(panel.dates, {key: list(panel.column(key)) for key in panel.keys})
     assert_columns_contiguous_read_only(built)
 
 
-def test_take_redates_rows_and_checks_length(week_panel):
-    onto = week_panel.slice(DateWindow(D(2022, 1, 6), D(2022, 1, 7)))
-    taken = week_panel.take([4, 0], onto=onto)
-    assert taken.dates == onto.dates
-    np.testing.assert_array_equal(taken.column(closes("A")), [5.0, 1.0])
-    with pytest.raises(PanelError, match="3 rows requested for 2 dates"):
-        week_panel.take([0, 1, 2], onto=onto)
+def test_cycled_slice_redates_the_window_rows_onto_another_window(week_panel):
+    source, onto = DateWindow(D(2022, 1, 3), D(2022, 1, 4)), DateWindow(D(2022, 1, 5), D(2022, 1, 9))
+    cycled = week_panel.slice(source, onto=onto)
+    assert cycled.dates == week_panel.slice(onto).dates
+    np.testing.assert_array_equal(cycled.column(closes("A")), [1.0, 2.0, 1.0])
+    with pytest.raises(PanelError, match="window 2022-01-08..2022-01-09 contains no panel dates"):
+        week_panel.slice(source, onto=DateWindow(D(2022, 1, 8), D(2022, 1, 9)))
+
+
+@pytest.mark.parametrize("n_onto", [7, 3, 2], ids=["longer", "equal", "shorter"])
+def test_cycled_slice_matches_a_take_of_the_cycled_rows(rng, n_onto):
+    panel = align([random_series("A", 30, rng), random_series("B", 30, rng)])
+    window = DateWindow(panel.dates[2], panel.dates[4])
+    onto = DateWindow(panel.dates[20], panel.dates[19 + n_onto])
+    cycled = panel.slice(window, onto=onto)
+    source = panel.slice(window)
+    expected = np.take(source.values, np.arange(n_onto) % source.n_rows, axis=1)
+    np.testing.assert_array_equal(cycled.values, expected)
+    assert cycled.dates == panel.slice(onto).dates
+    assert cycled.index is panel.index
+    assert_columns_contiguous_read_only(cycled)
+    assert panel.slice(window, onto=onto) is cycled
 
 
 def test_every_column_length_matches_dates(rng):
@@ -328,17 +345,19 @@ def test_constructor_copies_writeable_input():
     np.testing.assert_array_equal(viewing.column(closes("A")), [99.0, 2.0])
 
 
-def test_slices_are_views_and_takes_are_copies(week_panel):
+def test_slices_are_views_and_cycled_slices_are_copies(week_panel):
     # align hands over the array it built, read-only, so it is not copied
     assert not week_panel.values.flags.owndata
-    sliced = week_panel.slice(DateWindow(D(2022, 1, 4), D(2022, 1, 6)))
+    window = DateWindow(D(2022, 1, 4), D(2022, 1, 6))
+    sliced = week_panel.slice(window)
     assert week_panel.slice(DateWindow(D(2022, 1, 4), D(2022, 1, 6))) is sliced
     assert np.shares_memory(sliced.values, week_panel.values)
     assert np.shares_memory(sliced.days, week_panel.days)
     assert sliced.index is week_panel.index
-    taken = week_panel.take([2, 1, 0], onto=sliced)
-    assert not np.shares_memory(taken.values, week_panel.values)
-    assert taken.days is sliced.days
+    # the cycled rows are a copy, dated by the onto window's own slice
+    cycled = week_panel.slice(DateWindow(D(2022, 1, 3), D(2022, 1, 4)), onto=window)
+    assert not np.shares_memory(cycled.values, week_panel.values)
+    assert cycled.days is sliced.days
 
 
 def new_calls(source: str) -> list[str]:

@@ -132,6 +132,17 @@ def test_config_from_json_names_a_missing_or_malformed_window(name):
         config_from_json_dict(document)
 
 
+@pytest.mark.parametrize("bound", ["start", "end"])
+@pytest.mark.parametrize("text", ["20220103", "2022-W01-1", "2022W011", "2022-W01"])
+def test_config_window_dates_must_be_in_yyyy_mm_dd_form(bound, text):
+    # fromisoformat reads each as 2022-01-03, which the config writer would write instead
+    document = config_to_json_dict(linear_config())
+    document["train_window"][bound] = text
+    with pytest.raises(ConfigError) as info:
+        config_from_json_dict(document)
+    assert str(info.value) == f"train_window {bound} {text!r} is not in YYYY-MM-DD form"
+
+
 # --- projection_features ------------------------------------------------------------
 
 
@@ -275,9 +286,10 @@ def test_oracle_mode_reports_single_cycle():
 
 
 @pytest.mark.parametrize("config_name", ["scenario_noisy.json", "scenario_noisy_dateshift.json"])
-def test_run_builds_each_window_once_and_one_take_per_target(monkeypatch, config_name):
-    # One align, one slice per distinct window however many stages read it,
-    # and in date_shifted mode one take of the source rows per target.
+def test_run_builds_each_panel_it_reads_once(monkeypatch, config_name):
+    # One align and one slice per distinct window however many stages read
+    # it; in date_shifted mode one cycled slice of the source rows, shared by
+    # every target.
     built = []
     check = AlignedPanel.__post_init__
 
@@ -287,11 +299,12 @@ def test_run_builds_each_window_once_and_one_take_per_target(monkeypatch, config
 
     monkeypatch.setattr(AlignedPanel, "__post_init__", counted)
     _, config = load_fixture_config(config_name)
+    assert len(config.feature_specs) > 1
     data = load_fixture_data("noisy", config)
     run_scenario(config, data)
     windows = set(config.named_windows().values())
-    takes = len(config.feature_specs) if config.projection_mode is ProjectionMode.DATE_SHIFTED else 0
-    assert len(built) == 1 + len(windows) + takes
+    cycled = 1 if config.projection_mode is ProjectionMode.DATE_SHIFTED else 0
+    assert len(built) == 1 + len(windows) + cycled
 
 
 def test_identical_inputs_give_byte_identical_reports():
