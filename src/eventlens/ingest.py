@@ -15,6 +15,12 @@ date order on whole arrays. The parsers only decode: they collect plain
 day ordinals and floats and hand the columns over. ``DailyBar`` is the row
 type of ``RawSeries.bars``, a view built only when a caller reads it.
 
+A provider payload is decoded in bulk: ``_match_fields`` resolves each
+distinct entry key layout once, and every quote string is converted in one
+pass. An irregular payload is walked entry by entry instead
+(``_walk_entries``), and the error names the first offending entry in date
+order; a broken bar in an earlier entry wins.
+
 Every CSV the package writes, a cache file or a report table, comes from
 ``csv_bytes``: a header line, then one line of comma-joined cells per row.
 
@@ -43,6 +49,8 @@ from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
+from operator import call, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -55,6 +63,7 @@ from .errors import (
     DataFormatError,
     EventLensError,
     ProviderError,
+    json_number,
 )
 
 API_KEY_ENV = "EVENTLENS_API_KEY"
@@ -206,9 +215,9 @@ class ProviderConfig:
     """Connection settings for the quote provider plus the local cache root.
 
     ``api_key`` falls back to the EVENTLENS_API_KEY environment variable.
-    ``rate_limit`` is the maximum number of requests in any sliding
-    60-second window, kept by ``limiter`` for all fetches made through this
-    config.
+    ``rate_limit``, an int >= 1, is the maximum number of requests in any
+    sliding 60-second window, kept by ``limiter`` for all fetches made
+    through this config.
     """
 
     cache_dir: Path
@@ -224,7 +233,8 @@ class ProviderConfig:
 
 
 class RateLimiter:
-    """Sliding-window limiter: at most ``max_per_minute`` acquisitions in any 60 s span.
+    """Sliding-window limiter: at most ``max_per_minute`` (an int >= 1, not a
+    bool) acquisitions in any 60 s span.
 
     ``clock`` and ``sleep`` are injectable so tests can drive a fake clock.
     """
@@ -237,7 +247,7 @@ class RateLimiter:
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if max_per_minute < 1:
+        if json_number(max_per_minute, "rate limit", whole=True) < 1:
             raise ConfigError(f"rate limit must be >= 1, got {max_per_minute}")
         self._max = max_per_minute
         self._clock = clock
@@ -265,6 +275,7 @@ _DATE_KEY = re.compile(r"\d{4}-\d{2}-\d{2}$")
 # Accepts bare field names and numbered variants like "1. open"; deliberately
 # rejects derived fields such as "5. adjusted close".
 _FIELD_KEY = re.compile(r"(?:\d+[a-z]?\.\s*)?(open|high|low|close)$")
+_OHLC = ("open", "high", "low", "close")
 
 
 def _daily_query(symbol: str) -> dict[str, str]:
@@ -302,16 +313,17 @@ def _http_get(url: str, timeout: float = 30.0) -> bytes:
         return response.read()
 
 
-def _match_fields(entry: dict, date_str: str) -> dict[str, object]:
+def _match_fields(keys: Iterable, date_str: str) -> list:
+    """The keys of an entry's open, high, low and close quotes, None for a
+    field it lacks; a field named twice is an error naming ``date_str``."""
     found: dict[str, object] = {}
-    for key, value in entry.items():
+    for key in keys:
         match = _FIELD_KEY.fullmatch(str(key).strip().lower())
         if match:
-            field = match[1]
-            if field in found:
-                raise DataFormatError(f"entry {date_str} has two {field} quotes")
-            found[field] = value
-    return found
+            if match[1] in found:
+                raise DataFormatError(f"entry {date_str} has two {match[1]} quotes")
+            found[match[1]] = key
+    return [found.get(name) for name in _OHLC]
 
 
 def _parse_quote(raw: object, date_str: str, field_name: str) -> float:
@@ -329,7 +341,8 @@ def parse_provider_payload(body: bytes, instrument: InstrumentId) -> RawSeries:
 
     The instrument identity comes from the caller: the wire metadata block
     is provider-variant and not trusted for routing. Entries quoting only a
-    close get open=high=low=close synthesized and the series flagged.
+    close get open=high=low=close synthesized and the series flagged. Entries
+    decode in bulk; if one is irregular, ``_walk_entries`` names the error.
     """
     try:
         document = json.loads(body)
@@ -355,8 +368,35 @@ def parse_provider_payload(body: bytes, instrument: InstrumentId) -> RawSeries:
     if series_map is None:
         raise DataFormatError(f"payload for {instrument.symbol} has no daily series map")
 
+    with suppress(DataFormatError, KeyError, TypeError, ValueError):
+        return RawSeries(instrument, *_decode_entries(series_map))
+    return _walk_entries(instrument, series_map)
+
+
+def _decode_entries(series_map: dict) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Every entry's date and quotes, and whether any was close-only, with each
+    key layout resolved once; raises for any entry the walk would reject."""
+    dates = sorted(series_map)
+    entries = list(map(series_map.__getitem__, dates))
+    layouts = list(map(tuple, entries))
+    getters, synthesized = {}, False
+    for keys in set(layouts):
+        open_, high, low, close = _match_fields(keys, "")
+        close_only = open_ is high is low is None
+        synthesized |= close_only
+        getters[keys] = itemgetter(*((close,) * 4 if close_only else (open_, high, low, close)))
+    cells = list(chain.from_iterable(map(call, map(getters.__getitem__, layouts), entries)))
+    if not "".join(cells).isascii():
+        raise ValueError("quote text is not ASCII")
+    days = np.fromiter(map(dt.date.toordinal, map(dt.date.fromisoformat, dates)), dtype=np.int64)
+    return _dates(days), np.fromiter(map(float, cells), dtype=float).reshape(-1, 4), synthesized
+
+
+def _walk_entries(instrument: InstrumentId, series_map: dict) -> RawSeries:
+    """The entry-by-entry reference parse: the series, or an error naming the
+    first offending entry in date order (an earlier broken bar wins)."""
     days: list[int] = []
-    rows: list[tuple[float, float, float, float]] = []
+    rows: list[list[float]] = []
     synthesized = False
     try:
         for date_str in sorted(series_map):
@@ -364,26 +404,18 @@ def parse_provider_payload(body: bytes, instrument: InstrumentId) -> RawSeries:
                 date = dt.date.fromisoformat(date_str)
             except ValueError as exc:
                 raise DataFormatError(f"bad date key {date_str!r}") from exc
-            fields = _match_fields(series_map[date_str], date_str)
-            if "close" not in fields:
+            entry = series_map[date_str]
+            *others, close = keys = _match_fields(entry, date_str)
+            if close is None:
                 raise DataFormatError(f"entry {date_str} has no close quote")
-            close = _parse_quote(fields["close"], date_str, "close")
-            if all(name in fields for name in ("open", "high", "low")):
-                rows.append((
-                    _parse_quote(fields["open"], date_str, "open"),
-                    _parse_quote(fields["high"], date_str, "high"),
-                    _parse_quote(fields["low"], date_str, "low"),
-                    close,
-                ))
-            elif not any(name in fields for name in ("open", "high", "low")):
-                rows.append((close, close, close, close))
-                synthesized = True
-            else:
+            _parse_quote(entry[close], date_str, "close")  # named before a partial set
+            if others == [None, None, None]:
+                keys, synthesized = [close] * 4, True
+            elif None in others:
                 raise DataFormatError(f"entry {date_str} has a partial OHLC set")
+            rows.append([_parse_quote(entry[k], date_str, name) for k, name in zip(keys, _OHLC)])
             days.append(date.toordinal())
     except DataFormatError:
-        # Entries are checked in date order, so a broken bar before the
-        # malformed entry is the error to report.
         RawSeries(instrument, _dates(days), rows)
         raise
     return RawSeries(instrument, _dates(days), rows, synthetic_ohlc=synthesized)

@@ -455,3 +455,25 @@ def test_report_rejects_a_saved_value_it_would_not_write(tmp_path, capsys, path,
     assert captured.err == f"eventlens: error: config-error: {message}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "limit,message",
+    [
+        (2.5, "rate limit must be an integer, got 2.5"),
+        (True, "rate limit must be an integer, got True"),
+        (float("inf"), "rate limit must be an integer, got inf"),  # the config reads Infinity
+        ("5", "rate limit must be an integer, got '5'"),
+        (0, "rate limit must be >= 1, got 0"),
+    ],
+)
+def test_bad_rate_limit_is_a_usage_error(tmp_path, capsys, limit, message):
+    config = tmp_path / "config.json"
+    config.write_text(_edited_noisy_config(lambda d: d["provider"].update(rate_limit=limit)))
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["run", "--config", str(config), "--offline", "--out", str(tmp_path / "out")])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.splitlines()[1:] == [
+        f"eventlens: error: bad provider section in {config}: {message}"
+    ]
+    assert not (tmp_path / "out").exists()

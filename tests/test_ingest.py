@@ -1090,3 +1090,166 @@ def test_constructor_raises_exactly_as_the_row_by_row_reference(columns):
         with pytest.raises(EventLensError) as info:
             RawSeries(GOLD, dates, rows)
         assert (type(info.value), str(info.value)) == expected
+
+
+# --- the bulk payload decode against the entry walk ----------------------------------
+
+from eventlens.ingest import _decode_entries, _walk_entries  # noqa: E402
+
+EXTRA_KEYS = ("5. volume", "5. adjusted close", "7. dividend amount")
+NOT_QUOTE_TEXT = ("n/a", "", " ", "1_0", " 2.5 ", "1e999", "-0.0", "١.٥", "１.0", "1.5 ")
+BAD_DATE_KEYS = ("2022-02-30", "0000-01-03", "2022-13-01")
+
+
+@st.composite
+def field_key(draw, name: str) -> str:
+    """``name`` as the provider may spell it: bare or numbered, any case, padded."""
+    prefix = draw(st.sampled_from(["", "1. ", "4. ", "2a. ", "3."]))
+    spelled = draw(st.sampled_from([name, name.upper(), name.title()]))
+    return draw(st.sampled_from(["", " "])) + prefix + spelled
+
+
+@st.composite
+def quote_cells(draw) -> list:
+    """Open, high, low and close as the payload holds them: a valid bar or any
+    four floats as text, with up to one cell swapped for a non-decimal value."""
+    if draw(st.sampled_from([True] * 4 + [False])):
+        low, a, b, high = sorted(draw(st.lists(positive_quotes, min_size=4, max_size=4)))
+        open_, close = draw(st.permutations([a, b]))
+        cells = [repr(q) for q in (open_, high, low, close)]
+    else:
+        cells = [repr(q) for q in draw(st.lists(st.floats(), min_size=4, max_size=4))]
+    if draw(st.sampled_from([False] * 5 + [True])):
+        cells[draw(st.integers(0, 3))] = draw(
+            st.one_of(
+                st.none(),
+                st.booleans(),
+                st.integers(-5, 5),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from(NOT_QUOTE_TEXT),
+                st.text(max_size=3),
+            )
+        )
+    return cells
+
+
+@st.composite
+def provider_entry(draw, layouts: list) -> dict:
+    """One day's entry. Its key layout is usually one drawn for the payload:
+    full OHLC or close-only, with extra keys, in any order. Rarely it is
+    partial, has no close, or names a field twice."""
+    cells = draw(quote_cells())
+    keys = draw(st.sampled_from(layouts))
+    fault = draw(st.sampled_from([None] * 9 + ["partial", "no_close", "duplicate"]))
+    if fault:
+        keys = dict(keys)
+        if fault == "partial":
+            names = draw(st.sampled_from([("open", "close"), ("high", "low", "close")]))
+            keys = {name: keys.get(name) or name for name in names}
+        elif fault == "no_close":
+            keys.pop("close", None)
+        else:
+            name = draw(st.sampled_from(sorted(keys)))
+            keys[f"{name}#2"] = draw(field_key(name).filter(lambda key: key != keys[name]))
+    index = dict(zip(("open", "high", "low", "close"), range(4)))
+    entry = {key: cells[index[name.partition("#")[0]]] for name, key in keys.items()}
+    for extra in draw(st.lists(st.sampled_from(EXTRA_KEYS), unique=True, max_size=2)):
+        entry[extra] = draw(st.sampled_from(["100", "1.5", None]))
+    order = draw(st.permutations(list(entry)))
+    return {key: entry[key] for key in order}
+
+
+@st.composite
+def provider_entries(draw) -> dict:
+    """A daily-series map of one to six entries in any date order, mixing
+    one or two key layouts, now and then with a bad date key."""
+    layouts = []
+    for _ in range(draw(st.integers(1, 2))):
+        names = draw(st.sampled_from([("open", "high", "low", "close"), ("close",)]))
+        layouts.append({name: draw(field_key(name)) for name in names})
+    days = st.dates(dt.date(2022, 1, 1), dt.date(2022, 1, 20))
+    days = draw(st.lists(days, min_size=1, max_size=6, unique=True))
+    keys = [day.isoformat() for day in days]
+    bad_key = draw(st.sampled_from([None] * 12 + list(BAD_DATE_KEYS)))
+    if bad_key:
+        keys[draw(st.integers(0, len(keys) - 1))] = bad_key
+    keys = list(dict.fromkeys(keys))
+    return {key: draw(provider_entry(layouts)) for key in draw(st.permutations(keys))}
+
+
+def parsed(build):
+    """What ``build()`` gives: its series' columns and synthesized flag, or its
+    error's type and text."""
+    try:
+        series = build()
+    except EventLensError as exc:
+        return type(exc), str(exc)
+    return series.dates.tolist(), series.quotes.tolist(), series.synthetic_ohlc
+
+
+@settings(deadline=None, max_examples=300)
+@given(entries=provider_entries())
+def test_bulk_payload_parse_agrees_with_the_entry_walk(entries):
+    body = payload_bytes(entries)
+    series_map = json.loads(body)["Time Series (Daily)"]
+    expected = parsed(lambda: _walk_entries(GOLD, series_map))
+    assert parsed(lambda: parse_provider_payload(body, GOLD)) == expected
+    # The bulk decode alone never accepts what the walk rejects.
+    try:
+        decoded = _decode_entries(series_map)
+    except (DataFormatError, KeyError, TypeError, ValueError):
+        return
+    assert parsed(lambda: RawSeries(GOLD, *decoded)) == expected
+
+
+@pytest.mark.parametrize(
+    "entries,error,message", PAYLOAD_EDGE_CASES.values(), ids=PAYLOAD_EDGE_CASES.keys()
+)
+def test_entry_walk_names_each_payload_edge_case(entries, error, message):
+    series_map = json.loads(payload_bytes(entries))["Time Series (Daily)"]
+    with pytest.raises(EventLensError) as info:
+        _walk_entries(GOLD, series_map)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_bulk_payload_parse_resolves_each_key_layout_once(monkeypatch):
+    first = dt.date(2020, 1, 1)
+    full = {
+        (first + dt.timedelta(days=i)).isoformat(): {
+            "1. open": "1.0",
+            "2. high": "2.0",
+            "3. low": "0.5",
+            "4. close": repr(1 + i % 7 / 10),
+            "5. volume": str(1000 + i),
+        }
+        for i in range(800)
+    }
+    mixed = {
+        day: entry if i % 3 else {"close": entry["4. close"]}
+        for i, (day, entry) in enumerate(full.items())
+    }
+    resolve = eventlens.ingest._match_fields
+    calls = []
+
+    def counted(keys, date_str):
+        calls.append(tuple(keys))
+        return resolve(keys, date_str)
+
+    monkeypatch.setattr(eventlens.ingest, "_match_fields", counted)
+    series = parse_provider_payload(payload_bytes(full), GOLD)
+    assert (len(series), series.synthetic_ohlc, calls) == (800, False, [tuple(full["2020-01-01"])])
+    calls.clear()
+    series = parse_provider_payload(payload_bytes(mixed), GOLD)
+    assert sorted(calls) == [("1. open", "2. high", "3. low", "4. close", "5. volume"), ("close",)]
+    monkeypatch.undo()
+    walked = _walk_entries(GOLD, json.loads(payload_bytes(mixed))["Time Series (Daily)"])
+    assert series == walked and series.synthetic_ohlc and walked.synthetic_ohlc
+    assert series.quotes[:2].tolist() == [[1.0] * 4, [1.0, 2.0, 0.5, 1.1]]
+
+
+@pytest.mark.parametrize("limit", [True, False, 2.5, 1.0, float("inf"), float("nan"), "5", None])
+def test_rate_limit_must_be_an_integer(tmp_path, limit):
+    with pytest.raises(ConfigError, match="rate limit must be an integer, got "):
+        RateLimiter(limit)
+    with pytest.raises(ConfigError, match="rate limit must be an integer, got "):
+        ProviderConfig(cache_dir=tmp_path, rate_limit=limit)
