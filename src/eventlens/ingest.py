@@ -21,6 +21,13 @@ pass. An irregular payload is walked entry by entry instead
 (``_walk_entries``), and the error names the first offending entry in date
 order; a broken bar in an earlier entry wins.
 
+A fetched series' cache file is built from the payload's own quote text when
+one regex (``_CANONICAL_CELLS``) proves every cell canonical: what ``repr``
+writes for its float, which holds for a decimal of at most 15 significant
+digits (C's ``DBL_DIG``) in ``repr``'s layout with no trailing zero. Any
+other cell, such as ``"1923.4500"``, sends the series through
+``series_to_csv_bytes``. The bytes are the same either way.
+
 Every CSV the package writes, a cache file or a report table, comes from
 ``csv_bytes``: a header line, then one line of comma-joined cells per row.
 
@@ -271,7 +278,18 @@ class RateLimiter:
 # --- provider wire format ---------------------------------------------------
 
 _PROVIDER_ERROR_KEYS = ("Error Message", "Note", "Information")
-_DATE_KEY = re.compile(r"\d{4}-\d{2}-\d{2}$")
+# Date keys joined by "\n", each followed by one. ``\d``, not [0-9]: a key of
+# other Unicode digits still picks the map, and the decode names it a bad date.
+_DATE_KEYS = re.compile(r"(?:\d{4}-\d{2}-\d{2}\n)*+")
+# Quote cells joined by "\n", each followed by one, all written as
+# ``repr(float(cell))`` writes them: the fixed layout from 1e-4 up, no
+# trailing zero ('.0' only after an integer) and at most 16 characters, so at
+# most 15 significant digits, which a binary64 float round-trips (DBL_DIG).
+# [0-9], never \d: float() reads any Unicode digit.
+_CANONICAL_CELLS = re.compile(
+    r"(?:(?=[^\n]{1,16}+\n)"
+    r"(?:[1-9][0-9]*+\.(?:0|[0-9]*+(?<=[1-9]))|0\.0{0,3}+[1-9][0-9]*+(?<=[1-9]))\n)*+"
+)
 # Accepts bare field names and numbered variants like "1. open"; deliberately
 # rejects derived fields such as "5. adjusted close".
 _FIELD_KEY = re.compile(r"(?:\d+[a-z]?\.\s*)?(open|high|low|close)$")
@@ -343,7 +361,17 @@ def parse_provider_payload(body: bytes, instrument: InstrumentId) -> RawSeries:
     is provider-variant and not trusted for routing. Entries quoting only a
     close get open=high=low=close synthesized and the series flagged. Entries
     decode in bulk; if one is irregular, ``_walk_entries`` names the error.
+    A cache file written from the payload (``fetch_daily``) reuses its quote
+    text verbatim when every cell is already what ``repr`` would write: a
+    decimal of at most 15 significant digits round-trips through a float.
     """
+    return _parse_payload(body, instrument)[0]
+
+
+def _parse_payload(body: bytes, instrument: InstrumentId) -> tuple[RawSeries, Iterable | None]:
+    """The payload's series, and its CSV rows in the payload's own quote text
+    when ``_CANONICAL_CELLS`` proves every cell canonical, else None. The rows
+    keep only the text, not the parsed document."""
     try:
         document = json.loads(body)
     except (ValueError, UnicodeDecodeError) as exc:
@@ -355,27 +383,40 @@ def parse_provider_payload(body: bytes, instrument: InstrumentId) -> RawSeries:
         if key in document:
             raise ProviderError(f"provider error for {instrument.symbol}: {document[key]}")
 
-    series_map = None
-    for value in document.values():
-        if (
-            isinstance(value, dict)
-            and value
-            and all(isinstance(k, str) and _DATE_KEY.fullmatch(k) for k in value)
-            and all(isinstance(v, dict) for v in value.values())
-        ):
-            series_map = value
-            break
+    series_map = next(filter(_is_series_map, document.values()), None)
     if series_map is None:
         raise DataFormatError(f"payload for {instrument.symbol} has no daily series map")
 
-    with suppress(DataFormatError, KeyError, TypeError, ValueError):
-        return RawSeries(instrument, *_decode_entries(series_map))
-    return _walk_entries(instrument, series_map)
+    try:
+        *columns, rows = _decode_entries(series_map)
+        return RawSeries(instrument, *columns), rows
+    except (DataFormatError, KeyError, TypeError, ValueError):
+        return _walk_entries(instrument, series_map), None
 
 
-def _decode_entries(series_map: dict) -> tuple[np.ndarray, np.ndarray, bool]:
+def _is_series_map(value: object) -> bool:
+    """Whether ``value`` is a non-empty object of "YYYY-MM-DD" keys to objects.
+
+    The keys are checked as one text; the length check rejects a key that
+    holds the separator itself.
+    """
+    if type(value) is not dict or not value:
+        return False
+    keys = "\n".join(value) + "\n"
+    return (
+        len(keys) == 11 * len(value)
+        and _DATE_KEYS.fullmatch(keys) is not None
+        and set(map(type, value.values())) == {dict}
+    )
+
+
+def _decode_entries(series_map: dict) -> tuple[np.ndarray, np.ndarray, bool, Iterable | None]:
     """Every entry's date and quotes, and whether any was close-only, with each
-    key layout resolved once; raises for any entry the walk would reject."""
+    key layout resolved once; raises for any entry the walk would reject.
+
+    The fourth item is the entries as CSV rows of the payload's own text when
+    every quote cell is canonical (``_CANONICAL_CELLS``), else None.
+    """
     dates = sorted(series_map)
     entries = list(map(series_map.__getitem__, dates))
     layouts = list(map(tuple, entries))
@@ -386,10 +427,17 @@ def _decode_entries(series_map: dict) -> tuple[np.ndarray, np.ndarray, bool]:
         synthesized |= close_only
         getters[keys] = itemgetter(*((close,) * 4 if close_only else (open_, high, low, close)))
     cells = list(chain.from_iterable(map(call, map(getters.__getitem__, layouts), entries)))
-    if not "".join(cells).isascii():
+    # float() takes "\n" only as leading or trailing space, which leaves a
+    # line in ``text`` that no canonical cell matches.
+    text = "\n".join(cells) + "\n"
+    if not text.isascii():
         raise ValueError("quote text is not ASCII")
     days = np.fromiter(map(dt.date.toordinal, map(dt.date.fromisoformat, dates)), dtype=np.int64)
-    return _dates(days), np.fromiter(map(float, cells), dtype=float).reshape(-1, 4), synthesized
+    quotes = np.fromiter(map(float, cells), dtype=float).reshape(-1, 4)
+    rows = None
+    if _CANONICAL_CELLS.fullmatch(text):
+        rows = zip(dates, cells[0::4], cells[1::4], cells[2::4], cells[3::4])
+    return _dates(days), quotes, synthesized, rows
 
 
 def _walk_entries(instrument: InstrumentId, series_map: dict) -> RawSeries:
@@ -579,9 +627,12 @@ def fetch_daily(
     except Exception as exc:
         raise ProviderError(f"provider unreachable for {instrument.symbol}: {exc}") from exc
 
-    series = parse_provider_payload(body, instrument)
+    # The parsed document is freed by now, before the bytes are built.
+    series, rows = _parse_payload(body, instrument)
+    payload = series_to_csv_bytes(series) if rows is None else csv_bytes((CSV_HEADER,), rows)
     try:
-        write_csv(series, cache_path)
+        cache_path.parent.mkdir(parents=True, exist_ok=True)
+        write_atomic(cache_path, payload)
     except OSError as exc:
         raise CacheError(f"cannot write cache file {cache_path}: {exc}") from exc
     return series

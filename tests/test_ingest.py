@@ -5,13 +5,15 @@ import datetime as dt
 import hashlib
 import json
 import os
+import re
 import stat
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eventlens import (
@@ -501,6 +503,26 @@ def test_fetch_cold_then_warm_cache(tmp_path):
     assert series_to_csv_bytes(second) == series_to_csv_bytes(first)
 
 
+@pytest.mark.parametrize("high,verbatim", [("1923.45", True), ("1923.4500", False)])
+def test_fetch_writes_the_series_csv_from_the_payload_text_only_if_canonical(
+    tmp_path, monkeypatch, high, verbatim
+):
+    encode = eventlens.ingest.series_to_csv_bytes
+    calls = []
+
+    def counted(series):
+        calls.append(series)
+        return encode(series)
+
+    monkeypatch.setattr(eventlens.ingest, "series_to_csv_bytes", counted)
+    body = payload_bytes({"2022-01-04": entry(high=high), "2022-01-03": entry()})
+    series = fetch_daily(GOLD, make_config(tmp_path), lambda url: body)
+    written = (tmp_path / "cache" / "GOLD.csv").read_bytes()
+    assert written == encode(series)
+    assert written.splitlines()[2] == b"2022-01-04,1.0,1923.45,0.5,1.5"
+    assert len(calls) == (0 if verbatim else 1)
+
+
 def test_fetch_propagates_provider_error(tmp_path):
     config = make_config(tmp_path)
 
@@ -884,6 +906,32 @@ def test_parse_payload_accepts_underscore_decimal():
     assert series_to_csv_bytes(series) == expected
 
 
+# Date keys that the series-map check reads as one joined text: one holding
+# the "\n" it joins with, and one of full-width digits, which \d takes and
+# the date parse rejects.
+SERIES_MAP_EDGE_CASES = {
+    "separator_in_key": (
+        {"2022-01-05": entry(), "2022-01-03\n2022-01-04": entry()},
+        DATA,
+        "payload for GOLD has no daily series map",
+    ),
+    "fullwidth_digit_key": (
+        {"\uff12\uff10\uff12\uff12-01-03": entry()},
+        DATA,
+        "bad date key '\uff12\uff10\uff12\uff12-01-03'",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "entries,error,message", SERIES_MAP_EDGE_CASES.values(), ids=SERIES_MAP_EDGE_CASES.keys()
+)
+def test_parse_payload_series_map_edge_case_errors(entries, error, message):
+    with pytest.raises(EventLensError) as info:
+        parse_provider_payload(payload_bytes(entries), GOLD)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
 # --- properties -------------------------------------------------------------------
 
 positive_quotes = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -1094,11 +1142,25 @@ def test_constructor_raises_exactly_as_the_row_by_row_reference(columns):
 
 # --- the bulk payload decode against the entry walk ----------------------------------
 
-from eventlens.ingest import _decode_entries, _walk_entries  # noqa: E402
+from eventlens.ingest import (  # noqa: E402
+    CSV_HEADER,
+    _CANONICAL_CELLS,
+    _decode_entries,
+    _is_series_map,
+    _parse_payload,
+    _walk_entries,
+    csv_bytes,
+)
 
 EXTRA_KEYS = ("5. volume", "5. adjusted close", "7. dividend amount")
-NOT_QUOTE_TEXT = ("n/a", "", " ", "1_0", " 2.5 ", "1e999", "-0.0", "١.٥", "１.0", "1.5 ")
+NOT_QUOTE_TEXT = (
+    "n/a", "", " ", "1_0", " 2.5 ", "1e999", "-0.0", "١.٥", "１.0", "1.5 ", "1.5\n", "\n2.5"
+)
 BAD_DATE_KEYS = ("2022-02-30", "0000-01-03", "2022-13-01")
+# How a payload may write a float: as repr does, as a provider quotes (four
+# decimals, from 1e-4 to 1e9, which keeps a bar's order), or with a trailing
+# zero that repr never writes.
+QUOTE_TEXT = (repr, lambda q: repr(round(min(max(q, 1e-4), 1e9), 4)), lambda q: f"{q!r}0")
 
 
 @st.composite
@@ -1110,15 +1172,16 @@ def field_key(draw, name: str) -> str:
 
 
 @st.composite
-def quote_cells(draw) -> list:
+def quote_cells(draw, text) -> list:
     """Open, high, low and close as the payload holds them: a valid bar or any
-    four floats as text, with up to one cell swapped for a non-decimal value."""
+    four floats, written by ``text``, with up to one cell swapped for a
+    non-decimal value."""
     if draw(st.sampled_from([True] * 4 + [False])):
         low, a, b, high = sorted(draw(st.lists(positive_quotes, min_size=4, max_size=4)))
         open_, close = draw(st.permutations([a, b]))
-        cells = [repr(q) for q in (open_, high, low, close)]
+        cells = [text(q) for q in (open_, high, low, close)]
     else:
-        cells = [repr(q) for q in draw(st.lists(st.floats(), min_size=4, max_size=4))]
+        cells = [text(q) for q in draw(st.lists(st.floats(), min_size=4, max_size=4))]
     if draw(st.sampled_from([False] * 5 + [True])):
         cells[draw(st.integers(0, 3))] = draw(
             st.one_of(
@@ -1134,11 +1197,11 @@ def quote_cells(draw) -> list:
 
 
 @st.composite
-def provider_entry(draw, layouts: list) -> dict:
+def provider_entry(draw, layouts: list, text) -> dict:
     """One day's entry. Its key layout is usually one drawn for the payload:
     full OHLC or close-only, with extra keys, in any order. Rarely it is
     partial, has no close, or names a field twice."""
-    cells = draw(quote_cells())
+    cells = draw(quote_cells(text))
     keys = draw(st.sampled_from(layouts))
     fault = draw(st.sampled_from([None] * 9 + ["partial", "no_close", "duplicate"]))
     if fault:
@@ -1162,7 +1225,8 @@ def provider_entry(draw, layouts: list) -> dict:
 @st.composite
 def provider_entries(draw) -> dict:
     """A daily-series map of one to six entries in any date order, mixing
-    one or two key layouts, now and then with a bad date key."""
+    one or two key layouts, now and then with a bad date key. Its quotes are
+    written in one ``QUOTE_TEXT`` form."""
     layouts = []
     for _ in range(draw(st.integers(1, 2))):
         names = draw(st.sampled_from([("open", "high", "low", "close"), ("close",)]))
@@ -1174,7 +1238,8 @@ def provider_entries(draw) -> dict:
     if bad_key:
         keys[draw(st.integers(0, len(keys) - 1))] = bad_key
     keys = list(dict.fromkeys(keys))
-    return {key: draw(provider_entry(layouts)) for key in draw(st.permutations(keys))}
+    text = draw(st.sampled_from(QUOTE_TEXT))
+    return {key: draw(provider_entry(layouts, text)) for key in draw(st.permutations(keys))}
 
 
 def parsed(build):
@@ -1189,17 +1254,23 @@ def parsed(build):
 
 @settings(deadline=None, max_examples=300)
 @given(entries=provider_entries())
+@example(entries={"2022-01-04": entry(high="2.50"), "2022-01-03": entry()})
 def test_bulk_payload_parse_agrees_with_the_entry_walk(entries):
     body = payload_bytes(entries)
     series_map = json.loads(body)["Time Series (Daily)"]
     expected = parsed(lambda: _walk_entries(GOLD, series_map))
     assert parsed(lambda: parse_provider_payload(body, GOLD)) == expected
+    # Rows of the payload's own text, if any, are the series' CSV rows.
+    with suppress(EventLensError):
+        series, rows = _parse_payload(body, GOLD)
+        if rows is not None:
+            assert csv_bytes((CSV_HEADER,), rows) == series_to_csv_bytes(series)
     # The bulk decode alone never accepts what the walk rejects.
     try:
         decoded = _decode_entries(series_map)
     except (DataFormatError, KeyError, TypeError, ValueError):
         return
-    assert parsed(lambda: RawSeries(GOLD, *decoded)) == expected
+    assert parsed(lambda: RawSeries(GOLD, *decoded[:3])) == expected
 
 
 @pytest.mark.parametrize(
@@ -1253,3 +1324,100 @@ def test_rate_limit_must_be_an_integer(tmp_path, limit):
         RateLimiter(limit)
     with pytest.raises(ConfigError, match="rate limit must be an integer, got "):
         ProviderConfig(cache_dir=tmp_path, rate_limit=limit)
+
+
+# --- canonical quote text and the series-map check ------------------------------
+
+DIGITS = "0123456789"
+CANONICAL_CELLS = ("0.0001", "1.23456789012345", "98765432109876.5", "0.12345678901234", "123.0")
+NOT_CANONICAL_CELLS = (
+    "0.00001",  # repr writes 1e-05
+    "8.397381398802227",  # 16 significant digits; repr writes 8.397381398802226
+    "9.4018706989938357",  # 17 significant digits; repr writes 9.401870698993836
+    "1.2345678901234567",  # 17 significant digits that happen to round-trip
+    "0.1234567890123456",
+    "123456789012345.0",
+    "0.940",
+    "1.50",
+    "1.",
+    "01.5",
+    "+1.5",
+    "1_0",
+    "\u0661.\u0665",
+    "1.\u0665",
+    "1\u0665.5",
+    "0.0",
+    ".5",
+)
+
+
+@st.composite
+def decimal_text(draw) -> str:
+    """Text near the canonical grammar: digit runs around a point, with
+    leading zeros, trailing zeros and 15 to 17 digits all common."""
+    if draw(st.booleans()):
+        digits = str(draw(st.integers(10**14, 10**17 - 1)))
+        point = draw(st.integers(1, len(digits) - 1))
+        return f"{digits[:point]}.{digits[point:]}"
+    whole = draw(st.one_of(st.just("0"), st.text(DIGITS, min_size=1, max_size=17)))
+    zeros = "0" * draw(st.integers(0, 5))
+    return f"{whole}.{zeros}{draw(st.text(DIGITS, max_size=17))}"
+
+
+@settings(max_examples=1000)
+@given(
+    cell=st.one_of(
+        decimal_text(),
+        st.floats(min_value=0.0, allow_infinity=False).map(repr),
+        st.builds(round, st.floats(0.0, 1e6), st.integers(0, 15)).map(repr),
+        st.text(DIGITS + ".+-_e\u0661\uff11", max_size=18),
+    )
+)
+@example(cell="0.0001")
+@example(cell="1.23456789012345")
+@example(cell="123.0")
+@example(cell="0.00001")
+@example(cell="8.397381398802227")
+@example(cell="9.4018706989938357")
+@example(cell="0.940")
+@example(cell="1.")
+@example(cell="01.5")
+@example(cell="+1.5")
+@example(cell="1_0")
+@example(cell="\u0661.\u0665")
+@example(cell="1.\u0665")
+@example(cell="1\u0665.5")
+def test_a_canonical_cell_is_its_own_repr(cell):
+    if _CANONICAL_CELLS.fullmatch(cell + "\n"):
+        assert repr(float(cell)) == cell
+
+
+@pytest.mark.parametrize("cell", CANONICAL_CELLS + NOT_CANONICAL_CELLS)
+def test_canonical_cell_boundaries(cell):
+    canonical = _CANONICAL_CELLS.fullmatch(cell + "\n") is not None
+    assert canonical == (cell in CANONICAL_CELLS)
+    # A text of cells is canonical only if each of them is.
+    assert (_CANONICAL_CELLS.fullmatch(f"1.5\n{cell}\n2.25\n") is not None) == canonical
+
+
+date_keys = st.one_of(
+    st.dates().map(dt.date.isoformat),
+    st.sampled_from(["2022-01-03\n2022-01-04", "2022-01-03\n", "\uff12\uff10\uff12\uff12-01-03"]),
+    st.text(DIGITS + "-\n\uff12", max_size=12),
+)
+
+
+@given(
+    value=st.one_of(
+        st.dictionaries(date_keys, st.sampled_from([{}, {"close": "1.5"}, "1.5", None]), max_size=4),
+        st.sampled_from([[], "2022-01-03", None]),
+    )
+)
+def test_series_map_check_agrees_with_a_per_key_match(value):
+    per_key = (
+        isinstance(value, dict)
+        and bool(value)
+        and all(re.fullmatch(r"\d{4}-\d{2}-\d{2}", key) for key in value)
+        and all(isinstance(entry, dict) for entry in value.values())
+    )
+    assert _is_series_map(value) == per_key
