@@ -22,11 +22,13 @@ pass. An irregular payload is walked entry by entry instead
 order; a broken bar in an earlier entry wins.
 
 A fetched series' cache file is built from the payload's own quote text when
-one regex (``_CANONICAL_CELLS``) proves every cell canonical: what ``repr``
-writes for its float, which holds for a decimal of at most 15 significant
-digits (C's ``DBL_DIG``) in ``repr``'s layout with no trailing zero. Any
-other cell, such as ``"1923.4500"``, sends the series through
-``series_to_csv_bytes``. The bytes are the same either way.
+one regex (``_SHORT_DECIMALS``) proves every cell a decimal of at most 15
+significant digits in ``repr``'s fixed layout, such as the provider's
+four-decimal ``"1923.4500"``. Every such decimal survives a round trip
+through a binary64 float (C's ``DBL_DIG``), so the cell less its trailing
+zeros (``"1923.45"``) is what ``repr`` writes for its float. Any other
+cell sends the series through ``series_to_csv_bytes``. The bytes are the
+same either way.
 
 Every CSV the package writes, a cache file or a report table, comes from
 ``csv_bytes``: a header line, then one line of comma-joined cells per row.
@@ -281,15 +283,17 @@ _PROVIDER_ERROR_KEYS = ("Error Message", "Note", "Information")
 # Date keys joined by "\n", each followed by one. ``\d``, not [0-9]: a key of
 # other Unicode digits still picks the map, and the decode names it a bad date.
 _DATE_KEYS = re.compile(r"(?:\d{4}-\d{2}-\d{2}\n)*+")
-# Quote cells joined by "\n", each followed by one, all written as
-# ``repr(float(cell))`` writes them: the fixed layout from 1e-4 up, no
-# trailing zero ('.0' only after an integer) and at most 16 characters, so at
-# most 15 significant digits, which a binary64 float round-trips (DBL_DIG).
+# Quote cells joined by "\n", each followed by one, all decimals in the fixed
+# layout ``repr`` uses from 1e-4 up, with at most 16 characters and so at most
+# 15 significant digits, which a binary64 float round-trips (DBL_DIG). Less
+# its trailing zeros (``_TRAILING_ZEROS``) such a cell is ``repr(float(cell))``.
 # [0-9], never \d: float() reads any Unicode digit.
-_CANONICAL_CELLS = re.compile(
-    r"(?:(?=[^\n]{1,16}+\n)"
-    r"(?:[1-9][0-9]*+\.(?:0|[0-9]*+(?<=[1-9]))|0\.0{0,3}+[1-9][0-9]*+(?<=[1-9]))\n)*+"
+_SHORT_DECIMALS = re.compile(
+    r"(?:(?=[^\n]{1,16}+\n)(?:[1-9][0-9]*+\.[0-9]++|0\.0{0,3}+[1-9][0-9]*+)\n)*+"
 )
+# The zeros ending a cell after a digit, which keeps the "0" of "123.0". In
+# cells ``_SHORT_DECIMALS`` accepts they all follow the point.
+_TRAILING_ZEROS = re.compile(r"0(?<=[0-9]0)0*+(?=\n)")
 # Accepts bare field names and numbered variants like "1. open"; deliberately
 # rejects derived fields such as "5. adjusted close".
 _FIELD_KEY = re.compile(r"(?:\d+[a-z]?\.\s*)?(open|high|low|close)$")
@@ -362,16 +366,19 @@ def parse_provider_payload(body: bytes, instrument: InstrumentId) -> RawSeries:
     close get open=high=low=close synthesized and the series flagged. Entries
     decode in bulk; if one is irregular, ``_walk_entries`` names the error.
     A cache file written from the payload (``fetch_daily``) reuses its quote
-    text verbatim when every cell is already what ``repr`` would write: a
-    decimal of at most 15 significant digits round-trips through a float.
+    text, less trailing zeros, when every cell is a decimal of at most 15
+    significant digits: such a decimal round-trips through a float, so the
+    text is what ``repr`` would write.
     """
     return _parse_payload(body, instrument)[0]
 
 
-def _parse_payload(body: bytes, instrument: InstrumentId) -> tuple[RawSeries, Iterable | None]:
-    """The payload's series, and its CSV rows in the payload's own quote text
-    when ``_CANONICAL_CELLS`` proves every cell canonical, else None. The rows
-    keep only the text, not the parsed document."""
+def _parse_payload(
+    body: bytes, instrument: InstrumentId
+) -> tuple[RawSeries, list[str] | None, str | None]:
+    """The payload's series, and if the bulk decode read it, its sorted date
+    keys and its quote cells' text, each cell followed by "\n" (else None and
+    None). Only these outlive the parsed document, freed on return."""
     try:
         document = json.loads(body)
     except (ValueError, UnicodeDecodeError) as exc:
@@ -388,10 +395,10 @@ def _parse_payload(body: bytes, instrument: InstrumentId) -> tuple[RawSeries, It
         raise DataFormatError(f"payload for {instrument.symbol} has no daily series map")
 
     try:
-        *columns, rows = _decode_entries(series_map)
-        return RawSeries(instrument, *columns), rows
+        *columns, keys, text = _decode_entries(series_map)
+        return RawSeries(instrument, *columns), keys, text
     except (DataFormatError, KeyError, TypeError, ValueError):
-        return _walk_entries(instrument, series_map), None
+        return _walk_entries(instrument, series_map), None, None
 
 
 def _is_series_map(value: object) -> bool:
@@ -410,12 +417,12 @@ def _is_series_map(value: object) -> bool:
     )
 
 
-def _decode_entries(series_map: dict) -> tuple[np.ndarray, np.ndarray, bool, Iterable | None]:
+def _decode_entries(series_map: dict) -> tuple[np.ndarray, np.ndarray, bool, list[str], str]:
     """Every entry's date and quotes, and whether any was close-only, with each
     key layout resolved once; raises for any entry the walk would reject.
 
-    The fourth item is the entries as CSV rows of the payload's own text when
-    every quote cell is canonical (``_CANONICAL_CELLS``), else None.
+    Then the sorted date keys, and the quote cells in their order, each
+    followed by "\n".
     """
     dates = sorted(series_map)
     entries = list(map(series_map.__getitem__, dates))
@@ -428,16 +435,13 @@ def _decode_entries(series_map: dict) -> tuple[np.ndarray, np.ndarray, bool, Ite
         getters[keys] = itemgetter(*((close,) * 4 if close_only else (open_, high, low, close)))
     cells = list(chain.from_iterable(map(call, map(getters.__getitem__, layouts), entries)))
     # float() takes "\n" only as leading or trailing space, which leaves a
-    # line in ``text`` that no canonical cell matches.
+    # line in ``text`` that no short decimal matches.
     text = "\n".join(cells) + "\n"
     if not text.isascii():
         raise ValueError("quote text is not ASCII")
     days = np.fromiter(map(dt.date.toordinal, map(dt.date.fromisoformat, dates)), dtype=np.int64)
     quotes = np.fromiter(map(float, cells), dtype=float).reshape(-1, 4)
-    rows = None
-    if _CANONICAL_CELLS.fullmatch(text):
-        rows = zip(dates, cells[0::4], cells[1::4], cells[2::4], cells[3::4])
-    return _dates(days), quotes, synthesized, rows
+    return _dates(days), quotes, synthesized, dates, text
 
 
 def _walk_entries(instrument: InstrumentId, series_map: dict) -> RawSeries:
@@ -486,8 +490,22 @@ def series_to_csv_bytes(series: RawSeries) -> bytes:
     """Serialize to the bit-exact CSV format: ISO dates and shortest
     round-trip decimals in ``csv_bytes``' layout."""
     dates = np.datetime_as_string(series.dates).tolist()
-    cells = list(map(repr, series.quotes.ravel().tolist()))
+    return _cells_csv(dates, list(map(repr, series.quotes.ravel().tolist())))
+
+
+def _cells_csv(dates: list[str], cells: list[str]) -> bytes:
+    """The cache file of ISO ``dates`` and their quote ``cells``, four a date."""
     return csv_bytes((CSV_HEADER,), zip(dates, cells[0::4], cells[1::4], cells[2::4], cells[3::4]))
+
+
+def _fetched_csv_bytes(series: RawSeries, dates: list[str] | None, text: str | None) -> bytes:
+    """``series_to_csv_bytes(series)``, built from the payload's sorted date
+    keys and ``text``, its quote cells each followed by "\n", when
+    ``_SHORT_DECIMALS`` accepts every cell: less its trailing zeros, each is
+    then what ``repr`` writes for its float."""
+    if text is None or not _SHORT_DECIMALS.fullmatch(text):
+        return series_to_csv_bytes(series)
+    return _cells_csv(dates, _TRAILING_ZEROS.sub("", text).splitlines())
 
 
 def write_atomic(path: Path, payload: bytes) -> None:
@@ -513,9 +531,13 @@ def write_atomic(path: Path, payload: bytes) -> None:
 
 def write_csv(series: RawSeries, path: Path) -> None:
     """Write a series in the CSV cache format, atomically."""
-    path = Path(path)
+    _write_file(Path(path), series_to_csv_bytes(series))
+
+
+def _write_file(path: Path, payload: bytes) -> None:
+    """``write_atomic``, after making the file's directory."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(path, series_to_csv_bytes(series))
+    write_atomic(path, payload)
 
 
 def load_csv(path: Path, instrument: InstrumentId) -> RawSeries:
@@ -628,11 +650,10 @@ def fetch_daily(
         raise ProviderError(f"provider unreachable for {instrument.symbol}: {exc}") from exc
 
     # The parsed document is freed by now, before the bytes are built.
-    series, rows = _parse_payload(body, instrument)
-    payload = series_to_csv_bytes(series) if rows is None else csv_bytes((CSV_HEADER,), rows)
+    series, dates, text = _parse_payload(body, instrument)
+    payload = _fetched_csv_bytes(series, dates, text)
     try:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(cache_path, payload)
+        _write_file(cache_path, payload)
     except OSError as exc:
         raise CacheError(f"cannot write cache file {cache_path}: {exc}") from exc
     return series

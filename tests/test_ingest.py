@@ -503,8 +503,10 @@ def test_fetch_cold_then_warm_cache(tmp_path):
     assert series_to_csv_bytes(second) == series_to_csv_bytes(first)
 
 
-@pytest.mark.parametrize("high,verbatim", [("1923.45", True), ("1923.4500", False)])
-def test_fetch_writes_the_series_csv_from_the_payload_text_only_if_canonical(
+@pytest.mark.parametrize(
+    "high,verbatim", [("1923.45", True), ("1923.4500", True), ("1.92345e3", False)]
+)
+def test_fetch_writes_the_series_csv_from_the_payload_text_if_short_decimals(
     tmp_path, monkeypatch, high, verbatim
 ):
     encode = eventlens.ingest.series_to_csv_bytes
@@ -1143,13 +1145,13 @@ def test_constructor_raises_exactly_as_the_row_by_row_reference(columns):
 # --- the bulk payload decode against the entry walk ----------------------------------
 
 from eventlens.ingest import (  # noqa: E402
-    CSV_HEADER,
-    _CANONICAL_CELLS,
+    _SHORT_DECIMALS,
+    _TRAILING_ZEROS,
     _decode_entries,
+    _fetched_csv_bytes,
     _is_series_map,
     _parse_payload,
     _walk_entries,
-    csv_bytes,
 )
 
 EXTRA_KEYS = ("5. volume", "5. adjusted close", "7. dividend amount")
@@ -1160,7 +1162,7 @@ BAD_DATE_KEYS = ("2022-02-30", "0000-01-03", "2022-13-01")
 # How a payload may write a float: as repr does, as a provider quotes (four
 # decimals, from 1e-4 to 1e9, which keeps a bar's order), or with a trailing
 # zero that repr never writes.
-QUOTE_TEXT = (repr, lambda q: repr(round(min(max(q, 1e-4), 1e9), 4)), lambda q: f"{q!r}0")
+QUOTE_TEXT = (repr, lambda q: f"{min(max(q, 1e-4), 1e9):.4f}", lambda q: f"{q!r}0")
 
 
 @st.composite
@@ -1260,11 +1262,10 @@ def test_bulk_payload_parse_agrees_with_the_entry_walk(entries):
     series_map = json.loads(body)["Time Series (Daily)"]
     expected = parsed(lambda: _walk_entries(GOLD, series_map))
     assert parsed(lambda: parse_provider_payload(body, GOLD)) == expected
-    # Rows of the payload's own text, if any, are the series' CSV rows.
+    # A cache file built from the payload's own text is the series' CSV.
     with suppress(EventLensError):
-        series, rows = _parse_payload(body, GOLD)
-        if rows is not None:
-            assert csv_bytes((CSV_HEADER,), rows) == series_to_csv_bytes(series)
+        series, dates, text = _parse_payload(body, GOLD)
+        assert _fetched_csv_bytes(series, dates, text) == series_to_csv_bytes(series)
     # The bulk decode alone never accepts what the walk rejects.
     try:
         decoded = _decode_entries(series_map)
@@ -1326,34 +1327,51 @@ def test_rate_limit_must_be_an_integer(tmp_path, limit):
         ProviderConfig(cache_dir=tmp_path, rate_limit=limit)
 
 
-# --- canonical quote text and the series-map check ------------------------------
+# --- short decimal quote text and the series-map check ------------------------------
 
 DIGITS = "0123456789"
-CANONICAL_CELLS = ("0.0001", "1.23456789012345", "98765432109876.5", "0.12345678901234", "123.0")
-NOT_CANONICAL_CELLS = (
+# Each accepted cell, and the text repr writes for its float.
+SHORT_DECIMALS = {
+    "0.0001": "0.0001",
+    "1.23456789012345": "1.23456789012345",
+    "98765432109876.5": "98765432109876.5",
+    "0.12345678901234": "0.12345678901234",
+    "123.0": "123.0",
+    "1923.4500": "1923.45",
+    "123.0000": "123.0",
+    "0.00010": "0.0001",
+    "0.940": "0.94",
+    "1.50": "1.5",
+    "100.5": "100.5",
+    "99999999999.9999": "99999999999.9999",
+}
+NOT_SHORT_DECIMALS = (
     "0.00001",  # repr writes 1e-05
+    "0.000010",
     "8.397381398802227",  # 16 significant digits; repr writes 8.397381398802226
     "9.4018706989938357",  # 17 significant digits; repr writes 9.401870698993836
     "1.2345678901234567",  # 17 significant digits that happen to round-trip
     "0.1234567890123456",
     "123456789012345.0",
-    "0.940",
-    "1.50",
+    "1.2345678901234500",  # 15 significant digits, but 18 characters
     "1.",
+    "1900",
     "01.5",
     "+1.5",
     "1_0",
+    "1e3",
     "\u0661.\u0665",
     "1.\u0665",
     "1\u0665.5",
     "0.0",
+    "0.0000",
     ".5",
 )
 
 
 @st.composite
 def decimal_text(draw) -> str:
-    """Text near the canonical grammar: digit runs around a point, with
+    """Text near the short decimal grammar: digit runs around a point, with
     leading zeros, trailing zeros and 15 to 17 digits all common."""
     if draw(st.booleans()):
         digits = str(draw(st.integers(10**14, 10**17 - 1)))
@@ -1361,7 +1379,7 @@ def decimal_text(draw) -> str:
         return f"{digits[:point]}.{digits[point:]}"
     whole = draw(st.one_of(st.just("0"), st.text(DIGITS, min_size=1, max_size=17)))
     zeros = "0" * draw(st.integers(0, 5))
-    return f"{whole}.{zeros}{draw(st.text(DIGITS, max_size=17))}"
+    return f"{whole}.{zeros}{draw(st.text(DIGITS, max_size=17))}{'0' * draw(st.integers(0, 3))}"
 
 
 @settings(max_examples=1000)
@@ -1370,34 +1388,30 @@ def decimal_text(draw) -> str:
         decimal_text(),
         st.floats(min_value=0.0, allow_infinity=False).map(repr),
         st.builds(round, st.floats(0.0, 1e6), st.integers(0, 15)).map(repr),
+        st.floats(0.0, 1e12).map("{:.4f}".format),
         st.text(DIGITS + ".+-_e\u0661\uff11", max_size=18),
     )
 )
-@example(cell="0.0001")
-@example(cell="1.23456789012345")
-@example(cell="123.0")
-@example(cell="0.00001")
-@example(cell="8.397381398802227")
-@example(cell="9.4018706989938357")
-@example(cell="0.940")
-@example(cell="1.")
-@example(cell="01.5")
-@example(cell="+1.5")
-@example(cell="1_0")
-@example(cell="\u0661.\u0665")
-@example(cell="1.\u0665")
-@example(cell="1\u0665.5")
-def test_a_canonical_cell_is_its_own_repr(cell):
-    if _CANONICAL_CELLS.fullmatch(cell + "\n"):
-        assert repr(float(cell)) == cell
+def test_a_short_decimal_less_its_trailing_zeros_is_its_own_repr(cell):
+    if _SHORT_DECIMALS.fullmatch(cell + "\n"):
+        assert _TRAILING_ZEROS.sub("", cell + "\n") == repr(float(cell)) + "\n"
 
 
-@pytest.mark.parametrize("cell", CANONICAL_CELLS + NOT_CANONICAL_CELLS)
-def test_canonical_cell_boundaries(cell):
-    canonical = _CANONICAL_CELLS.fullmatch(cell + "\n") is not None
-    assert canonical == (cell in CANONICAL_CELLS)
-    # A text of cells is canonical only if each of them is.
-    assert (_CANONICAL_CELLS.fullmatch(f"1.5\n{cell}\n2.25\n") is not None) == canonical
+@given(quote=st.floats(1e-4, 1e10))
+def test_every_four_decimal_quote_from_1e_4_to_1e10_is_a_short_decimal(quote):
+    # The provider's own dialect, so a fetch of it skips repr.
+    assert _SHORT_DECIMALS.fullmatch(f"{quote:.4f}\n")
+
+
+@pytest.mark.parametrize("cell", [*SHORT_DECIMALS, *NOT_SHORT_DECIMALS])
+def test_short_decimal_boundaries(cell):
+    accepted = _SHORT_DECIMALS.fullmatch(cell + "\n") is not None
+    assert accepted == (cell in SHORT_DECIMALS)
+    # A text of cells is accepted only if each of them is.
+    text = f"1.5\n{cell}\n2.250\n"
+    assert (_SHORT_DECIMALS.fullmatch(text) is not None) == accepted
+    if accepted:
+        assert _TRAILING_ZEROS.sub("", text) == f"1.5\n{SHORT_DECIMALS[cell]}\n2.25\n"
 
 
 date_keys = st.one_of(
