@@ -6,10 +6,11 @@ report bundle), and report (re-emit a bundle from a saved scenario report).
 
 correlate, fit and project call the same ``scenario`` stages as
 ``run_scenario`` (``correlations``, ``fit_target``, ``project_target``)
-and encode with the same ``report`` functions, so each file they write is
-byte-equal to the same-named file of a ``run`` bundle (a fit model to its
-model in the saved report). Every file, the ``--save-report`` document
-included, is written through ``ingest.write_atomic``.
+and name, encode and write their files with the same ``report`` functions,
+so each file they write is byte-equal to the same-named file of a ``run``
+bundle (a fit model to its model in the saved report). Every file, the
+``--save-report`` document included, is written through
+``ingest.write_atomic``, which makes a missing directory.
 
 Exit codes: 0 success, 1 data/model errors, 2 usage errors. Failures are
 written to stderr as a single machine-parseable line.
@@ -37,7 +38,6 @@ from . import scenario as scenario_mod
 from .errors import EventLensError, ProviderError
 from .ingest import InstrumentId, ProviderConfig, RawSeries, fetch_daily, fetch_universe, write_atomic
 from .panel import FIELD_ORDER, AlignedPanel, align
-from .regress import model_to_json_dict
 from .scenario import ProjectionMode, ScenarioConfig
 
 PROG = "eventlens"
@@ -98,12 +98,6 @@ def _panel(config: ScenarioConfig, provider: ProviderConfig, offline: bool) -> A
     return align(scenario_mod.universe_series(config, series), FIELD_ORDER)
 
 
-def _write_files(out_dir: Path, files: dict[str, bytes]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, payload in files.items():
-        write_atomic(out_dir / name, payload)
-
-
 def _apply_mode(config: ScenarioConfig, mode: str | None) -> ScenarioConfig:
     if mode is None:
         return config
@@ -130,7 +124,7 @@ def cmd_correlate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     provider, config = _load_config(args.config, parser)
     formats = _parse_formats(args.format, parser)
     before, after = scenario_mod.correlations(_panel(config, provider, args.offline), config)
-    _write_files(Path(args.out), report_mod.correlation_files(before, after, formats))
+    report_mod.write_files(Path(args.out), report_mod.correlation_files(before, after, formats))
     for name, matrix in (("corr_before", before), ("corr_after", after)):
         print(f"{name}: {len(matrix.labels)}x{len(matrix.labels)} matrix written")
     return 0
@@ -140,11 +134,7 @@ def cmd_fit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     provider, config = _load_config(args.config, parser)
     panel = _panel(config, provider, args.offline)
     models = [scenario_mod.fit_target(panel, config, spec) for spec in config.feature_specs]
-    files = {
-        f"model_{model.spec.target.symbol}.json": report_mod.json_bytes(model_to_json_dict(model))
-        for model in models
-    }
-    _write_files(Path(args.out), files)
+    report_mod.write_files(Path(args.out), report_mod.model_files(models))
     for model in models:
         symbol, rss = model.spec.target.symbol, model.diagnostics.residual_sum_of_squares
         print(f"{symbol}: fit on {model.diagnostics.training_rows} rows, rss={rss:.6g}")
@@ -161,7 +151,7 @@ def cmd_project(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         model = scenario_mod.fit_target(panel, config, spec)
         projection = scenario_mod.project_target(panel, config, model)
         files.update(report_mod.counterfactual_files(spec.target.symbol, *projection, formats))
-    _write_files(Path(args.out), files)
+    report_mod.write_files(Path(args.out), files)
     for spec in config.feature_specs:
         print(f"counterfactual_{spec.target.symbol} written")
     return 0
@@ -174,9 +164,7 @@ def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     report = scenario_mod.run_scenario(config, _series(config, provider, args.offline))
     bundle = report_mod.emit(report, Path(args.out), formats)
     if args.save_report:
-        save_path = Path(args.save_report)
-        save_path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(save_path, scenario_mod.report_to_json_bytes(report))
+        write_atomic(Path(args.save_report), scenario_mod.report_to_json_bytes(report))
     print(f"bundle written to {bundle.directory} ({len(bundle.manifest['files'])} files)")
     return 0
 
@@ -203,47 +191,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add_common(p: argparse.ArgumentParser, out: bool = True, mode: bool = False) -> None:
-        p.add_argument("--config", required=True, help="path to the JSON config document")
-        p.add_argument("--offline", action="store_true", help="forbid all network access")
+    def add(
+        name: str, handler, help_text: str,
+        config: bool = True, out: bool = True, formats: bool = True, mode: bool = False,
+    ) -> argparse.ArgumentParser:
+        """A subcommand and its common flags; ``formats`` applies only with ``out``."""
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        if config:
+            p.add_argument("--config", required=True, help="path to the JSON config document")
+            p.add_argument("--offline", action="store_true", help="forbid all network access")
         if out:
             p.add_argument("--out", default="out", help="output directory (default: out)")
+        if out and formats:
             p.add_argument("--format", default="csv,json", help="comma list of csv,json")
         if mode:
-            p.add_argument(
-                "--mode",
-                choices=[m.value for m in ProjectionMode],
-                help="override the config's projection mode",
-            )
+            modes = [m.value for m in ProjectionMode]
+            p.add_argument("--mode", choices=modes, help="override the config's projection mode")
+        return p
 
-    p_fetch = sub.add_parser("fetch", help="populate the local cache")
-    add_common(p_fetch, out=False)
-    p_fetch.add_argument("--symbol", action="append", help="restrict to this symbol (repeatable)")
-    p_fetch.set_defaults(handler=cmd_fetch)
-
-    p_correlate = sub.add_parser("correlate", help="write before/after correlation matrices")
-    add_common(p_correlate)
-    p_correlate.set_defaults(handler=cmd_correlate)
-
-    p_fit = sub.add_parser("fit", help="fit per-target models on the training window")
-    add_common(p_fit)
-    p_fit.set_defaults(handler=cmd_fit)
-
-    p_project = sub.add_parser("project", help="write counterfactual-vs-realized series")
-    add_common(p_project, mode=True)
-    p_project.set_defaults(handler=cmd_project)
-
-    p_run = sub.add_parser("run", help="full scenario to a report bundle")
-    add_common(p_run, mode=True)
-    p_run.add_argument("--save-report", help="also save the full scenario report JSON here")
-    p_run.set_defaults(handler=cmd_run)
-
-    p_report = sub.add_parser("report", help="re-emit a bundle from a saved scenario report")
-    p_report.add_argument("--from", dest="from_report", required=True, help="saved report JSON")
-    p_report.add_argument("--out", default="out", help="output directory (default: out)")
-    p_report.add_argument("--format", default="csv,json", help="comma list of csv,json")
-    p_report.set_defaults(handler=cmd_report)
-
+    fetch = add("fetch", cmd_fetch, "populate the local cache", out=False)
+    fetch.add_argument("--symbol", action="append", help="restrict to this symbol (repeatable)")
+    add("correlate", cmd_correlate, "write before/after correlation matrices")
+    add("fit", cmd_fit, "fit per-target models on the training window", formats=False)
+    add("project", cmd_project, "write counterfactual-vs-realized series", mode=True)
+    run = add("run", cmd_run, "full scenario to a report bundle", mode=True)
+    run.add_argument("--save-report", help="also save the full scenario report JSON here")
+    report = add("report", cmd_report, "re-emit a bundle from a saved scenario report", config=False)
+    report.add_argument("--from", dest="from_report", required=True, help="saved report JSON")
     return parser
 
 

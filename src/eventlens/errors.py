@@ -6,7 +6,8 @@ data/model failures from programming errors.
 
 ``json_number`` reads a saved document's numbers: ``json.loads`` gives
 exactly ``int`` or ``float`` for one, so a boolean, a string or a
-fractional count is rejected instead of coerced.
+fractional count is rejected instead of coerced. ``json_object`` likewise
+takes only a ``dict`` where a document has an object.
 """
 
 from __future__ import annotations
@@ -58,3 +59,10 @@ def json_number(value: object, name: str, whole: bool = False) -> float:
     if type(value) is not int and (whole or type(value) is not float):
         raise ConfigError(f"{name} must be {'an integer' if whole else 'a number'}, got {value!r}")
     return value if whole else float(value)
+
+
+def json_object(value: object, name: str) -> dict:
+    """``value`` when it is a JSON object; else ConfigError."""
+    if type(value) is not dict:
+        raise ConfigError(f"{name} must be an object, got {type(value).__name__}")
+    return value

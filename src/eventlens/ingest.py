@@ -2,11 +2,11 @@
 
 The provider speaks a JSON daily-series dialect: a metadata object plus a
 map of "YYYY-MM-DD" keys to per-day objects whose open/high/low/close
-values are quoted as ASCII decimal strings (key names may carry numeric
-prefixes such as "1. open", but no field may be named twice). Fetched
-series are cached one CSV file per symbol, in the same layout the test
-fixtures use, so a warm cache directory doubles as an offline dataset and
-every downstream step is reproducible without network access.
+values are quoted as ASCII strings that ``float()`` reads (key names may
+carry numeric prefixes such as "1. open", but no field may be named twice).
+Fetched series are cached one CSV file per symbol, in the same layout the
+test fixtures use, so a warm cache directory doubles as an offline dataset
+and every downstream step is reproducible without network access.
 
 A series is stored as columns: a datetime64[D] date array and an (n, 4)
 float64 open/high/low/close array. ``RawSeries(instrument, dates, quotes)``
@@ -100,8 +100,10 @@ class InstrumentId:
     def __post_init__(self) -> None:
         if not self.symbol:
             raise ConfigError("instrument symbol must be non-empty")
-        if "." in self.symbol or "," in self.symbol:
-            raise ConfigError(f"instrument symbol {self.symbol!r} may not contain '.' or ','")
+        if any(c in self.symbol for c in ".,/\\"):  # it names cache and bundle files
+            raise ConfigError(
+                f"instrument symbol {self.symbol!r} may not contain '.', ',', '/' or '\\'"
+            )
 
 
 def _check_bar(day: str, open_: float, high: float, low: float, close: float) -> None:
@@ -300,33 +302,17 @@ _FIELD_KEY = re.compile(r"(?:\d+[a-z]?\.\s*)?(open|high|low|close)$")
 _OHLC = ("open", "high", "low", "close")
 
 
-def _daily_query(symbol: str) -> dict[str, str]:
-    return {"function": "TIME_SERIES_DAILY", "symbol": symbol, "outputsize": "full"}
-
-
-def _fx_query(symbol: str) -> dict[str, str]:
-    if len(symbol) != 6 or not symbol.isalpha():
-        raise ConfigError(f"fx_pair symbol must be 6 letters like RUBCNY, got {symbol!r}")
-    return {
-        "function": "FX_DAILY",
-        "from_symbol": symbol[:3],
-        "to_symbol": symbol[3:],
-        "outputsize": "full",
-    }
-
-
-QUERY_BUILDERS: dict[InstrumentKind, Callable[[str], dict[str, str]]] = {
-    InstrumentKind.CURRENCY_INDEX: _daily_query,
-    InstrumentKind.EQUITY: _daily_query,
-    InstrumentKind.COMMODITY: _daily_query,
-    InstrumentKind.FX_PAIR: _fx_query,
-}
-
-
 def provider_url(instrument: InstrumentId, config: ProviderConfig) -> str:
-    """Build the provider GET URL for one instrument."""
-    params = QUERY_BUILDERS[instrument.kind](instrument.symbol)
-    params["apikey"] = config.api_key
+    """Build the provider GET URL for one instrument: an FX_DAILY query for
+    an fx pair, else a TIME_SERIES_DAILY one."""
+    symbol = instrument.symbol
+    if instrument.kind is not InstrumentKind.FX_PAIR:
+        params = {"function": "TIME_SERIES_DAILY", "symbol": symbol}
+    elif len(symbol) == 6 and symbol.isalpha():
+        params = {"function": "FX_DAILY", "from_symbol": symbol[:3], "to_symbol": symbol[3:]}
+    else:
+        raise ConfigError(f"fx_pair symbol must be 6 letters like RUBCNY, got {symbol!r}")
+    params |= {"outputsize": "full", "apikey": config.api_key}
     return f"{config.base_url}?{urllib.parse.urlencode(params)}"
 
 
@@ -365,10 +351,6 @@ def parse_provider_payload(body: bytes, instrument: InstrumentId) -> RawSeries:
     is provider-variant and not trusted for routing. Entries quoting only a
     close get open=high=low=close synthesized and the series flagged. Entries
     decode in bulk; if one is irregular, ``_walk_entries`` names the error.
-    A cache file written from the payload (``fetch_daily``) reuses its quote
-    text, less trailing zeros, when every cell is a decimal of at most 15
-    significant digits: such a decimal round-trips through a float, so the
-    text is what ``repr`` would write.
     """
     return _parse_payload(body, instrument)[0]
 
@@ -515,11 +497,17 @@ def write_atomic(path: Path, payload: bytes) -> None:
     payload first goes to a temp file in the same directory whose random
     name no other writer (or a stray file left by a crash) shares; it is
     created with ``O_EXCL`` and mode 0o666 less the umask, like a plain
-    open, and removed if anything fails before the rename. This is the
-    package's only file writer.
+    open, and removed if anything fails before the rename. A missing
+    directory is made, and the open retried once, only when the first open
+    fails for it. This is the package's only file and directory writer.
     """
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    try:
+        fd = os.open(tmp, flags, 0o666)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(tmp, flags, 0o666)
     try:
         with open(fd, "wb") as handle:
             handle.write(payload)
@@ -531,13 +519,7 @@ def write_atomic(path: Path, payload: bytes) -> None:
 
 def write_csv(series: RawSeries, path: Path) -> None:
     """Write a series in the CSV cache format, atomically."""
-    _write_file(Path(path), series_to_csv_bytes(series))
-
-
-def _write_file(path: Path, payload: bytes) -> None:
-    """``write_atomic``, after making the file's directory."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(path, payload)
+    write_atomic(Path(path), series_to_csv_bytes(series))
 
 
 def load_csv(path: Path, instrument: InstrumentId) -> RawSeries:
@@ -653,7 +635,7 @@ def fetch_daily(
     series, dates, text = _parse_payload(body, instrument)
     payload = _fetched_csv_bytes(series, dates, text)
     try:
-        _write_file(cache_path, payload)
+        write_atomic(cache_path, payload)
     except OSError as exc:
         raise CacheError(f"cannot write cache file {cache_path}: {exc}") from exc
     return series

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MetricError, json_number
+from .errors import MetricError, json_number, json_object
 
 Vector = Sequence[float] | np.ndarray
 
@@ -49,6 +49,7 @@ class MetricsReport:
     @classmethod
     def from_json_dict(cls, document: dict) -> "MetricsReport":
         """The report saved as ``dataclasses.asdict(report)``, numbers checked."""
+        document = json_object(document, "metrics")
         return cls(*(json_number(document[f.name], f.name, f.name == "n") for f in fields(cls)))
 
 

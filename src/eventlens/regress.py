@@ -18,11 +18,12 @@ scaling is cosmetic, and raw weights stay comparable to quote units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FitError, json_number
+from .errors import ConfigError, FitError, json_number, json_object
 from .panel import AlignedPanel, BarField, ColumnKey
 
 CONDITION_LIMIT = 1e12
@@ -59,9 +60,23 @@ class FeatureSpec:
 
 @dataclass(frozen=True)
 class FitDiagnostics:
+    """How a fit behaved, as ``fit_ols`` can report it."""
+
     residual_sum_of_squares: float
     training_rows: int
     condition_estimate: float
+
+    def __post_init__(self) -> None:
+        rss, rows = self.residual_sum_of_squares, self.training_rows
+        condition = self.condition_estimate
+        if not 0.0 <= rss < math.inf:
+            raise FitError(f"residual_sum_of_squares must be finite and non-negative, got {rss}")
+        if type(rows) is not int or rows < 1:
+            raise FitError(f"training_rows must be an integer of at least 1, got {rows!r}")
+        if not 1.0 <= condition <= CONDITION_LIMIT:
+            raise FitError(
+                f"condition_estimate must be between 1 and {CONDITION_LIMIT:.0e}, got {condition}"
+            )
 
 
 @dataclass(frozen=True)
@@ -80,6 +95,9 @@ class RegressionModel:
             )
         if not np.all(np.isfinite(weights)):
             raise FitError("model weights must be finite")
+        rows = self.diagnostics.training_rows
+        if rows < self.spec.n_coefficients:
+            raise FitError(f"too few rows: {rows} rows for {self.spec.n_coefficients} coefficients")
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
 
@@ -161,13 +179,17 @@ def predict(model: RegressionModel, panel: AlignedPanel) -> np.ndarray:
     return X @ model.weights
 
 
+def spec_to_json_dict(spec: FeatureSpec) -> dict:
+    return {
+        "target": spec.target.name,
+        "features": [key.name for key in spec.features],
+        "include_intercept": spec.include_intercept,
+    }
+
+
 def model_to_json_dict(model: RegressionModel) -> dict:
     return {
-        "spec": {
-            "target": model.spec.target.name,
-            "features": [key.name for key in model.spec.features],
-            "include_intercept": model.spec.include_intercept,
-        },
+        "spec": spec_to_json_dict(model.spec),
         "weights": model.weights.tolist(),
         "diagnostics": asdict(model.diagnostics),
     }
@@ -176,12 +198,14 @@ def model_to_json_dict(model: RegressionModel) -> dict:
 def model_from_json_dict(document: dict) -> RegressionModel:
     """The model of a ``model_to_json_dict`` document; every number is checked."""
     try:
+        document = json_object(document, "model")
+        saved = json_object(document["spec"], "model spec")
         spec = FeatureSpec(
-            target=ColumnKey.parse(document["spec"]["target"]),
-            features=tuple(ColumnKey.parse(n) for n in document["spec"]["features"]),
-            include_intercept=document["spec"]["include_intercept"],
+            target=ColumnKey.parse(saved["target"]),
+            features=tuple(ColumnKey.parse(n) for n in saved["features"]),
+            include_intercept=saved["include_intercept"],
         )
-        saved = document["diagnostics"]
+        saved = json_object(document["diagnostics"], "model diagnostics")
         diagnostics = FitDiagnostics(
             json_number(saved["residual_sum_of_squares"], "residual_sum_of_squares"),
             json_number(saved["training_rows"], "training_rows", whole=True),

@@ -6,9 +6,11 @@ metrics) is one header plus rows, and ``_files`` writes it as a CSV/JSON
 pair: the CSV through ``ingest.csv_bytes``, the JSON as one object per row
 keyed by the header (a correlation matrix's is its own document), so the
 two cannot disagree. The CLI's correlate and project subcommands write the
-same bytes. Every file goes through ``ingest.write_atomic`` and the
-manifest goes last, so a bundle with a manifest is complete by
-construction; re-emitting a report yields byte-identical files.
+same bytes, and its fit subcommand writes ``model_files``. Every output
+file goes through ``write_files``, and so through ``ingest.write_atomic``,
+which makes a missing directory. An emit writes the manifest last, so a
+bundle with a manifest is complete by construction; re-emitting a report
+yields byte-identical files.
 
 ``json_bytes`` writes the bytes ``json.dumps(document, indent=2)`` writes,
 ASCII with a trailing newline, through its own encoder: CPython's C encoder
@@ -30,6 +32,7 @@ from typing import TYPE_CHECKING, Iterable
 from .errors import ConfigError
 from .ingest import csv_bytes, write_atomic
 from .metrics import MetricsReport
+from .regress import RegressionModel, model_to_json_dict
 from .stats import CorrelationMatrix, matrix_to_json_dict
 
 if TYPE_CHECKING:
@@ -185,6 +188,14 @@ def counterfactual_files(
     return _files(formats, _counterfactual_table(symbol, dates, realized, counterfactual))
 
 
+def model_files(models: Iterable[RegressionModel]) -> dict[str, bytes]:
+    """model_<SYMBOL>.json per fitted model: the model as a saved report holds it."""
+    return {
+        f"model_{model.spec.target.symbol}.json": json_bytes(model_to_json_dict(model))
+        for model in models
+    }
+
+
 def render_files(report: ScenarioReport, formats: Iterable[str]) -> dict[str, bytes]:
     """File name -> content for the requested formats, manifest excluded."""
     tables = _correlation_tables(report.correlation_before, report.correlation_after)
@@ -197,6 +208,19 @@ def render_files(report: ScenarioReport, formats: Iterable[str]) -> dict[str, by
     return _files(formats, *tables, ("metrics", METRICS_HEADER, metrics, None))
 
 
+def write_files(out_dir: Path, files: dict[str, bytes]) -> list[dict]:
+    """Write each file into out_dir in name order; return the manifest
+    entry (name, size and SHA-256 digest) of each."""
+    entries = []
+    for name in sorted(files):
+        payload = files[name]
+        write_atomic(out_dir / name, payload)
+        entries.append(
+            {"file": name, "bytes": len(payload), "digest": hashlib.sha256(payload).hexdigest()}
+        )
+    return entries
+
+
 def emit(
     report: ScenarioReport, out_dir: Path, formats: Iterable[str] = FORMATS
 ) -> ReportBundle:
@@ -207,21 +231,7 @@ def emit(
     manifest-only bundle.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    files = render_files(report, formats)
-    entries = []
-    for name in sorted(files):
-        payload = files[name]
-        write_atomic(out_dir / name, payload)
-        entries.append(
-            {
-                "file": name,
-                "bytes": len(payload),
-                "digest": hashlib.sha256(payload).hexdigest(),
-            }
-        )
-
+    entries = write_files(out_dir, render_files(report, formats))
     manifest = {"config_digest": report.provenance["config_digest"], "files": entries}
     write_atomic(out_dir / MANIFEST_NAME, json_bytes(manifest))
     return ReportBundle(directory=out_dir, manifest=manifest)

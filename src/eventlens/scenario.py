@@ -41,7 +41,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, EventLensError, PanelError, json_number
+from .errors import ConfigError, EventLensError, PanelError, json_number, json_object
 from .ingest import InstrumentId, InstrumentKind, RawSeries
 from .metrics import MetricsReport, score
 from .panel import FIELD_ORDER, AlignedPanel, BarField, ColumnKey, DateWindow, align
@@ -52,6 +52,7 @@ from .regress import (
     model_from_json_dict,
     model_to_json_dict,
     predict,
+    spec_to_json_dict,
 )
 from .report import json_bytes
 from .stats import CorrelationMatrix, correlation_matrix, matrix_from_json_dict, matrix_to_json_dict
@@ -194,10 +195,6 @@ class ScenarioReport:
 
 # --- config (de)serialization -------------------------------------------------
 
-def _window_to_json(window: DateWindow) -> dict:
-    return {"start": window.start.isoformat(), "end": window.end.isoformat()}
-
-
 def _iso_date(text: str, what: str = "projection date") -> dt.date:
     """The date ``text`` names in the YYYY-MM-DD form configs and reports are written in."""
     date = dt.date.fromisoformat(text)
@@ -219,17 +216,10 @@ def _window_from_json(document: dict, name: str) -> DateWindow:
 def config_to_json_dict(config: ScenarioConfig) -> dict:
     document: dict = {
         "universe": [{"symbol": i.symbol, "kind": i.kind.value} for i in config.universe],
-        "feature_specs": [
-            {
-                "target": spec.target.name,
-                "features": [key.name for key in spec.features],
-                "include_intercept": spec.include_intercept,
-            }
-            for spec in config.feature_specs
-        ],
+        "feature_specs": [spec_to_json_dict(spec) for spec in config.feature_specs],
     }
     for name, window in config.named_windows().items():
-        document[name] = _window_to_json(window)
+        document[name] = {"start": window.start.isoformat(), "end": window.end.isoformat()}
     document["projection_mode"] = config.projection_mode.value
     return document
 
@@ -431,9 +421,15 @@ def report_to_json_bytes(report: ScenarioReport) -> bytes:
 
 
 def report_from_json_dict(document: dict) -> ScenarioReport:
+    """The report of a ``report_to_json_dict`` document. Each object must be
+    a JSON object, and any value the report's types refuse (a FitError,
+    StatsError or MetricError among them) is a ConfigError."""
     try:
-        targets = {
-            symbol: TargetResult(
+        document = json_object(document, "scenario report")
+        targets = {}
+        for symbol, entry in json_object(document["targets"], "targets").items():
+            entry = json_object(entry, f"target {symbol}")
+            targets[symbol] = TargetResult(
                 model=model_from_json_dict(entry["model"]),
                 test_metrics=MetricsReport.from_json_dict(entry["test_metrics"]),
                 projection_dates=tuple(map(_iso_date, entry["projection_dates"])),
@@ -441,13 +437,13 @@ def report_from_json_dict(document: dict) -> ScenarioReport:
                 counterfactual=[json_number(v, "counterfactual") for v in entry["counterfactual"]],
                 divergence_metrics=MetricsReport.from_json_dict(entry["divergence_metrics"]),
             )
-            for symbol, entry in document["targets"].items()
-        }
         return ScenarioReport(
             targets=targets,
             correlation_before=matrix_from_json_dict(document["correlation_before"]),
             correlation_after=matrix_from_json_dict(document["correlation_after"]),
-            provenance=dict(document["provenance"]),
+            provenance=json_object(document["provenance"], "provenance"),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError, EventLensError) as exc:
         raise ConfigError(f"malformed scenario report document: {exc}") from exc

@@ -188,6 +188,27 @@ def test_subcommand_files_equal_the_run_bundle(tmp_path, no_network, mode):
     }
 
 
+def test_readme_sequence_into_one_out_leaves_each_file_as_its_command_alone(tmp_path, no_network):
+    # README's CLI sequence shares one --out; each command's files must be
+    # the bytes it writes on its own, and run's manifest lists only its bundle.
+    common = ["--config", NOISY_CONFIG, "--offline"]
+    commands = ("correlate", "fit", "project", "run")
+    alone = {}
+    for command in commands:
+        assert cli.main([command, *common, "--out", str(tmp_path / command)]) == 0
+        alone[command] = read_bundle(tmp_path / command)
+    shared = tmp_path / "shared"
+    for command in commands:
+        assert cli.main([command, *common, "--out", str(shared)]) == 0
+    files = read_bundle(shared)
+    assert set(files) == set().union(*alone.values())
+    for written in alone.values():
+        assert {name: files[name] for name in written} == written
+    manifest = json.loads(files["manifest.json"])
+    bundle_files = sorted(alone["run"].keys() - {"manifest.json"})
+    assert [entry["file"] for entry in manifest["files"]] == bundle_files
+
+
 def test_fetch_populates_cache(tmp_path, monkeypatch):
     payload = json.dumps(
         {
@@ -290,6 +311,37 @@ def test_unknown_format_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["run", "--config", NOISY_CONFIG, "--offline", "--format", "xml"])
     assert excinfo.value.code == 2
+
+
+def test_fit_takes_no_format_flag(tmp_path, capsys):
+    # fit writes one JSON document per model, so a --format would be ignored.
+    out = tmp_path / "models"
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["fit", "--config", NOISY_CONFIG, "--offline", "--out", str(out), "--format", "json"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "eventlens: error: unrecognized arguments: --format json"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("symbol", ["sub/dir", "/abs/TGT1", "sub\\dir"])
+def test_a_symbol_that_names_a_path_is_a_usage_error(tmp_path, capsys, symbol):
+    config = tmp_path / "config.json"
+    config.write_text(
+        _edited_noisy_config(lambda d: d["scenario"]["universe"][0].update(symbol=symbol))
+    )
+    out = tmp_path / "out"
+    for command in ("fetch", "run"):
+        argv = [command, "--config", str(config)] + (["--out", str(out)] if command == "run" else [])
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.splitlines()[1:] == [
+            f"eventlens: error: unparseable config {config}: instrument symbol {symbol!r} "
+            "may not contain '.', ',', '/' or '\\'"
+        ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 # --- data errors (exit 1) ---------------------------------------------------------------
@@ -430,6 +482,41 @@ SAVED_REPORT_FAULTS = [
      "unknown projection_mode 'sideways'"),
     ("projection-cycles-zero", ("provenance", "projection_cycles"), 0,
      "projection_cycles must be at least 1"),
+    # Every object of the document must be a JSON object.
+    ("targets-array", ("targets",), [], "targets must be an object, got list"),
+    ("targets-string", ("targets",), "TGT1", "targets must be an object, got str"),
+    ("target-array", ("targets", "TGT2"), [], "target TGT2 must be an object, got list"),
+    ("provenance-pairs", ("provenance",),
+     [["config_digest", "0" * 64], ["data_digests", {}], ["projection_mode", "date_shifted"],
+      ["projection_cycles", 1]],
+     "provenance must be an object, got list"),
+    ("model-spec-array", ("targets", "TGT1", "model", "spec"), ["TGT1.close"],
+     "model spec must be an object, got list"),
+    ("diagnostics-array", ("targets", "TGT1", "model", "diagnostics"), [1.0, 450, 1.0],
+     "model diagnostics must be an object, got list"),
+    ("metrics-string", ("targets", "TGT3", "divergence_metrics"), "none",
+     "metrics must be an object, got str"),
+    ("correlation-matrix-array", ("correlation_after",), [[1.0]],
+     "correlation matrix must be an object, got list"),
+    # A value the report's own types refuse is a malformed document too.
+    ("weight-nan", ("targets", "TGT3", "model", "weights", 0), math.nan,
+     "malformed scenario report document: model weights must be finite"),
+    ("correlation-asymmetric", ("correlation_before", "values", 0, 1), 0.5,
+     "malformed scenario report document: correlation matrix is not symmetric"),
+    ("mse-negative", ("targets", "TGT2", "test_metrics", "mse"), -1.0,
+     "malformed scenario report document: mse must be finite and non-negative, got -1.0"),
+    ("rss-negative", ("targets", "TGT1", "model", "diagnostics", "residual_sum_of_squares"), -5,
+     "malformed scenario report document: "
+     "residual_sum_of_squares must be finite and non-negative, got -5.0"),
+    ("training-rows-negative", ("targets", "TGT1", "model", "diagnostics", "training_rows"), -3,
+     "malformed scenario report document: training_rows must be an integer of at least 1, got -3"),
+    ("training-rows-below-coefficients",
+     ("targets", "TGT1", "model", "diagnostics", "training_rows"), 6,
+     "malformed scenario report document: too few rows: 6 rows for 7 coefficients"),
+    ("condition-nan", ("targets", "TGT2", "model", "diagnostics", "condition_estimate"), math.nan,
+     "malformed scenario report document: condition_estimate must be between 1 and 1e+12, got nan"),
+    ("condition-below-one", ("targets", "TGT2", "model", "diagnostics", "condition_estimate"), 0.5,
+     "malformed scenario report document: condition_estimate must be between 1 and 1e+12, got 0.5"),
 ]
 
 

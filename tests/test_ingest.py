@@ -118,6 +118,14 @@ def test_instrument_symbol_validation():
         InstrumentId("A.B", InstrumentKind.EQUITY)
 
 
+@pytest.mark.parametrize("symbol", ["sub/dir", "/abs/GOLD", "sub\\dir", "C:\\GOLD"])
+def test_a_symbol_cannot_name_a_path(symbol):
+    # A symbol names its cache file and bundle files; a separator in it
+    # would put them in another directory.
+    with pytest.raises(ConfigError, match="may not contain '.', ',', '/' or"):
+        InstrumentId(symbol, InstrumentKind.EQUITY)
+
+
 # --- provider payload parsing --------------------------------------------------
 
 
@@ -336,6 +344,24 @@ def test_stray_temp_file_is_neither_read_nor_clobbered(tmp_path, rng):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["GOLD.csv", "GOLD.csv.tmp"]
 
 
+def test_write_into_a_missing_directory_makes_it(tmp_path):
+    path = tmp_path / "out" / "nested" / "GOLD.csv"
+    write_atomic(path, b"x")
+    assert path.read_bytes() == b"x"
+    assert [p.name for p in path.parent.iterdir()] == ["GOLD.csv"]
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_write_under_a_regular_file_fails_and_leaves_nothing(tmp_path):
+    blocker = tmp_path / "out"
+    blocker.write_bytes(b"not a directory")
+    for path in (blocker / "GOLD.csv", blocker / "nested" / "GOLD.csv"):
+        with pytest.raises(OSError):
+            write_atomic(path, b"x")
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert blocker.read_bytes() == b"not a directory"
+
+
 def test_written_file_mode_follows_the_umask(tmp_path):
     old = os.umask(0o027)
     try:
@@ -379,7 +405,7 @@ def _writes_files(call: ast.Call) -> bool:
     func = call.func
     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
     owner = func.value.id if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) else None
-    if name in ("write_bytes", "write_text"):
+    if name in ("write_bytes", "write_text", "mkdir", "makedirs"):
         return True
     if owner == "os" and name in ("replace", "rename", "open", "fdopen"):
         return True
@@ -422,19 +448,23 @@ def f(path, fd):
     path.open("x")
     os.fdopen(fd, "wb")
     os.replace(path, path)
+    path.mkdir()
+    os.makedirs(path)
     open(path)
     path.open()
     path.read_bytes()
 """
     callees = [callee for _, callee in file_write_sites(source, "m")]
     assert callees == [
-        "path.write_bytes", "path.write_text", "open", "open", "path.open", "os.fdopen", "os.replace"
+        "path.write_bytes", "path.write_text", "open", "open", "path.open", "os.fdopen", "os.replace",
+        "path.mkdir", "os.makedirs",
     ]
 
 
 def test_write_atomic_is_the_only_file_writer():
-    # A second writer (a bare write_bytes, its own temp-and-rename) would
-    # bypass the atomicity and unique temp names every output relies on.
+    # A second writer (a bare write_bytes, its own temp-and-rename, its own
+    # mkdir) would bypass the atomicity and unique temp names every output
+    # relies on, or decide a second way how an output directory is made.
     sites = [
         site
         for path in sorted(Path(eventlens.__file__).parent.glob("*.py"))

@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from eventlens import ConfigError, FitError, fit_ols, predict
 from eventlens.panel import AlignedPanel, BarField, ColumnKey
 from eventlens.regress import (
+    CONDITION_LIMIT,
     FeatureSpec,
+    FitDiagnostics,
+    RegressionModel,
     design_matrix,
     model_from_json_dict,
     model_to_json_dict,
@@ -280,6 +283,38 @@ def test_model_json_include_intercept_must_be_a_boolean(value):
     document["spec"]["include_intercept"] = value
     with pytest.raises(ConfigError, match="include_intercept for Y.close must be true or false"):
         model_from_json_dict(document)
+
+
+@pytest.mark.parametrize(
+    "rss, rows, condition, message",
+    [
+        (-5.0, 3, 1.0, "residual_sum_of_squares must be finite and non-negative, got -5.0"),
+        (float("nan"), 3, 1.0, "residual_sum_of_squares must be finite and non-negative"),
+        (float("inf"), 3, 1.0, "residual_sum_of_squares must be finite and non-negative"),
+        (0.0, -3, 1.0, "training_rows must be an integer of at least 1, got -3"),
+        (0.0, 0, 1.0, "training_rows must be an integer of at least 1, got 0"),
+        (0.0, 3.0, 1.0, "training_rows must be an integer of at least 1, got 3.0"),
+        (0.0, True, 1.0, "training_rows must be an integer of at least 1, got True"),
+        (0.0, 3, float("nan"), "condition_estimate must be between 1 and 1e\\+12, got nan"),
+        (0.0, 3, 0.999, "condition_estimate must be between 1 and 1e\\+12, got 0.999"),
+        (0.0, 3, CONDITION_LIMIT * 2, "condition_estimate must be between 1 and 1e\\+12"),
+    ],
+)
+def test_fit_diagnostics_reject_what_a_fit_cannot_report(rss, rows, condition, message):
+    with pytest.raises(FitError, match=message):
+        FitDiagnostics(rss, rows, condition)
+
+
+def test_fit_diagnostics_accept_their_bounds():
+    FitDiagnostics(0.0, 1, 1.0)
+    FitDiagnostics(1e300, 10**9, CONDITION_LIMIT)
+
+
+def test_a_model_needs_as_many_training_rows_as_coefficients():
+    spec = FeatureSpec(target=Y, features=(X1, X2))
+    with pytest.raises(FitError, match="too few rows: 2 rows for 3 coefficients"):
+        RegressionModel(spec, [0.0, 1.0, 2.0], FitDiagnostics(0.0, 2, 1.0))
+    assert RegressionModel(spec, [0.0, 1.0, 2.0], FitDiagnostics(0.0, 3, 1.0)).weights.size == 3
 
 
 def test_model_json_rejects_garbage():
