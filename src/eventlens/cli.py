@@ -35,7 +35,7 @@ from pathlib import Path
 
 from . import report as report_mod
 from . import scenario as scenario_mod
-from .errors import EventLensError, ProviderError
+from .errors import EventLensError, ProviderError, json_object
 from .ingest import InstrumentId, ProviderConfig, RawSeries, fetch_daily, fetch_universe, write_atomic
 from .panel import FIELD_ORDER, AlignedPanel, align
 from .scenario import ProjectionMode, ScenarioConfig
@@ -74,7 +74,7 @@ def _load_config(path_str: str, parser: argparse.ArgumentParser) -> tuple[Provid
         document = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(document, dict):
             raise TypeError(f"top-level JSON is {type(document).__name__}, not an object")
-        provider_section = dict(document.get("provider", {}))
+        provider_section = json_object(document.get("provider", {}), "provider")
         cache_dir = Path(provider_section.pop("cache_dir", "cache"))
         scenario_config = scenario_mod.config_from_json_dict(document["scenario"])
     except (ValueError, KeyError, TypeError, EventLensError) as exc:

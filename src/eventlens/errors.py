@@ -6,8 +6,10 @@ data/model failures from programming errors.
 
 ``json_number`` reads a saved document's numbers: ``json.loads`` gives
 exactly ``int`` or ``float`` for one, so a boolean, a string or a
-fractional count is rejected instead of coerced. ``json_object`` likewise
-takes only a ``dict`` where a document has an object.
+fractional count is rejected instead of coerced. ``json_object`` and
+``json_array`` likewise take only a ``dict`` where a document has an
+object and only a ``list`` where it has an array, so an object's keys are
+never read as an array's items.
 """
 
 from __future__ import annotations
@@ -65,4 +67,11 @@ def json_object(value: object, name: str) -> dict:
     """``value`` when it is a JSON object; else ConfigError."""
     if type(value) is not dict:
         raise ConfigError(f"{name} must be an object, got {type(value).__name__}")
+    return value
+
+
+def json_array(value: object, name: str) -> list:
+    """``value`` when it is a JSON array; else ConfigError."""
+    if type(value) is not list:
+        raise ConfigError(f"{name} must be an array, got {type(value).__name__}")
     return value

@@ -52,7 +52,6 @@ import re
 import threading
 import time
 import urllib.parse
-import urllib.request
 from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass
@@ -77,7 +76,9 @@ from .errors import (
 
 API_KEY_ENV = "EVENTLENS_API_KEY"
 DEFAULT_BASE_URL = "https://www.alphavantage.co/query"
-CSV_HEADER = "date,open,high,low,close"
+_OHLC = ("open", "high", "low", "close")
+CSV_HEADER = ",".join(("date", *_OHLC))
+_HTTP_TIMEOUT_S = 30.0
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 Transport = Callable[[str], bytes]
@@ -98,12 +99,20 @@ class InstrumentId:
     kind: InstrumentKind
 
     def __post_init__(self) -> None:
-        if not self.symbol:
-            raise ConfigError("instrument symbol must be non-empty")
-        if any(c in self.symbol for c in ".,/\\"):  # it names cache and bundle files
-            raise ConfigError(
-                f"instrument symbol {self.symbol!r} may not contain '.', ',', '/' or '\\'"
-            )
+        check_symbol(self.symbol)
+
+
+def check_symbol(symbol: str) -> None:
+    """Raise ConfigError unless ``symbol`` may name an instrument. A symbol
+    names its cache file and bundle files and is the SYMBOL of a
+    ``SYMBOL.field`` column, so it holds no separator and no character that
+    a path or a line of output cannot carry."""
+    if type(symbol) is not str or not symbol:
+        raise ConfigError(f"instrument symbol must be a non-empty string, got {symbol!r}")
+    if any(c in symbol for c in ".,/\\"):
+        raise ConfigError(f"instrument symbol {symbol!r} may not contain '.', ',', '/' or '\\'")
+    if not symbol.isprintable():
+        raise ConfigError(f"instrument symbol {symbol!r} may not contain non-printable characters")
 
 
 def _check_bar(day: str, open_: float, high: float, low: float, close: float) -> None:
@@ -298,8 +307,7 @@ _SHORT_DECIMALS = re.compile(
 _TRAILING_ZEROS = re.compile(r"0(?<=[0-9]0)0*+(?=\n)")
 # Accepts bare field names and numbered variants like "1. open"; deliberately
 # rejects derived fields such as "5. adjusted close".
-_FIELD_KEY = re.compile(r"(?:\d+[a-z]?\.\s*)?(open|high|low|close)$")
-_OHLC = ("open", "high", "low", "close")
+_FIELD_KEY = re.compile(rf"(?:\d+[a-z]?\.\s*)?({'|'.join(_OHLC)})$")
 
 
 def provider_url(instrument: InstrumentId, config: ProviderConfig) -> str:
@@ -316,8 +324,10 @@ def provider_url(instrument: InstrumentId, config: ProviderConfig) -> str:
     return f"{config.base_url}?{urllib.parse.urlencode(params)}"
 
 
-def _http_get(url: str, timeout: float = 30.0) -> bytes:
-    with urllib.request.urlopen(url, timeout=timeout) as response:
+def _http_get(url: str) -> bytes:
+    import urllib.request  # loaded only by a fetch that goes to the network
+
+    with urllib.request.urlopen(url, timeout=_HTTP_TIMEOUT_S) as response:
         return response.read()
 
 
@@ -585,10 +595,7 @@ def _walk_rows(path: Path, text: str) -> tuple[np.ndarray, list[list[float]]]:
         if days and date.toordinal() <= days[-1]:
             order = "duplicate" if date.toordinal() == days[-1] else "out-of-order"
             raise DataFormatError(f"{path}:{lineno}: {order} date {date.isoformat()}")
-        quotes = [
-            _parse_quote(raw, date.isoformat(), name)
-            for raw, name in zip(parts[1:], ("open", "high", "low", "close"))
-        ]
+        quotes = [_parse_quote(raw, date.isoformat(), name) for raw, name in zip(parts[1:], _OHLC)]
         _check_bar(date.isoformat(), *quotes)
         days.append(date.toordinal())
         rows.append(quotes)

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import ConfigError, PanelError
-from .ingest import RawSeries
+from .ingest import RawSeries, check_symbol
 
 
 class BarField(str, Enum):
@@ -39,19 +39,19 @@ class BarField(str, Enum):
     CLOSE = "close"
 
 
-FIELD_ORDER: tuple[BarField, ...] = (BarField.OPEN, BarField.HIGH, BarField.LOW, BarField.CLOSE)
+FIELD_ORDER: tuple[BarField, ...] = tuple(BarField)
 
 
 @dataclass(frozen=True)
 class ColumnKey:
-    """Identifies one panel column: an instrument symbol plus a bar field."""
+    """Identifies one panel column: an instrument symbol, held to the
+    instrument symbol rule (``ingest.check_symbol``), plus a bar field."""
 
     symbol: str
     field: BarField
 
     def __post_init__(self) -> None:
-        if not self.symbol or "." in self.symbol or "," in self.symbol:
-            raise ConfigError(f"bad column symbol {self.symbol!r}")
+        check_symbol(self.symbol)
         if not isinstance(self.field, BarField):
             try:
                 object.__setattr__(self, "field", BarField(self.field))

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FitError, json_number, json_object
+from .errors import ConfigError, FitError, json_array, json_number, json_object
 from .panel import AlignedPanel, BarField, ColumnKey
 
 CONDITION_LIMIT = 1e12
@@ -200,9 +200,10 @@ def model_from_json_dict(document: dict) -> RegressionModel:
     try:
         document = json_object(document, "model")
         saved = json_object(document["spec"], "model spec")
+        features = json_array(saved["features"], "model spec features")
         spec = FeatureSpec(
             target=ColumnKey.parse(saved["target"]),
-            features=tuple(ColumnKey.parse(n) for n in saved["features"]),
+            features=tuple(map(ColumnKey.parse, features)),
             include_intercept=saved["include_intercept"],
         )
         saved = json_object(document["diagnostics"], "model diagnostics")
@@ -211,7 +212,7 @@ def model_from_json_dict(document: dict) -> RegressionModel:
             json_number(saved["training_rows"], "training_rows", whole=True),
             json_number(saved["condition_estimate"], "condition_estimate"),
         )
-        weights = [json_number(w, "weight") for w in document["weights"]]
-        return RegressionModel(spec, weights, diagnostics)
+        weights = json_array(document["weights"], "model weights")
+        return RegressionModel(spec, [json_number(w, "weight") for w in weights], diagnostics)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed model document: {exc}") from exc

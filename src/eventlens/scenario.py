@@ -41,7 +41,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, EventLensError, PanelError, json_number, json_object
+from .errors import ConfigError, EventLensError, PanelError, json_array, json_number, json_object
 from .ingest import InstrumentId, InstrumentKind, RawSeries
 from .metrics import MetricsReport, score
 from .panel import FIELD_ORDER, AlignedPanel, BarField, ColumnKey, DateWindow, align
@@ -237,15 +237,15 @@ def config_from_json_dict(document: dict) -> ScenarioConfig:
     try:
         universe = tuple(
             InstrumentId(entry["symbol"], InstrumentKind(entry["kind"]))
-            for entry in document["universe"]
+            for entry in json_array(document["universe"], "universe")
         )
         feature_specs = tuple(
             FeatureSpec(
                 target=column_key(entry["target"]),
-                features=tuple(map(column_key, entry["features"])),
+                features=tuple(map(column_key, json_array(entry["features"], "spec features"))),
                 include_intercept=entry.get("include_intercept", True),
             )
-            for entry in document["feature_specs"]
+            for entry in json_array(document["feature_specs"], "feature_specs")
         )
         mode = ProjectionMode(document.get("projection_mode", ProjectionMode.DATE_SHIFTED.value))
     except (KeyError, TypeError, ValueError) as exc:
@@ -420,6 +420,10 @@ def report_to_json_bytes(report: ScenarioReport) -> bytes:
     return json_bytes(report_to_json_dict(report))
 
 
+def _json_numbers(entry: dict, name: str) -> list[float]:
+    return [json_number(v, name) for v in json_array(entry[name], name)]
+
+
 def report_from_json_dict(document: dict) -> ScenarioReport:
     """The report of a ``report_to_json_dict`` document. Each object must be
     a JSON object, and any value the report's types refuse (a FitError,
@@ -432,9 +436,11 @@ def report_from_json_dict(document: dict) -> ScenarioReport:
             targets[symbol] = TargetResult(
                 model=model_from_json_dict(entry["model"]),
                 test_metrics=MetricsReport.from_json_dict(entry["test_metrics"]),
-                projection_dates=tuple(map(_iso_date, entry["projection_dates"])),
-                realized=[json_number(v, "realized") for v in entry["realized"]],
-                counterfactual=[json_number(v, "counterfactual") for v in entry["counterfactual"]],
+                projection_dates=tuple(
+                    map(_iso_date, json_array(entry["projection_dates"], "projection_dates"))
+                ),
+                realized=_json_numbers(entry, "realized"),
+                counterfactual=_json_numbers(entry, "counterfactual"),
                 divergence_metrics=MetricsReport.from_json_dict(entry["divergence_metrics"]),
             )
         return ScenarioReport(

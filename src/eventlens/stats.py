@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import StatsError, json_number, json_object
+from .errors import StatsError, json_array, json_number, json_object
 from .panel import AlignedPanel, ColumnKey
 
 ENTRY_SLACK = 1e-12
@@ -119,6 +119,9 @@ def matrix_to_json_dict(matrix: CorrelationMatrix) -> dict:
 def matrix_from_json_dict(document: dict) -> CorrelationMatrix:
     """The matrix of a ``matrix_to_json_dict`` document; every value is checked."""
     document = json_object(document, "correlation matrix")
-    labels = tuple(ColumnKey.parse(name) for name in document["labels"])
-    values = [[json_number(v, "correlation value") for v in row] for row in document["values"]]
+    labels = tuple(map(ColumnKey.parse, json_array(document["labels"], "correlation labels")))
+    values = [
+        [json_number(v, "correlation value") for v in json_array(row, "correlation row")]
+        for row in json_array(document["values"], "correlation values")
+    ]
     return CorrelationMatrix(labels, values)

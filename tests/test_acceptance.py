@@ -238,7 +238,7 @@ def test_pipeline_agrees_with_independent_brute_force_derivation():
 
 
 def test_two_offline_runs_are_byte_identical(tmp_path, monkeypatch):
-    def no_network(url, timeout=30.0):
+    def no_network(url):
         raise AssertionError("offline run touched the network")
 
     monkeypatch.setattr("eventlens.ingest._http_get", no_network)

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,7 +33,7 @@ def stable_terminal(monkeypatch):
 def no_network(monkeypatch):
     calls: list[str] = []
 
-    def recorder(url: str, timeout: float = 30.0) -> bytes:
+    def recorder(url: str) -> bytes:
         calls.append(url)
         raise AssertionError("network touched")
 
@@ -217,7 +220,7 @@ def test_fetch_populates_cache(tmp_path, monkeypatch):
             }
         }
     ).encode()
-    monkeypatch.setattr("eventlens.ingest._http_get", lambda url, timeout=30.0: payload)
+    monkeypatch.setattr("eventlens.ingest._http_get", lambda url: payload)
     scenario = json.loads((SYNTHETIC_DIR / "scenario_noisy.json").read_text())["scenario"]
     config_path = tmp_path / "config.json"
     config_path.write_text(
@@ -268,6 +271,7 @@ UNPARSEABLE_CONFIGS = {
     "cache-dir-not-a-path": _edited_noisy_config(lambda d: d.update(provider={"cache_dir": 5})),
     "cache-dir-null": _edited_noisy_config(lambda d: d.update(provider={"cache_dir": None})),
     "provider-not-object": _edited_noisy_config(lambda d: d.update(provider=5)),
+    "provider-pairs": _edited_noisy_config(lambda d: d.update(provider=[["cache_dir", "noisy"]])),
     "missing-window": _edited_noisy_config(lambda d: d["scenario"].pop("projection_window")),
     "window-date-basic-format": _edited_noisy_config(
         lambda d: d["scenario"]["train_window"].update(start="20190101")
@@ -289,6 +293,18 @@ UNPARSEABLE_CONFIGS = {
     ),
     "feature-name-list": _edited_noisy_config(
         lambda d: d["scenario"]["feature_specs"][0]["features"].insert(0, ["A.close"])
+    ),
+    # An object's keys are not an array's items.
+    "universe-object": _edited_noisy_config(
+        lambda d: d["scenario"].update(universe={"FAC1": "commodity"})
+    ),
+    "feature-specs-object": _edited_noisy_config(
+        lambda d: d["scenario"].update(feature_specs={"TGT1.close": ["FAC1.close"]})
+    ),
+    "spec-features-object": _edited_noisy_config(
+        lambda d: d["scenario"]["feature_specs"][0].update(
+            features=dict.fromkeys(d["scenario"]["feature_specs"][0]["features"])
+        )
     ),
 }
 
@@ -325,12 +341,19 @@ def test_fit_takes_no_format_flag(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("symbol", ["sub/dir", "/abs/TGT1", "sub\\dir"])
-def test_a_symbol_that_names_a_path_is_a_usage_error(tmp_path, capsys, symbol):
-    config = tmp_path / "config.json"
-    config.write_text(
-        _edited_noisy_config(lambda d: d["scenario"]["universe"][0].update(symbol=symbol))
+@pytest.mark.parametrize("symbol", ["sub/dir", "/abs/TGT1", "sub\\dir", "TGT\u00001"])
+def test_a_symbol_that_names_a_path_is_a_usage_error(tmp_path, capsys, monkeypatch, symbol):
+    # The symbol stands in for TGT1 throughout the config, so only the
+    # symbol rule can refuse it; a fetch would find a payload and a key.
+    payload = json.dumps(
+        {"Time Series (Daily)": {"2022-01-03": {"open": "1", "high": "2", "low": "1", "close": "1"}}}
     )
+    monkeypatch.setattr("eventlens.ingest._http_get", lambda url: payload.encode())
+    document = json.loads(Path(NOISY_CONFIG).read_text().replace("TGT1", json.dumps(symbol)[1:-1]))
+    document["provider"]["api_key"] = "k"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document))
+    rule = "'.', ',', '/' or '\\'" if symbol.isprintable() else "non-printable characters"
     out = tmp_path / "out"
     for command in ("fetch", "run"):
         argv = [command, "--config", str(config)] + (["--out", str(out)] if command == "run" else [])
@@ -339,9 +362,23 @@ def test_a_symbol_that_names_a_path_is_a_usage_error(tmp_path, capsys, symbol):
         assert excinfo.value.code == 2
         assert capsys.readouterr().err.splitlines()[1:] == [
             f"eventlens: error: unparseable config {config}: instrument symbol {symbol!r} "
-            "may not contain '.', ',', '/' or '\\'"
+            f"may not contain {rule}"
         ]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_an_offline_run_does_not_load_the_http_stack(tmp_path):
+    # A fresh interpreter: the test session itself may have loaded urllib.request.
+    argv = ["run", "--offline", "--config", NOISY_CONFIG, "--out", str(tmp_path / "out")]
+    script = (
+        "import sys\nfrom eventlens import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "assert 'urllib.request' not in sys.modules, 'the run loaded urllib.request'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert (tmp_path / "out" / "manifest.json").exists()
 
 
 # --- data errors (exit 1) ---------------------------------------------------------------
@@ -429,6 +466,7 @@ def test_error_line_is_single_line_and_parseable(tmp_path, capsys, no_network):
 # A saved report is re-emitted only if every value decodes as it was written:
 # (id, path into the golden report, replacement, error text after "config-error: ").
 DELETED = object()  # the replacement that removes the key instead
+AS_OBJECT = object()  # the replacement that turns the array into an object keyed by its items
 SAVED_REPORT_FAULTS = [
     ("realized-nan", ("targets", "TGT1", "realized", 0), math.nan,
      "realized and counterfactual series must be finite"),
@@ -498,6 +536,26 @@ SAVED_REPORT_FAULTS = [
      "metrics must be an object, got str"),
     ("correlation-matrix-array", ("correlation_after",), [[1.0]],
      "correlation matrix must be an object, got list"),
+    # Every array of the document must be a JSON array.
+    ("labels-object", ("correlation_before", "labels"), AS_OBJECT,
+     "correlation labels must be an array, got dict"),
+    ("values-object", ("correlation_after", "values"), AS_OBJECT,
+     "correlation values must be an array, got dict"),
+    ("correlation-row-object", ("correlation_before", "values", 2), AS_OBJECT,
+     "correlation row must be an array, got dict"),
+    ("projection-dates-object", ("targets", "TGT1", "projection_dates"), AS_OBJECT,
+     "projection_dates must be an array, got dict"),
+    ("realized-object", ("targets", "TGT2", "realized"), AS_OBJECT,
+     "realized must be an array, got dict"),
+    ("counterfactual-object", ("targets", "TGT3", "counterfactual"), AS_OBJECT,
+     "counterfactual must be an array, got dict"),
+    ("weights-object", ("targets", "TGT1", "model", "weights"), AS_OBJECT,
+     "model weights must be an array, got dict"),
+    ("spec-features-object", ("targets", "TGT2", "model", "spec", "features"), AS_OBJECT,
+     "model spec features must be an array, got dict"),
+    # A column's symbol follows the instrument symbol rule.
+    ("target-names-a-path", ("targets", "TGT1", "model", "spec", "target"), "sub/dir.close",
+     "instrument symbol 'sub/dir' may not contain '.', ',', '/' or '\\'"),
     # A value the report's own types refuse is a malformed document too.
     ("weight-nan", ("targets", "TGT3", "model", "weights", 0), math.nan,
      "malformed scenario report document: model weights must be finite"),
@@ -532,6 +590,8 @@ def test_report_rejects_a_saved_value_it_would_not_write(tmp_path, capsys, path,
         parent = parent[step]
     if value is DELETED:
         del parent[path[-1]]
+    elif value is AS_OBJECT:
+        parent[path[-1]] = dict.fromkeys(map(str, parent[path[-1]]))
     else:
         parent[path[-1]] = value
     saved = tmp_path / "report.json"

@@ -116,13 +116,20 @@ def test_instrument_symbol_validation():
         InstrumentId("", InstrumentKind.EQUITY)
     with pytest.raises(ConfigError):
         InstrumentId("A.B", InstrumentKind.EQUITY)
+    for symbol in (None, 5, ["GOLD"]):
+        with pytest.raises(ConfigError, match="instrument symbol must be a non-empty string, got"):
+            InstrumentId(symbol, InstrumentKind.EQUITY)
 
 
-@pytest.mark.parametrize("symbol", ["sub/dir", "/abs/GOLD", "sub\\dir", "C:\\GOLD"])
+@pytest.mark.parametrize(
+    "symbol", ["sub/dir", "/abs/GOLD", "sub\\dir", "C:\\GOLD", "A\u0000B", "A\nB"]
+)
 def test_a_symbol_cannot_name_a_path(symbol):
     # A symbol names its cache file and bundle files; a separator in it
-    # would put them in another directory.
-    with pytest.raises(ConfigError, match="may not contain '.', ',', '/' or"):
+    # would put them in another directory, a NUL cannot be in a path and a
+    # newline would split the one-line error that names it.
+    rule = "'.', ',', '/' or '\\'" if symbol.isprintable() else "non-printable characters"
+    with pytest.raises(ConfigError, match=re.escape(f"{symbol!r} may not contain {rule}")):
         InstrumentId(symbol, InstrumentKind.EQUITY)
 
 
@@ -599,7 +606,7 @@ def test_fetch_wraps_transport_failure(tmp_path):
 def test_fetch_requires_api_key_for_default_transport(tmp_path, monkeypatch):
     monkeypatch.delenv("EVENTLENS_API_KEY", raising=False)
 
-    def no_network(url, timeout=30.0):
+    def no_network(url):
         raise AssertionError("network must not be touched without an api key")
 
     monkeypatch.setattr("eventlens.ingest._http_get", no_network)

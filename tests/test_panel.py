@@ -44,6 +44,11 @@ def test_column_key_parse_rejects_garbage():
         ColumnKey.parse("GOLD")
     with pytest.raises(ConfigError):
         ColumnKey.parse("GOLD.volume")
+    # A column's symbol follows the instrument symbol rule.
+    with pytest.raises(ConfigError, match=r"'sub/dir' may not contain '\.', ',', '/' or"):
+        ColumnKey.parse("sub/dir.close")
+    with pytest.raises(ConfigError, match=r"'A\\x00B' may not contain non-printable characters"):
+        ColumnKey.parse("A\u0000B.close")
 
 
 # --- align -----------------------------------------------------------------------
