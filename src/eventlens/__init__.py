@@ -41,7 +41,7 @@ from .regress import (
     fit_ols,
     predict,
 )
-from .report import ReportBundle, emit
+from .report import ReportBundle, emit, report_to_json_bytes, report_to_json_dict
 from .scenario import (
     ProjectionMode,
     ScenarioConfig,
@@ -52,8 +52,6 @@ from .scenario import (
     config_to_json_dict,
     projection_features,
     report_from_json_dict,
-    report_to_json_bytes,
-    report_to_json_dict,
     run_scenario,
 )
 from .stats import CorrelationMatrix, correlation_matrix, pearson

@@ -10,7 +10,8 @@ and name, encode and write their files with the same ``report`` functions,
 so each file they write is byte-equal to the same-named file of a ``run``
 bundle (a fit model to its model in the saved report). Every file, the
 ``--save-report`` document included, is written through
-``ingest.write_atomic``, which makes a missing directory.
+``ingest.write_atomic``, which makes a missing directory; run and report
+stage their bundle beside ``--out`` and swap it in whole.
 
 Exit codes: 0 success, 1 data/model errors, 2 usage errors. Failures are
 written to stderr as a single machine-parseable line.
@@ -162,9 +163,10 @@ def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     config = _apply_mode(config, args.mode)
     formats = _parse_formats(args.format, parser)
     report = scenario_mod.run_scenario(config, _series(config, provider, args.offline))
-    bundle = report_mod.emit(report, Path(args.out), formats)
+    document = report_mod.report_to_json_dict(report)
+    bundle = report_mod.emit_document(document, Path(args.out), formats)
     if args.save_report:
-        write_atomic(Path(args.save_report), scenario_mod.report_to_json_bytes(report))
+        write_atomic(Path(args.save_report), report_mod.json_bytes(document))
     print(f"bundle written to {bundle.directory} ({len(bundle.manifest['files'])} files)")
     return 0
 

@@ -32,6 +32,8 @@ same either way.
 
 Every CSV the package writes, a cache file or a report table, comes from
 ``csv_bytes``: a header line, then one line of comma-joined cells per row.
+Every file is written by ``write_atomic``; ``replace_directory`` swaps a
+whole directory of them in with one rename.
 
 Parse failures are fatal for the whole series rather than row-skipping:
 a silently dropped day would corrupt date alignment downstream. A CSV file
@@ -44,11 +46,13 @@ offending row in file order, else the first line unlike the writer's.
 from __future__ import annotations
 
 import datetime as dt
+import errno
 import hashlib
 import json
 import math
 import os
 import re
+import shutil
 import threading
 import time
 import urllib.parse
@@ -60,7 +64,7 @@ from functools import cached_property
 from itertools import chain
 from operator import call, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 
 import numpy as np
 
@@ -525,6 +529,67 @@ def write_atomic(path: Path, payload: bytes) -> None:
     except BaseException:
         tmp.unlink()
         raise
+
+
+def replace_directory(path: Path, files: dict[str, bytes], superseded: Collection[str]) -> None:
+    """Replace the directory at ``path`` with one holding ``files``, swapped in
+    with one rename.
+
+    Each file, in the dict's order, goes through ``write_atomic`` into a fresh
+    sibling ``<name>.<16 hex>.tmp``. Then each file of the current directory
+    that ``files`` does not hold and ``superseded`` does not name is
+    hard-linked into it, so files the new directory does not replace survive.
+    The current directory is renamed to ``<name>.<16 hex>.old``, the new one
+    to ``path``, and the old one is removed: a reader sees the old directory,
+    none, or the new one, never a mix. Should another writer's directory land
+    at ``path`` between the two renames, it is moved aside too, so the last
+    writer's directory wins whole. A failure before the swap removes the new
+    directory and leaves ``path`` as it was. A ``path`` that is a symlink, is
+    no directory or holds a subdirectory is refused with a ConfigError before
+    anything is written. ``files`` holds at least one file.
+    """
+    whole = "a bundle replaces its whole directory"
+    if path.name in ("", ".."):
+        raise ConfigError(f"output directory {str(path)!r} must be named by its own path; {whole}")
+    if path.is_symlink():
+        raise ConfigError(f"output directory {str(path)!r} is a symlink; {whole}")
+    try:
+        entries = list(os.scandir(path))
+    except FileNotFoundError:
+        entries = []
+    for entry in entries:
+        if entry.is_dir(follow_symlinks=False):
+            raise ConfigError(
+                f"output directory {str(path)!r} holds the subdirectory {entry.name!r}; {whole}"
+            )
+    kept = [e.name for e in entries if e.name not in files and e.name not in superseded]
+    token = os.urandom(8).hex()
+    staged = path.with_name(f"{path.name}.{token}.tmp")
+    old = path.with_name(f"{path.name}.{token}.old")
+    try:
+        for name, payload in files.items():
+            write_atomic(staged / name, payload)
+        for name in kept:
+            os.link(path / name, staged / name, follow_symlinks=False)
+        while True:
+            with suppress(FileNotFoundError):
+                os.rename(path, old)
+            try:
+                os.rename(staged, path)
+                break
+            except OSError as exc:
+                if exc.errno not in (errno.EEXIST, errno.ENOTEMPTY):
+                    raise
+            # Another writer's directory landed at path: it is superseded too.
+            shutil.rmtree(old, ignore_errors=True)
+    except BaseException:
+        shutil.rmtree(staged, ignore_errors=True)
+        if not path.exists():
+            with suppress(OSError):
+                os.rename(old, path)
+        raise
+    with suppress(FileNotFoundError):
+        shutil.rmtree(old)
 
 
 def write_csv(series: RawSeries, path: Path) -> None:

@@ -54,6 +54,7 @@ class MetricsReport:
 
 
 def _paired(true: Vector, pred: Vector) -> tuple[np.ndarray, np.ndarray]:
+    """The checked arrays every measure is computed on."""
     t = np.asarray(true, dtype=float)
     p = np.asarray(pred, dtype=float)
     if t.ndim != 1 or p.ndim != 1:
@@ -67,10 +68,24 @@ def _paired(true: Vector, pred: Vector) -> tuple[np.ndarray, np.ndarray]:
     return t, p
 
 
+def _mse(t: np.ndarray, p: np.ndarray) -> float:
+    return float(np.mean((t - p) ** 2))
+
+
+def _mae(t: np.ndarray, p: np.ndarray) -> float:
+    return float(np.mean(np.abs(t - p)))
+
+
+def _mape(t: np.ndarray, p: np.ndarray) -> float:
+    zeros = np.flatnonzero(t == 0.0)
+    if zeros.size:
+        raise MetricError(f"true value of zero at index {int(zeros[0])}; percentage undefined")
+    return float(np.mean(np.abs(t - p) / np.abs(t)) * 100.0)
+
+
 def mse(true: Vector, pred: Vector) -> float:
     """Mean of squared differences."""
-    t, p = _paired(true, pred)
-    return float(np.mean((t - p) ** 2))
+    return _mse(*_paired(true, pred))
 
 
 def rmse(true: Vector, pred: Vector) -> float:
@@ -80,21 +95,17 @@ def rmse(true: Vector, pred: Vector) -> float:
 
 def mae(true: Vector, pred: Vector) -> float:
     """Mean of absolute differences."""
-    t, p = _paired(true, pred)
-    return float(np.mean(np.abs(t - p)))
+    return _mae(*_paired(true, pred))
 
 
 def mape(true: Vector, pred: Vector) -> float:
     """Mean of per-point |error| / |true|, in percent. Zero true values are an error."""
-    t, p = _paired(true, pred)
-    zeros = np.flatnonzero(t == 0.0)
-    if zeros.size:
-        raise MetricError(f"true value of zero at index {int(zeros[0])}; percentage undefined")
-    return float(np.mean(np.abs(t - p) / np.abs(t)) * 100.0)
+    return _mape(*_paired(true, pred))
 
 
 def score(true: Vector, pred: Vector) -> MetricsReport:
-    """Bundle all four metrics; rmse is sqrt(mse) by construction."""
-    return MetricsReport(
-        mse(true, pred), rmse(true, pred), mae(true, pred), mape(true, pred), n=len(true)
-    )
+    """All four metrics from one check of the inputs; rmse is sqrt(mse) by
+    construction, as ``rmse`` computes it."""
+    t, p = _paired(true, pred)
+    squared = _mse(t, p)
+    return MetricsReport(squared, math.sqrt(squared), _mae(t, p), _mape(t, p), n=t.shape[0])

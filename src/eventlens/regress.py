@@ -19,7 +19,7 @@ scaling is cosmetic, and raw weights stay comparable to quote units.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -191,7 +191,8 @@ def model_to_json_dict(model: RegressionModel) -> dict:
     return {
         "spec": spec_to_json_dict(model.spec),
         "weights": model.weights.tolist(),
-        "diagnostics": asdict(model.diagnostics),
+        # Its flat fields, as dataclasses.asdict gives them without the deep copy.
+        "diagnostics": dict(vars(model.diagnostics)),
     }
 
 

@@ -35,7 +35,7 @@ import datetime as dt
 import hashlib
 import json
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -50,12 +50,13 @@ from .regress import (
     RegressionModel,
     fit_ols,
     model_from_json_dict,
-    model_to_json_dict,
     predict,
     spec_to_json_dict,
 )
-from .report import json_bytes
-from .stats import CorrelationMatrix, correlation_matrix, matrix_from_json_dict, matrix_to_json_dict
+# The saved report's writer lives in report, beside the bundle's writer that
+# shares its texts; it stays importable from here.
+from .report import report_to_json_bytes, report_to_json_dict  # noqa: F401
+from .stats import CorrelationMatrix, correlation_matrix, matrix_from_json_dict
 
 
 class ProjectionMode(str, Enum):
@@ -166,7 +167,8 @@ class ScenarioReport:
 
     Each target's model predicts that target. ``provenance`` has exactly the
     ``PROVENANCE_KEYS``: SHA-256 hex digests of the config and of each input
-    series, the ``ProjectionMode`` value and the number of projection cycles.
+    series (keyed by the symbols of the correlation labels, in their order),
+    the ``ProjectionMode`` value and the number of projection cycles.
     """
 
     targets: dict[str, TargetResult]
@@ -187,6 +189,12 @@ class ScenarioReport:
             for digest in (provenance["config_digest"], *digests.values())
         ):
             raise ConfigError("provenance digests must be 64 lowercase hex characters")
+        symbols = [label.symbol for label in self.correlation_before.labels]
+        if list(digests) != symbols:
+            raise ConfigError(
+                f"provenance data_digests must name the universe symbols {symbols} in order,"
+                f" got {list(digests)}"
+            )
         if provenance["projection_mode"] not in tuple(mode.value for mode in ProjectionMode):
             raise ConfigError(f"unknown projection_mode {provenance['projection_mode']!r}")
         if json_number(provenance["projection_cycles"], "projection_cycles", whole=True) < 1:
@@ -325,8 +333,9 @@ def projection_features(
     window's trading dates, cycling the source rows when the projection
     window is longer.
     """
-    for key in spec.features:
-        panel.column(key)
+    missing = next((key for key in spec.features if key not in panel.index), None)
+    if missing is not None:
+        panel.column(missing)  # names the first missing feature
     projection = window_slice(panel, config, "projection_window")
     if config.projection_mode is ProjectionMode.ORACLE_FEATURES:
         return projection
@@ -395,30 +404,7 @@ def run_scenario(config: ScenarioConfig, data: Iterable[RawSeries]) -> ScenarioR
     )
 
 
-# --- report (de)serialization ---------------------------------------------------
-
-def report_to_json_dict(report: ScenarioReport) -> dict:
-    return {
-        "provenance": report.provenance,
-        "correlation_before": matrix_to_json_dict(report.correlation_before),
-        "correlation_after": matrix_to_json_dict(report.correlation_after),
-        "targets": {
-            symbol: {
-                "model": model_to_json_dict(result.model),
-                "test_metrics": asdict(result.test_metrics),
-                "projection_dates": [d.isoformat() for d in result.projection_dates],
-                "realized": result.realized.tolist(),
-                "counterfactual": result.counterfactual.tolist(),
-                "divergence_metrics": asdict(result.divergence_metrics),
-            }
-            for symbol, result in report.targets.items()
-        },
-    }
-
-
-def report_to_json_bytes(report: ScenarioReport) -> bytes:
-    return json_bytes(report_to_json_dict(report))
-
+# --- report deserialization -------------------------------------------------------
 
 def _json_numbers(entry: dict, name: str) -> list[float]:
     return [json_number(v, name) for v in json_array(entry[name], name)]

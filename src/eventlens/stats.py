@@ -11,7 +11,6 @@ labelled row per label, with ``matrix_to_json_dict``'s document as JSON.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -39,7 +38,10 @@ class CorrelationMatrix:
             raise StatsError("correlation matrix contains non-finite entries")
         if np.any(np.abs(values) > 1.0 + ENTRY_SLACK):
             raise StatsError("correlation entry outside [-1, 1]")
-        if not np.array_equal(values, values.T):
+        # Bit for bit, so 0.0 does not mirror -0.0 and a bundle writes each
+        # entry's text once for both places.
+        bits = values.view(np.uint64)
+        if not np.array_equal(bits, bits.T):
             raise StatsError("correlation matrix is not symmetric")
         if not np.all(values.diagonal() == 1.0):
             raise StatsError("correlation matrix diagonal is not exactly 1")
@@ -75,21 +77,24 @@ def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) ->
         raise StatsError("zero variance in first input")
     if syy == 0.0:
         raise StatsError("zero variance in second input")
-    return _coefficient(xc, yc, sxx, syy)
+    return float(_coefficients(xc @ yc, sxx, syy))
 
 
-def _coefficient(xc: np.ndarray, yc: np.ndarray, sxx: float, syy: float) -> float:
-    """r from two centered vectors and their sums of squares."""
-    r = float(xc @ yc) / math.sqrt(sxx * syy)
-    return min(1.0, max(-1.0, r))
+def _coefficients(products, sxx, syy):
+    """r of each pair from its centered columns' dot product and their sums
+    of squares, clamped to [-1, 1] only to absorb last-ulp overshoot; takes
+    scalars or arrays alike."""
+    return np.fmin(1.0, np.fmax(-1.0, products / np.sqrt(sxx * syy)))
 
 
 def correlation_matrix(panel: AlignedPanel, keys: Iterable[ColumnKey]) -> CorrelationMatrix:
     """Pairwise Pearson matrix over the selected panel columns.
 
-    Each column is centered once; every entry equals ``pearson`` of its
-    two columns exactly. The diagonal is forced to exactly 1; failures
-    name the offending column.
+    Each column is centered once, each pair's dot product is taken on its
+    own (as ``pearson`` takes it; a matrix product would round otherwise),
+    and ``_coefficients`` then runs once over all pairs, so every entry
+    equals ``pearson`` of its two columns exactly. The diagonal is exactly
+    1; failures name the offending column.
     """
     labels = tuple(keys)
     if not labels:
@@ -98,17 +103,19 @@ def correlation_matrix(panel: AlignedPanel, keys: Iterable[ColumnKey]) -> Correl
         raise StatsError("correlation_matrix requires at least 2 panel rows")
     columns = [panel.column(key) for key in labels]
     centered = [column - column.mean() for column in columns]
-    squares = [float(c @ c) for c in centered]
+    squares = np.array([c @ c for c in centered])
     for key, square in zip(labels, squares):
         if square == 0.0:
             raise StatsError(f"column {key.name} has zero variance")
 
     n = len(labels)
+    first, second = np.triu_indices(n, 1)
+    pairs = zip(first.tolist(), second.tolist())
+    products = np.array([centered[i] @ centered[j] for i, j in pairs])
     values = np.ones((n, n), dtype=float)
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = _coefficient(centered[i], centered[j], squares[i], squares[j])
-            values[i, j] = values[j, i] = r
+    values[first, second] = values[second, first] = _coefficients(
+        products, squares[first], squares[second]
+    )
     return CorrelationMatrix(labels, values)
 
 

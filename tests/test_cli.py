@@ -212,6 +212,49 @@ def test_readme_sequence_into_one_out_leaves_each_file_as_its_command_alone(tmp_
     assert [entry["file"] for entry in manifest["files"]] == bundle_files
 
 
+def test_a_re_run_keeps_a_foreign_file_and_a_saved_report_in_out(tmp_path, no_network):
+    out = tmp_path / "out"
+    run = ["run", "--config", NOISY_CONFIG, "--offline", "--out", str(out)]
+    assert cli.main([*run, "--save-report", str(out / "report.json")]) == 0
+    (out / "notes.txt").write_bytes(b"kept by hand\n")
+    first = read_bundle(out)
+    assert cli.main([*run, "--save-report", str(out / "report.json")]) == 0
+    assert read_bundle(out) == first
+    assert cli.main([*run, "--format", "csv"]) == 0
+    files = read_bundle(out)
+    assert {name: files[name] for name in ("notes.txt", "report.json")} == {
+        name: first[name] for name in ("notes.txt", "report.json")
+    }
+    assert {name for name in files if name.endswith(".json")} == {"manifest.json", "report.json"}
+    assert [path.name for path in tmp_path.iterdir()] == ["out"]
+
+
+def test_an_out_holding_a_subdirectory_is_refused_with_one_error_line(
+    tmp_path, capsys, no_network, monkeypatch
+):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "notes.txt").write_bytes(b"kept\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", "--config", NOISY_CONFIG, "--offline", "--out", "."]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "eventlens: error: config-error: output directory '.' must be named by its own path;"
+        " a bundle replaces its whole directory\n"
+    )
+    assert captured.out == ""
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "sub").mkdir()
+    assert cli.main(["run", "--config", NOISY_CONFIG, "--offline", "--out", "out"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "eventlens: error: config-error: output directory 'out' holds the subdirectory 'sub';"
+        " a bundle replaces its whole directory\n"
+    )
+    assert sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*")) == [
+        "notes.txt", "out", "out/sub", "sub"
+    ]
+
+
 def test_fetch_populates_cache(tmp_path, monkeypatch):
     payload = json.dumps(
         {
@@ -520,6 +563,13 @@ SAVED_REPORT_FAULTS = [
      "unknown projection_mode 'sideways'"),
     ("projection-cycles-zero", ("provenance", "projection_cycles"), 0,
      "projection_cycles must be at least 1"),
+    ("data-digests-empty", ("provenance", "data_digests"), {},
+     "provenance data_digests must name the universe symbols "
+     "['FAC1', 'FAC2', 'FAC3', 'TGT1', 'TGT2', 'TGT3'] in order, got []"),
+    ("data-digests-extra-key", ("provenance", "data_digests", "sub/dir\u0000"), "0" * 64,
+     "provenance data_digests must name the universe symbols "
+     "['FAC1', 'FAC2', 'FAC3', 'TGT1', 'TGT2', 'TGT3'] in order, "
+     "got ['FAC1', 'FAC2', 'FAC3', 'TGT1', 'TGT2', 'TGT3', 'sub/dir\\x00']"),
     # Every object of the document must be a JSON object.
     ("targets-array", ("targets",), [], "targets must be an object, got list"),
     ("targets-string", ("targets",), "TGT1", "targets must be an object, got str"),

@@ -414,7 +414,7 @@ def _writes_files(call: ast.Call) -> bool:
     owner = func.value.id if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) else None
     if name in ("write_bytes", "write_text", "mkdir", "makedirs"):
         return True
-    if owner == "os" and name in ("replace", "rename", "open", "fdopen"):
+    if owner == "os" and name in ("replace", "rename", "link", "open", "fdopen"):
         return True
     if name != "open":
         return False
@@ -455,6 +455,8 @@ def f(path, fd):
     path.open("x")
     os.fdopen(fd, "wb")
     os.replace(path, path)
+    os.rename(path, path)
+    os.link(path, path)
     path.mkdir()
     os.makedirs(path)
     open(path)
@@ -464,7 +466,7 @@ def f(path, fd):
     callees = [callee for _, callee in file_write_sites(source, "m")]
     assert callees == [
         "path.write_bytes", "path.write_text", "open", "open", "path.open", "os.fdopen", "os.replace",
-        "path.mkdir", "os.makedirs",
+        "os.rename", "os.link", "path.mkdir", "os.makedirs",
     ]
 
 
@@ -472,13 +474,17 @@ def test_write_atomic_is_the_only_file_writer():
     # A second writer (a bare write_bytes, its own temp-and-rename, its own
     # mkdir) would bypass the atomicity and unique temp names every output
     # relies on, or decide a second way how an output directory is made.
+    # The one directory swap renames and hard-links whole files, each of
+    # them written by write_atomic.
     sites = [
         site
         for path in sorted(Path(eventlens.__file__).parent.glob("*.py"))
         for site in file_write_sites(path.read_text(encoding="utf-8"), path.stem)
     ]
-    assert {scope for scope, _ in sites} == {"ingest.write_atomic"}, sites
+    assert {scope for scope, _ in sites} == {"ingest.write_atomic", "ingest.replace_directory"}, sites
     assert [callee for _, callee in sites].count("os.replace") == 1
+    swap = sorted({callee for scope, callee in sites if scope == "ingest.replace_directory"})
+    assert swap == ["os.link", "os.rename"], sites
 
 
 def names_used(source: str, imports: bool = True) -> set[str]:

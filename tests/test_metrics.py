@@ -84,6 +84,17 @@ def test_non_finite_inputs_rejected():
 # --- properties ---------------------------------------------------------------------
 
 
+def test_score_is_the_four_functions_bit_for_bit(rng):
+    for _ in range(50):
+        n = int(rng.integers(1, 40))
+        t = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+        p = t + rng.normal(size=n)
+        report = score(t, p)
+        assert (report.mse, report.rmse, report.mae, report.mape, report.n) == (
+            mse(t, p), rmse(t, p), mae(t, p), mape(t, p), n
+        )
+
+
 def test_rmse_is_sqrt_of_mse(rng):
     for _ in range(50):
         n = int(rng.integers(1, 40))

@@ -4,6 +4,8 @@ import ast
 import hashlib
 import json
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eventlens
-from eventlens import ConfigError, run_scenario
-from eventlens.report import MANIFEST_NAME, correlation_files, emit, json_bytes, render_files
+import eventlens.ingest
+from eventlens import ConfigError, report_to_json_bytes, report_to_json_dict, run_scenario
+from eventlens.report import (
+    MANIFEST_NAME,
+    Floats,
+    Record,
+    correlation_files,
+    emit,
+    json_bytes,
+    render_files,
+)
 
 from test_scenario import linear_config, linear_universe
 
@@ -69,6 +80,119 @@ def test_reemission_is_byte_identical(report, tmp_path):
 def test_unknown_format_is_rejected(report, tmp_path):
     with pytest.raises(ConfigError, match="xml"):
         emit(report, tmp_path / "out", formats=("xml",))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_write_leaves_the_previous_bundle_and_no_sibling(report, tmp_path, monkeypatch):
+    emit(report, tmp_path / "out", formats=("csv", "json"))
+    before = read_bundle(tmp_path / "out")
+    write_atomic = eventlens.ingest.write_atomic
+    calls = []
+
+    def fifth_write_fails(path, payload):
+        calls.append(path)
+        if len(calls) == 5:
+            raise OSError("disk full")
+        write_atomic(path, payload)
+
+    monkeypatch.setattr(eventlens.ingest, "write_atomic", fifth_write_fails)
+    with pytest.raises(OSError, match="disk full"):
+        emit(report, tmp_path / "out", formats=("csv", "json"))
+    assert len(calls) == 5
+    assert read_bundle(tmp_path / "out") == before
+    assert [path.name for path in tmp_path.iterdir()] == ["out"]
+
+
+def test_a_csv_only_emit_over_a_full_bundle_leaves_no_json(report, tmp_path):
+    emit(report, tmp_path / "out", formats=("csv", "json"))
+    bundle = emit(report, tmp_path / "out", formats=("csv",))
+    names = set(read_bundle(tmp_path / "out"))
+    assert {name for name in names if name.endswith(".json")} == {MANIFEST_NAME}
+    assert names == {entry["file"] for entry in bundle.manifest["files"]} | {MANIFEST_NAME}
+    assert [path.name for path in tmp_path.iterdir()] == ["out"]
+
+
+def test_a_re_emit_keeps_the_files_the_manifest_does_not_list(report, tmp_path):
+    out = tmp_path / "out"
+    emit(report, out, formats=("csv", "json"))
+    (out / "model_Y.json").write_bytes(b"{}\n")
+    (out / "notes.txt").write_bytes(b"mine\n")
+    first = read_bundle(out)
+    emit(report, out, formats=("csv", "json"))
+    assert read_bundle(out) == first
+
+
+@pytest.mark.parametrize("make", ["subdirectory", "symlink", "file"])
+def test_an_out_a_bundle_cannot_replace_is_refused_before_anything_changes(
+    report, tmp_path, make
+):
+    out = tmp_path / "out"
+    if make == "subdirectory":
+        emit(report, out, formats=("csv",))
+        (out / "sub").mkdir()
+        error = ConfigError
+    elif make == "symlink":
+        emit(report, tmp_path / "target", formats=("csv",))
+        out.symlink_to(tmp_path / "target")
+        error = ConfigError
+    else:
+        out.write_bytes(b"not a directory\n")
+        error = NotADirectoryError
+    listing = sorted(path.name for path in tmp_path.rglob("*"))
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    with pytest.raises(error):
+        emit(report, out, formats=("csv", "json"))
+    assert sorted(path.name for path in tmp_path.rglob("*")) == listing
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
+def test_two_threads_emitting_into_one_out_end_with_one_complete_bundle(report, tmp_path):
+    out = tmp_path / "out"
+    errors = []
+
+    def emit_many() -> None:
+        try:
+            for _ in range(15):
+                emit(report, out, formats=("csv", "json"))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=emit_many) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    files = read_bundle(out)
+    manifest = json.loads(files.pop(MANIFEST_NAME))
+    assert {entry["file"]: entry["digest"] for entry in manifest["files"]} == {
+        name: hashlib.sha256(payload).hexdigest() for name, payload in files.items()
+    }
+    assert [path.name for path in tmp_path.iterdir()] == ["out"]
+
+
+def test_the_saved_report_is_the_json_of_its_dict_of_json_numbers(report):
+    document = report_to_json_dict(report)
+    assert report_to_json_bytes(report) == json_bytes(document)
+    assert json.loads(json_bytes(document)) == document
+
+    def leaves(value):
+        if isinstance(value, dict):
+            return [leaf for item in value.values() for leaf in leaves(item)]
+        if isinstance(value, list):
+            return [leaf for item in value for leaf in leaves(item)]
+        return [value]
+
+    assert {type(leaf) for leaf in leaves(document)} == {str, int, float, bool}
+    target = document["targets"]["Y"]
+    assert type(target["realized"]) is Floats and type(target["test_metrics"]) is Record
+    assert target["realized"].text == ",".join(map(repr, report.targets["Y"].realized.tolist()))
 
 
 def test_csv_and_json_metrics_agree(report, tmp_path):
@@ -130,8 +254,12 @@ FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, 
 # Any code point, control characters and lone surrogates included.
 TEXT = st.text(st.characters(exclude_categories=()))
 SCALARS = st.none() | st.booleans() | st.integers(-(2**200), 2**200) | FLOATS | TEXT
+# Arrays and objects that carry their texts, as a report's document holds them.
+CARRIED = st.lists(FLOATS).map(Floats) | st.dictionaries(TEXT, SCALARS).map(
+    lambda d: Record(d, d.values(), [json.dumps(value) for value in d.values()])
+)
 DOCUMENTS = st.recursive(
-    SCALARS | st.lists(FLOATS) | st.lists(TEXT),
+    SCALARS | st.lists(FLOATS) | st.lists(TEXT) | CARRIED,
     lambda children: st.lists(children)
     | st.lists(children).map(tuple)
     | st.dictionaries(TEXT, children),

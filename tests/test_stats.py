@@ -173,6 +173,9 @@ def test_missing_key_propagates():
 def test_constructor_rejects_asymmetric_matrix():
     with pytest.raises(StatsError, match="symmetric"):
         CorrelationMatrix((key("A"), key("B")), np.array([[1.0, 0.5], [0.4, 1.0]]))
+    # Symmetric bit for bit: 0.0 does not mirror -0.0, though the two compare equal.
+    with pytest.raises(StatsError, match="symmetric"):
+        CorrelationMatrix((key("A"), key("B")), np.array([[1.0, 0.0], [-0.0, 1.0]]))
 
 
 def test_constructor_rejects_out_of_range_entries():
