@@ -15,11 +15,12 @@ date order on whole arrays. The parsers only decode: they collect plain
 day ordinals and floats and hand the columns over. ``DailyBar`` is the row
 type of ``RawSeries.bars``, a view built only when a caller reads it.
 
-A provider payload is decoded in bulk: ``_match_fields`` resolves each
-distinct entry key layout once, and every quote string is converted in one
-pass. An irregular payload is walked entry by entry instead
-(``_walk_entries``), and the error names the first offending entry in date
-order; a broken bar in an earlier entry wins.
+A provider payload is read by one scan (``_scan_payload``) when its entries
+repeat the first one's text with a plain decimal for each quote, in date
+order or its reverse, and ``json.loads`` of the rest proves them the one
+series map. Any other payload is parsed by ``json.loads`` and walked entry
+by entry (``_walk_entries``), the reference the scan is held to; the error
+names the first offending entry in date order, an earlier broken bar first.
 
 A fetched series' cache file is built from the payload's own quote text when
 one regex (``_SHORT_DECIMALS``) proves every cell a decimal of at most 15
@@ -62,7 +63,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from operator import call, itemgetter
 from pathlib import Path
 from typing import Callable, Collection, Iterable
 
@@ -309,6 +309,15 @@ _SHORT_DECIMALS = re.compile(
 # The zeros ending a cell after a digit, which keeps the "0" of "123.0". In
 # cells ``_SHORT_DECIMALS`` accepts they all follow the point.
 _TRAILING_ZEROS = re.compile(r"0(?<=[0-9]0)0*+(?=\n)")
+# The scan's tokens: JSON whitespace (``\s`` also takes \f and \v), a comma
+# in it, a string's text with no control character, and a first entry.
+_WS = r"[ \t\n\r]*"
+_SEPARATOR = re.compile(f"{_WS},{_WS}")
+_CHARS = r'[^"\x00-\x1f]*'
+_PAIR = f'"{_CHARS}"{_WS}:{_WS}"{_CHARS}"'
+_FIRST_ENTRY = re.compile(
+    rf'"[0-9]{{4}}-[0-9]{{2}}-[0-9]{{2}}"{_WS}:{_WS}\{{{_WS}{_PAIR}(?:{_WS},{_WS}{_PAIR})*{_WS}\}}'
+)
 # Accepts bare field names and numbered variants like "1. open"; deliberately
 # rejects derived fields such as "5. adjusted close".
 _FIELD_KEY = re.compile(rf"(?:\d+[a-z]?\.\s*)?({'|'.join(_OHLC)})$")
@@ -363,8 +372,8 @@ def parse_provider_payload(body: bytes, instrument: InstrumentId) -> RawSeries:
 
     The instrument identity comes from the caller: the wire metadata block
     is provider-variant and not trusted for routing. Entries quoting only a
-    close get open=high=low=close synthesized and the series flagged. Entries
-    decode in bulk; if one is irregular, ``_walk_entries`` names the error.
+    close get open=high=low=close synthesized and the series flagged. A
+    regular payload is scanned; any other is walked, which names the error.
     """
     return _parse_payload(body, instrument)[0]
 
@@ -372,9 +381,11 @@ def parse_provider_payload(body: bytes, instrument: InstrumentId) -> RawSeries:
 def _parse_payload(
     body: bytes, instrument: InstrumentId
 ) -> tuple[RawSeries, list[str] | None, str | None]:
-    """The payload's series, and if the bulk decode read it, its sorted date
-    keys and its quote cells' text, each cell followed by "\n" (else None and
-    None). Only these outlive the parsed document, freed on return."""
+    """The payload's series, and if the scan read it, its sorted date keys and
+    its quote cells' text, each cell followed by "\n" (else None and None)."""
+    if (scanned := _scan_payload(body)) is not None:
+        *columns, dates, text = scanned
+        return RawSeries(instrument, *columns), dates, text
     try:
         document = json.loads(body)
     except (ValueError, UnicodeDecodeError) as exc:
@@ -389,12 +400,7 @@ def _parse_payload(
     series_map = next(filter(_is_series_map, document.values()), None)
     if series_map is None:
         raise DataFormatError(f"payload for {instrument.symbol} has no daily series map")
-
-    try:
-        *columns, keys, text = _decode_entries(series_map)
-        return RawSeries(instrument, *columns), keys, text
-    except (DataFormatError, KeyError, TypeError, ValueError):
-        return _walk_entries(instrument, series_map), None, None
+    return _walk_entries(instrument, series_map), None, None
 
 
 def _is_series_map(value: object) -> bool:
@@ -413,31 +419,54 @@ def _is_series_map(value: object) -> bool:
     )
 
 
-def _decode_entries(series_map: dict) -> tuple[np.ndarray, np.ndarray, bool, list[str], str]:
-    """Every entry's date and quotes, and whether any was close-only, with each
-    key layout resolved once; raises for any entry the walk would reject.
-
-    Then the sorted date keys, and the quote cells in their order, each
-    followed by "\n".
-    """
-    dates = sorted(series_map)
-    entries = list(map(series_map.__getitem__, dates))
-    layouts = list(map(tuple, entries))
-    getters, synthesized = {}, False
-    for keys in set(layouts):
-        open_, high, low, close = _match_fields(keys, "")
-        close_only = open_ is high is low is None
-        synthesized |= close_only
-        getters[keys] = itemgetter(*((close,) * 4 if close_only else (open_, high, low, close)))
-    cells = list(chain.from_iterable(map(call, map(getters.__getitem__, layouts), entries)))
-    # float() takes "\n" only as leading or trailing space, which leaves a
-    # line in ``text`` that no short decimal matches.
-    text = "\n".join(cells) + "\n"
-    if not text.isascii():
-        raise ValueError("quote text is not ASCII")
-    days = np.fromiter(map(dt.date.toordinal, map(dt.date.fromisoformat, dates)), dtype=np.int64)
-    quotes = np.fromiter(map(float, cells), dtype=float).reshape(-1, 4)
-    return _dates(days), quotes, synthesized, dates, text
+def _scan_payload(body: bytes) -> tuple[np.ndarray, np.ndarray, bool, list[str], str] | None:
+    """``RawSeries`` arguments, the sorted dates and the quote cells ending in "\n",
+    split out by the first entry's own text; None unless the JSON path agrees."""
+    if not body.isascii() or b"\\" in body:
+        return None
+    text = body.decode("ascii")
+    if not (first := _FIRST_ENTRY.search(text)):
+        return None
+    # Split at quotes: punctuation, the date, then each key and its value.
+    parts = first[0].split('"')
+    keys = parts[3::4]
+    try:
+        fields = _match_fields(keys, "")
+    except DataFormatError:
+        return None
+    close_only = fields[:3] == [None] * 3
+    fields = fields[3:] * 4 if close_only else fields
+    if None in fields:
+        return None
+    pieces = list(map(re.escape, parts))
+    pieces[1] = "([0-9]{4}-[0-9]{2}-[0-9]{2})"
+    pieces[5::4] = [r"([0-9]++(?:\.[0-9]++)?+)" if key in fields else _CHARS for key in keys]
+    cells = re.split('"'.join(pieces), text[first.start() :])
+    groups = [key for key in keys if key in fields]
+    stride = 2 + len(groups)
+    separators = set(cells[stride:-1:stride]) or {","}
+    if cells[0] or len(separators) > 1 or not _SEPARATOR.fullmatch(*separators):
+        return None
+    # Entries newest first, as the provider writes them, are read backwards.
+    start, step = (-1 - stride, -stride) if cells[1] > cells[-stride] else (0, stride)
+    dates = cells[start + 1 :: step]
+    if any(map(str.__ge__, dates, dates[1:])):
+        return None
+    # With a marker for the entries, the rest must be an object holding just the
+    # marker as a direct member; a later member of the same key drops it.
+    try:
+        rest = json.loads(f'{text[: first.start()]}"\\\\": 0{cells[-1]}')
+        days = list(map(dt.date.toordinal, map(dt.date.fromisoformat, dates)))
+    except ValueError:
+        return None
+    if type(rest) is not dict or {"\\": 0} not in rest.values():
+        return None
+    if any(map(rest.__contains__, _PROVIDER_ERROR_KEYS)) or any(map(_is_series_map, rest.values())):
+        return None
+    columns = [cells[start + 2 + groups.index(key) :: step] for key in fields]
+    cells = list(chain.from_iterable(zip(*columns)))
+    quotes = np.fromiter(map(float, cells), dtype=float, count=len(cells)).reshape(-1, 4)
+    return _dates(days), quotes, close_only, dates, "\n".join(cells) + "\n"
 
 
 def _walk_entries(instrument: InstrumentId, series_map: dict) -> RawSeries:
@@ -504,18 +533,19 @@ def _fetched_csv_bytes(series: RawSeries, dates: list[str] | None, text: str | N
     return _cells_csv(dates, _TRAILING_ZEROS.sub("", text).splitlines())
 
 
-def write_atomic(path: Path, payload: bytes) -> None:
+def write_atomic(path: Path, payload: bytes, fresh: bool = False) -> None:
     """Replace the file at ``path`` with ``payload`` in one rename.
 
     Readers see the old file or the new one, never a partial write. The
     payload first goes to a temp file in the same directory whose random
     name no other writer (or a stray file left by a crash) shares; it is
     created with ``O_EXCL`` and mode 0o666 less the umask, like a plain
-    open, and removed if anything fails before the rename. A missing
+    open, and removed if anything fails before the rename. A ``fresh`` path,
+    in a directory no reader sees, is created so with no temp name. A missing
     directory is made, and the open retried once, only when the first open
     fails for it. This is the package's only file and directory writer.
     """
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    tmp = path if fresh else path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
     try:
         fd = os.open(tmp, flags, 0o666)
@@ -525,7 +555,8 @@ def write_atomic(path: Path, payload: bytes) -> None:
     try:
         with open(fd, "wb") as handle:
             handle.write(payload)
-        os.replace(tmp, path)
+        if not fresh:
+            os.replace(tmp, path)
     except BaseException:
         tmp.unlink()
         raise
@@ -535,9 +566,9 @@ def replace_directory(path: Path, files: dict[str, bytes], superseded: Collectio
     """Replace the directory at ``path`` with one holding ``files``, swapped in
     with one rename.
 
-    Each file, in the dict's order, goes through ``write_atomic`` into a fresh
-    sibling ``<name>.<16 hex>.tmp``. Then each file of the current directory
-    that ``files`` does not hold and ``superseded`` does not name is
+    Each file, in the dict's order, is created ``fresh`` by ``write_atomic``
+    in a new sibling ``<name>.<16 hex>.tmp``. Then each file of the current
+    directory that ``files`` does not hold and ``superseded`` does not name is
     hard-linked into it, so files the new directory does not replace survive.
     The current directory is renamed to ``<name>.<16 hex>.old``, the new one
     to ``path``, and the old one is removed: a reader sees the old directory,
@@ -568,7 +599,7 @@ def replace_directory(path: Path, files: dict[str, bytes], superseded: Collectio
     old = path.with_name(f"{path.name}.{token}.old")
     try:
         for name, payload in files.items():
-            write_atomic(staged / name, payload)
+            write_atomic(staged / name, payload, fresh=True)
         for name in kept:
             os.link(path / name, staged / name, follow_symlinks=False)
         while True:
@@ -703,7 +734,6 @@ def fetch_daily(
     except Exception as exc:
         raise ProviderError(f"provider unreachable for {instrument.symbol}: {exc}") from exc
 
-    # The parsed document is freed by now, before the bytes are built.
     series, dates, text = _parse_payload(body, instrument)
     payload = _fetched_csv_bytes(series, dates, text)
     try:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from eventlens import DailyBar, InstrumentId, InstrumentKind, RawSeries, align, load_csv
 from eventlens.panel import FIELD_ORDER, AlignedPanel, BarField, ColumnKey
@@ -15,6 +16,10 @@ from eventlens.stats import CorrelationMatrix, correlation_matrix
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 SYNTHETIC_DIR = FIXTURE_DIR / "synthetic"
 GOLDEN_DIR = FIXTURE_DIR / "golden"
+
+# A long run of a property, picked with --hypothesis-profile=thorough; Tier-1
+# runs each property at its own or hypothesis' default example count.
+settings.register_profile("thorough", max_examples=1000)
 
 
 def make_instrument(symbol: str, kind: InstrumentKind = InstrumentKind.EQUITY) -> InstrumentId:

@@ -10,6 +10,7 @@ import stat
 import sys
 from contextlib import suppress
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from eventlens import (
     write_csv,
 )
 import eventlens
-from eventlens.ingest import _walk_rows, provider_url, write_atomic
+from eventlens.ingest import _walk_rows, provider_url, replace_directory, write_atomic
 
 from conftest import make_bar, make_series, random_series, series_of
 
@@ -359,6 +360,31 @@ def test_write_into_a_missing_directory_makes_it(tmp_path):
     assert list(tmp_path.rglob("*.tmp")) == []
 
 
+def test_a_fresh_write_creates_the_file_in_place_and_replaces_none(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise AssertionError(f"renamed {src} to {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    path = tmp_path / "staged" / "GOLD.csv"
+    write_atomic(path, b"x", fresh=True)
+    with pytest.raises(FileExistsError):
+        write_atomic(path, b"y", fresh=True)
+    assert path.read_bytes() == b"x"
+    assert [p.name for p in path.parent.iterdir()] == ["GOLD.csv"]
+
+
+def test_replace_directory_creates_each_staged_file_in_place(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise AssertionError(f"renamed {src} to {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    files = {"a.csv": b"a\n", "b.json": b"{}\n"}
+    replace_directory(tmp_path / "out", files, ())
+    replace_directory(tmp_path / "out", files, ())
+    assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == files
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
 def test_write_under_a_regular_file_fails_and_leaves_nothing(tmp_path):
     blocker = tmp_path / "out"
     blocker.write_bytes(b"not a directory")
@@ -475,7 +501,8 @@ def test_write_atomic_is_the_only_file_writer():
     # mkdir) would bypass the atomicity and unique temp names every output
     # relies on, or decide a second way how an output directory is made.
     # The one directory swap renames and hard-links whole files, each of
-    # them written by write_atomic.
+    # them written by write_atomic: created in place, in the staged
+    # directory no reader sees, with no temp name and no rename of its own.
     sites = [
         site
         for path in sorted(Path(eventlens.__file__).parent.glob("*.py"))
@@ -1185,15 +1212,15 @@ def test_constructor_raises_exactly_as_the_row_by_row_reference(columns):
         assert (type(info.value), str(info.value)) == expected
 
 
-# --- the bulk payload decode against the entry walk ----------------------------------
+# --- the payload scan against json.loads and the entry walk -------------------------
 
 from eventlens.ingest import (  # noqa: E402
     _SHORT_DECIMALS,
     _TRAILING_ZEROS,
-    _decode_entries,
     _fetched_csv_bytes,
     _is_series_map,
     _parse_payload,
+    _scan_payload,
     _walk_entries,
 )
 
@@ -1297,24 +1324,141 @@ def parsed(build):
     return series.dates.tolist(), series.quotes.tolist(), series.synthetic_ohlc
 
 
-@settings(deadline=None, max_examples=300)
-@given(entries=provider_entries())
-@example(entries={"2022-01-04": entry(high="2.50"), "2022-01-03": entry()})
-def test_bulk_payload_parse_agrees_with_the_entry_walk(entries):
-    body = payload_bytes(entries)
-    series_map = json.loads(body)["Time Series (Daily)"]
-    expected = parsed(lambda: _walk_entries(GOLD, series_map))
+def json_walk(body: bytes):
+    """What the parse gives with the scan refusing every payload: ``json.loads``
+    plus the entry walk, the reference the scan is held to."""
+    with mock.patch.object(eventlens.ingest, "_scan_payload", return_value=None):
+        return parsed(lambda: parse_provider_payload(body, GOLD))
+
+
+class Members(list):
+    """A JSON object as its (key, value) members in order, so a key may repeat."""
+
+
+# Payload text layouts as (indent, item separator, key separator), the way
+# json.dumps writes them: compact, one line, 2 and 4 spaces, and a tab.
+LAYOUTS = (
+    (None, ",", ":"), (None, ", ", ": "), ("  ", ",", ": "), ("    ", ",", ": "), ("\t", ",", ": ")
+)
+PAYLOAD_FAULTS = (
+    "repeated_date", "repeated_member", "nested_map", "second_map", "error_key", "escape",
+    "non_ascii", "control_character",
+)
+# A series map whose entry is no scan's first entry: a number quote, or none.
+SKIPPED_MAPS = ({"2022-01-07": {"close": 1.5}}, {"2022-01-07": {}})
+
+
+def json_text(value, layout=LAYOUTS[2], ascii_only: bool = True, depth: int = 0) -> str:
+    """``value`` as JSON text in ``layout``; a dict or Members is an object."""
+    if not isinstance(value, (dict, Members)):
+        return json.dumps(value, ensure_ascii=ascii_only)
+    members = list(value.items()) if isinstance(value, dict) else value
+    if not members:
+        return "{}"
+    indent, comma, colon = layout
+    inner = "" if indent is None else "\n" + indent * (depth + 1)
+    outer = "" if indent is None else "\n" + indent * depth
+    items = (
+        json.dumps(key, ensure_ascii=ascii_only)
+        + colon
+        + json_text(item, layout, ascii_only, depth + 1)
+        for key, item in members
+    )
+    return "{" + inner + (comma + inner).join(items) + outer + "}"
+
+
+def provider_document(entries, series_first: bool = False, **meta) -> Members:
+    """The provider's document of a metadata object and the series map ``entries``."""
+    members = [
+        ("Meta Data", {"1. Information": "Daily Prices", "2. Symbol": "GOLD", **meta}),
+        ("Time Series (Daily)", entries),
+    ]
+    return Members(members[::-1] if series_first else members)
+
+
+@st.composite
+def plain_entries(draw) -> dict:
+    """Entries as a provider writes them: one key layout in one key order, and
+    valid bars whose quotes are all written in one ``QUOTE_TEXT`` form."""
+    names = draw(st.sampled_from([("open", "high", "low", "close"), ("close",)]))
+    keys = {name: draw(field_key(name)) for name in names}
+    extras = draw(st.lists(st.sampled_from(EXTRA_KEYS), unique=True, max_size=2))
+    order = draw(st.permutations([*keys.values(), *extras]))
+    text = draw(st.sampled_from(QUOTE_TEXT))
+    days = st.dates(dt.date(1990, 1, 1), dt.date(2030, 12, 31))
+    entries = {}
+    for day in draw(st.lists(days, min_size=1, max_size=8, unique=True)):
+        low, a, b, high = sorted(draw(st.lists(st.floats(1e-3, 1e6), min_size=4, max_size=4)))
+        open_, close = draw(st.permutations([a, b]))
+        cells = dict(zip(("open", "high", "low", "close"), map(text, (open_, high, low, close))))
+        values = {keys[name]: cells[name] for name in names}
+        values |= {extra: draw(st.sampled_from(["100", "1.5", ""])) for extra in extras}
+        entries[day.isoformat()] = {key: values[key] for key in order}
+    return entries
+
+
+@st.composite
+def provider_payloads(draw) -> bytes:
+    """``provider_entries`` or ``plain_entries`` as payload text: in any layout,
+    the series map before or after the metadata, its entries in the drawn
+    order, oldest first or newest first, often with one key order for every
+    entry as a provider writes them. Now and then it has one fault: a repeated
+    date or member, a nested or second series map, an error key, an escape,
+    raw non-ASCII text or a control character."""
+    entries = draw(st.one_of(provider_entries(), plain_entries()))
+    if draw(st.booleans()):
+        rank = {key: i for i, key in enumerate(next(iter(entries.values())))}
+        entries = {
+            day: dict(sorted(entry.items(), key=lambda item: rank.get(item[0], len(rank))))
+            for day, entry in entries.items()
+        }
+    newest_first = draw(st.sampled_from([None, False, True]))
+    if newest_first is not None:
+        entries = dict(sorted(entries.items(), reverse=newest_first))
+    series = Members(entries.items())
+    document = provider_document(series, draw(st.booleans()))
+    fault = draw(st.sampled_from([None] * 10 + list(PAYLOAD_FAULTS)))
+    if fault == "repeated_date":
+        day = draw(st.sampled_from(list(entries)))
+        series.insert(draw(st.integers(0, len(series))), (day, draw(st.sampled_from(series))[1]))
+    elif fault == "repeated_member":
+        member = draw(st.sampled_from(["Meta Data", "Time Series (Daily)"]))
+        value = {} if member == "Meta Data" else Members(series[:1])
+        document.insert(draw(st.integers(0, 2)), (member, value))
+    elif fault == "nested_map":
+        meta = Members([("2. Symbol", "GOLD"), ("Time Series (Daily)", series)])
+        document = Members([("Meta Data", meta)])
+    elif fault == "second_map":
+        weekly = draw(st.sampled_from([Members(series[-1:]), *SKIPPED_MAPS]))
+        document.insert(draw(st.integers(0, 2)), ("Weekly Time Series", weekly))
+    elif fault == "error_key":
+        key = draw(st.sampled_from(["Error Message", "Note", "Information"]))
+        document.insert(draw(st.integers(0, 2)), (key, "Thank you for using the API"))
+    elif fault in ("escape", "non_ascii"):
+        document.append(("Source", draw(st.sampled_from(['"quoted"', "a\\b", "café", "☃"]))))
+    text = json_text(document, draw(st.sampled_from(LAYOUTS)), fault != "non_ascii")
+    if fault == "control_character":
+        # In place of a space or line break, or just inside or after a string.
+        at = draw(st.sampled_from([i for i, c in enumerate(text) if c in ' \n"']))
+        control = draw(st.sampled_from("\x00\x0b\x0c\x1c\x1f"))
+        text = text[:at] + control + text[at + (text[at] != '"') :]
+    return text.encode()
+
+
+@settings(deadline=None)
+@given(body=provider_payloads())
+@example(body=payload_bytes({"2022-01-04": entry(high="2.50"), "2022-01-03": entry()}))
+def test_payload_scan_agrees_with_the_json_walk(body):
+    expected = json_walk(body)
     assert parsed(lambda: parse_provider_payload(body, GOLD)) == expected
-    # A cache file built from the payload's own text is the series' CSV.
-    with suppress(EventLensError):
-        series, dates, text = _parse_payload(body, GOLD)
-        assert _fetched_csv_bytes(series, dates, text) == series_to_csv_bytes(series)
-    # The bulk decode alone never accepts what the walk rejects.
-    try:
-        decoded = _decode_entries(series_map)
-    except (DataFormatError, KeyError, TypeError, ValueError):
+    scanned = _scan_payload(body)
+    if scanned is None:
         return
-    assert parsed(lambda: RawSeries(GOLD, *decoded[:3])) == expected
+    # What the scan accepts is the walk's series, flag and cache bytes.
+    assert parsed(lambda: RawSeries(GOLD, *scanned[:3])) == expected
+    with suppress(EventLensError):
+        series = RawSeries(GOLD, *scanned[:3])
+        assert _fetched_csv_bytes(series, *scanned[3:]) == series_to_csv_bytes(series)
 
 
 @pytest.mark.parametrize(
@@ -1351,15 +1495,189 @@ def test_bulk_payload_parse_resolves_each_key_layout_once(monkeypatch):
         return resolve(keys, date_str)
 
     monkeypatch.setattr(eventlens.ingest, "_match_fields", counted)
+    # The scan resolves the one layout once, from the first entry.
     series = parse_provider_payload(payload_bytes(full), GOLD)
     assert (len(series), series.synthetic_ohlc, calls) == (800, False, [tuple(full["2020-01-01"])])
+    # It refuses two layouts after resolving the first, and the walk reads them.
     calls.clear()
+    assert _scan_payload(payload_bytes(mixed)) is None
+    assert calls == [("close",)]
     series = parse_provider_payload(payload_bytes(mixed), GOLD)
-    assert sorted(calls) == [("1. open", "2. high", "3. low", "4. close", "5. volume"), ("close",)]
     monkeypatch.undo()
     walked = _walk_entries(GOLD, json.loads(payload_bytes(mixed))["Time Series (Daily)"])
     assert series == walked and series.synthetic_ohlc and walked.synthetic_ohlc
     assert series.quotes[:2].tolist() == [[1.0] * 4, [1.0, 2.0, 0.5, 1.1]]
+
+
+# Three days, newest first as the provider writes them.
+DAYS3 = {"2022-01-05": entry(high="2.25"), "2022-01-04": entry(), "2022-01-03": entry(open_="1.25")}
+PROVIDER_KEYS = ("1. open", "2. high", "3. low", "4. close")
+
+
+def document_text(entries, layout=LAYOUTS[2], **meta) -> str:
+    """The provider's document of ``entries`` as JSON text in ``layout``."""
+    return json_text(provider_document(entries, **meta), layout)
+
+
+def numbered_entries(rows: dict) -> dict:
+    """Entries with the provider's numbered keys and a volume, from day -> OHLC text."""
+    return {
+        day: {**dict(zip(PROVIDER_KEYS, cells)), "5. volume": "12345"}
+        for day, cells in rows.items()
+    }
+
+
+FOUR_DECIMAL_ROWS = {
+    "2022-01-04": ("1923.4500", "1930.0000", "1900.1000", "1925.0000"),
+    "2022-01-03": ("1910.0000", "1924.3000", "1905.0000", "1923.4500"),
+}
+SEVENTEEN_DIGIT_ROWS = {
+    "2022-01-04": (
+        "1.2345678901234567", "2.0000000000000004", "0.50000000000000011", "1.5000000000000002"
+    ),
+    "2022-01-03": (
+        "9.4018706989938357", "9.4018706989938357", "8.397381398802227", "9.0000000000000018"
+    ),
+}
+SCAN_ACCEPTED = {
+    **{
+        name: document_text(DAYS3, layout)
+        for name, layout in zip(("compact", "one_line", "indent_2", "indent_4", "tab"), LAYOUTS)
+    },
+    "crlf": document_text(DAYS3).replace("\n", "\r\n"),
+    "oldest_first": document_text(dict(reversed(DAYS3.items()))),
+    "one_entry": document_text({"2022-01-03": entry()}),
+    "series_map_before_metadata": document_text(DAYS3, series_first=True),
+    "four_decimal": document_text(numbered_entries(FOUR_DECIMAL_ROWS), LAYOUTS[3]),
+    "seventeen_digit": document_text(numbered_entries(SEVENTEEN_DIGIT_ROWS)),
+    "close_only": document_text(
+        {"2022-01-04": {"4. close": "1.5"}, "2022-01-03": {"4. close": "1.25"}}
+    ),
+}
+
+
+@pytest.mark.parametrize("text", SCAN_ACCEPTED.values(), ids=SCAN_ACCEPTED.keys())
+def test_the_scan_reads_each_plain_payload(text):
+    body = text.encode()
+    assert _scan_payload(body) is not None
+    series, dates, cells = _parse_payload(body, GOLD)
+    assert parsed(lambda: series) == json_walk(body)
+    assert _fetched_csv_bytes(series, dates, cells) == series_to_csv_bytes(series)
+
+
+D3, D4, D5, D7 = (dt.date(2022, 1, day) for day in (3, 4, 5, 7))
+BAR = [1.0, 2.0, 0.5, 1.5]
+ONE_DAY = {"2022-01-03": entry()}
+ONE_DAY_PARSED = ([D3], [BAR], False)
+NO_MAP = (DataFormatError, "payload for GOLD has no daily series map")
+NOT_JSON = "payload is not valid JSON: "
+TWO_DAYS = {"2022-01-04": entry(), "2022-01-03": entry()}
+WEEKLY = ("Weekly", {"2022-01-07": entry()})
+# Payloads the scan refuses, each with what the parse gives, as it gave it
+# before the scan: the series' columns and flag, or the error's type and text.
+SCAN_REFUSED = {
+    "escaped_metadata": (document_text(ONE_DAY, Source='"quoted"'), ONE_DAY_PARSED),
+    "non_ascii_metadata": (
+        json_text(provider_document(ONE_DAY, Source="café"), ascii_only=False), ONE_DAY_PARSED
+    ),
+    "dates_out_of_order": (
+        document_text({"2022-01-04": entry(), "2022-01-03": entry(), "2022-01-05": entry()}),
+        ([D3, D4, D5], [BAR] * 3, False),
+    ),
+    "repeated_date": (
+        document_text(Members([("2022-01-03", entry()), ("2022-01-03", entry(close="1.25"))])),
+        ([D3], [[1.0, 2.0, 0.5, 1.25]], False),
+    ),
+    "repeated_series_member": (
+        json_text(Members([*provider_document(ONE_DAY), ("Time Series (Daily)", TWO_DAYS)])),
+        ([D3, D4], [BAR] * 2, False),
+    ),
+    "nested_series_map": (
+        json_text({"Meta Data": {"2. Symbol": "GOLD", "Time Series (Daily)": ONE_DAY}}), NO_MAP
+    ),
+    "series_map_in_an_array": (
+        json_text({"Meta Data": {}, "Time Series (Daily)": [ONE_DAY]}), NO_MAP
+    ),
+    "earlier_second_series_map": (
+        json_text(Members([WEEKLY, *provider_document(ONE_DAY)])), ([D7], [BAR], False)
+    ),
+    "earlier_series_map_the_scan_skips": (
+        json_text(Members([("Weekly", SKIPPED_MAPS[0]), *provider_document(ONE_DAY)])),
+        (DataFormatError, "unparseable close quote 1.5 for 2022-01-07"),
+    ),
+    "later_second_series_map": (
+        json_text(Members([*provider_document(ONE_DAY), WEEKLY])), ONE_DAY_PARSED
+    ),
+    "error_key": (
+        json_text(Members([("Note", "Thank you for using the API"), *provider_document(ONE_DAY)])),
+        (ProviderError, "provider error for GOLD: Thank you for using the API"),
+    ),
+    "exponent_quote": (document_text({"2022-01-03": entry(open_="1e0")}), ONE_DAY_PARSED),
+    "padded_quote": (document_text({"2022-01-03": entry(close=" 1.5")}), ONE_DAY_PARSED),
+    "leading_point_quote": (document_text({"2022-01-03": entry(low=".5")}), ONE_DAY_PARSED),
+    "inf_quote": (
+        document_text({"2022-01-03": entry(high="inf")}),
+        (BarInvariantError, "non-finite quote on 2022-01-03"),
+    ),
+    "number_volume": (
+        document_text({"2022-01-03": {**entry(), "volume": 100}}), ONE_DAY_PARSED
+    ),
+    "two_layouts": (
+        document_text({"2022-01-04": entry(), "2022-01-03": {"close": "1.25"}}),
+        ([D3, D4], [[1.25] * 4, BAR], True),
+    ),
+    "two_key_orders": (
+        document_text({"2022-01-04": entry(), "2022-01-03": dict(reversed(entry().items()))}),
+        ([D3, D4], [BAR] * 2, False),
+    ),
+    "bad_date_key": (
+        document_text({"2022-02-30": entry()}), (DataFormatError, "bad date key '2022-02-30'")
+    ),
+    "partial_ohlc": (
+        document_text({"2022-01-03": {"open": "1.0", "close": "1.5"}}),
+        (DataFormatError, "entry 2022-01-03 has a partial OHLC set"),
+    ),
+    "two_closes": (
+        document_text({"2022-01-03": {"close": "1.5", "4. close": "1.5"}}),
+        (DataFormatError, "entry 2022-01-03 has two close quotes"),
+    ),
+    "empty_entry": (
+        document_text({"2022-01-04": entry(), "2022-01-03": {}}),
+        (DataFormatError, "entry 2022-01-03 has no close quote"),
+    ),
+    "form_feed_in_each_entry": (
+        document_text(DAYS3).replace('": {\n      "open"', '":\x0c{\n      "open"'),
+        (DataFormatError, NOT_JSON + "Expecting value: line 7 column 18 (char 130)"),
+    ),
+    "form_feed_between_entries": (
+        document_text(DAYS3).replace('},\n    "2022', '},\x0c"2022'),
+        (
+            DataFormatError,
+            NOT_JSON
+            + "Expecting property name enclosed in double quotes: line 12 column 7 (char 223)",
+        ),
+    ),
+    "control_character_in_a_volume": (
+        document_text({"2022-01-03": {**entry(), "volume": "1\x1f"}}).replace("\\u001f", "\x1f"),
+        (DataFormatError, NOT_JSON + "Invalid control character at: line 12 column 19 (char 235)"),
+    ),
+    "not_an_object": (f"[{json_text(ONE_DAY)}]", (DataFormatError, "payload is not a JSON object")),
+    "missing_comma": (
+        document_text(TWO_DAYS, LAYOUTS[0]).replace('},"2022', '}"2022'),
+        (DataFormatError, NOT_JSON + "Expecting ',' delimiter: line 1 column 156 (char 155)"),
+    ),
+    "text_after_the_object": (
+        document_text(ONE_DAY, LAYOUTS[0]) + " x",
+        (DataFormatError, NOT_JSON + "Extra data: line 1 column 159 (char 158)"),
+    ),
+}
+
+
+@pytest.mark.parametrize("text,expected", SCAN_REFUSED.values(), ids=SCAN_REFUSED.keys())
+def test_the_scan_refuses_and_the_parse_gives_what_it_gave_before(text, expected):
+    body = text.encode()
+    assert _scan_payload(body) is None
+    assert parsed(lambda: parse_provider_payload(body, GOLD)) == expected
 
 
 @pytest.mark.parametrize("limit", [True, False, 2.5, 1.0, float("inf"), float("nan"), "5", None])

@@ -89,11 +89,11 @@ def test_a_failed_write_leaves_the_previous_bundle_and_no_sibling(report, tmp_pa
     write_atomic = eventlens.ingest.write_atomic
     calls = []
 
-    def fifth_write_fails(path, payload):
+    def fifth_write_fails(path, payload, fresh=False):
         calls.append(path)
         if len(calls) == 5:
             raise OSError("disk full")
-        write_atomic(path, payload)
+        write_atomic(path, payload, fresh)
 
     monkeypatch.setattr(eventlens.ingest, "write_atomic", fifth_write_fails)
     with pytest.raises(OSError, match="disk full"):
