@@ -8,10 +8,12 @@ correlate, fit and project call the same ``scenario`` stages as
 ``run_scenario`` (``correlations``, ``fit_target``, ``project_target``)
 and name, encode and write their files with the same ``report`` functions,
 so each file they write is byte-equal to the same-named file of a ``run``
-bundle (a fit model to its model in the saved report). Every file, the
-``--save-report`` document included, is written through
-``ingest.write_atomic``, which makes a missing directory; run and report
-stage their bundle beside ``--out`` and swap it in whole.
+bundle (a fit model to its model in the saved report). run and report
+write the bundle with ``report.emit`` and run the ``--save-report``
+document with ``report.report_to_json_bytes``, its only writers. Every
+file is written through ``ingest.write_atomic``, which makes a missing
+directory; run and report stage their bundle beside ``--out`` and swap
+it in whole.
 
 Exit codes: 0 success, 1 data/model errors, 2 usage errors. Failures are
 written to stderr as a single machine-parseable line.
@@ -163,10 +165,9 @@ def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     config = _apply_mode(config, args.mode)
     formats = _parse_formats(args.format, parser)
     report = scenario_mod.run_scenario(config, _series(config, provider, args.offline))
-    document = report_mod.report_to_json_dict(report)
-    bundle = report_mod.emit_document(document, Path(args.out), formats)
+    bundle = report_mod.emit(report, Path(args.out), formats)
     if args.save_report:
-        write_atomic(Path(args.save_report), report_mod.json_bytes(document))
+        write_atomic(Path(args.save_report), report_mod.report_to_json_bytes(report))
     print(f"bundle written to {bundle.directory} ({len(bundle.manifest['files'])} files)")
     return 0
 

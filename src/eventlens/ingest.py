@@ -295,9 +295,9 @@ class RateLimiter:
 # --- provider wire format ---------------------------------------------------
 
 _PROVIDER_ERROR_KEYS = ("Error Message", "Note", "Information")
-# Date keys joined by "\n", each followed by one. ``\d``, not [0-9]: a key of
-# other Unicode digits still picks the map, and the decode names it a bad date.
-_DATE_KEYS = re.compile(r"(?:\d{4}-\d{2}-\d{2}\n)*+")
+# ``\d``, not [0-9]: a key of other Unicode digits still picks the map, and
+# the decode names it a bad date.
+_DATE_KEY = re.compile(r"\d{4}-\d{2}-\d{2}")
 # Quote cells joined by "\n", each followed by one, all decimals in the fixed
 # layout ``repr`` uses from 1e-4 up, with at most 16 characters and so at most
 # 15 significant digits, which a binary64 float round-trips (DBL_DIG). Less
@@ -404,17 +404,11 @@ def _parse_payload(
 
 
 def _is_series_map(value: object) -> bool:
-    """Whether ``value`` is a non-empty object of "YYYY-MM-DD" keys to objects.
-
-    The keys are checked as one text; the length check rejects a key that
-    holds the separator itself.
-    """
-    if type(value) is not dict or not value:
-        return False
-    keys = "\n".join(value) + "\n"
+    """Whether ``value`` is a non-empty object of "YYYY-MM-DD" keys to objects."""
     return (
-        len(keys) == 11 * len(value)
-        and _DATE_KEYS.fullmatch(keys) is not None
+        type(value) is dict
+        and bool(value)
+        and all(map(_DATE_KEY.fullmatch, value))
         and set(map(type, value.values())) == {dict}
     )
 

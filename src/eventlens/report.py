@@ -8,11 +8,12 @@ keyed by the header (a correlation matrix's is its own document), so the
 two cannot disagree. The CLI's correlate and project subcommands write the
 same bytes, and its fit subcommand writes ``model_files``.
 
-A report is turned into text in one pass. ``report_to_json_dict`` builds
-the saved report's document, in which each float array is a ``Floats``
-and each metrics record a ``Record``: they carry each number's ``repr``,
-made once, and the bundle's CSV cells, its JSON and the saved report all
-join those texts. The bundle is rendered from that document.
+A report is turned into text in one pass: its ``document`` is its
+``report_to_json_dict``, built once, in which each float array is a
+``Floats`` and each metrics record a ``Record``. They carry each number's
+``repr``, made once, and the bundle's CSV cells, its JSON and the saved
+report all join those texts. ``emit`` and ``report_to_json_bytes``, the
+only writers of the bundle and the saved report, both read that document.
 
 ``emit`` writes the bundle, manifest last, into a fresh sibling directory
 through ``ingest.write_atomic`` and swaps it in with
@@ -269,8 +270,9 @@ def report_to_json_dict(report: ScenarioReport) -> dict:
     """The saved report's document, read back by ``scenario.report_from_json_dict``.
 
     Its numbers are JSON numbers, and each float array and metrics record
-    carries its texts (``Floats``, ``Record``), made here once for the
-    saved report and every bundle file alike.
+    carries its texts (``Floats``, ``Record``). Each call builds a fresh
+    document; the report's ``document`` is the one the saved report and
+    every bundle file share.
     """
     targets = {}
     for symbol, result in report.targets.items():
@@ -293,12 +295,13 @@ def report_to_json_dict(report: ScenarioReport) -> dict:
 
 
 def report_to_json_bytes(report: ScenarioReport) -> bytes:
-    return json_bytes(report_to_json_dict(report))
+    return json_bytes(report.document)
 
 
-def document_files(document: dict, formats: Iterable[str]) -> dict[str, bytes]:
-    """File name -> content of the bundle of a ``report_to_json_dict``
-    document, for the requested formats, manifest excluded."""
+def render_files(report: ScenarioReport, formats: Iterable[str]) -> dict[str, bytes]:
+    """File name -> content of the report's bundle, rendered from its
+    ``document``, for the requested formats, manifest excluded."""
+    document = report.document
     tables = [
         _matrix_table("corr_before", document["correlation_before"]),
         _matrix_table("corr_after", document["correlation_after"]),
@@ -316,11 +319,6 @@ def document_files(document: dict, formats: Iterable[str]) -> dict[str, bytes]:
     return _files(formats, *tables, ("metrics", METRICS_HEADER, rows, records))
 
 
-def render_files(report: ScenarioReport, formats: Iterable[str]) -> dict[str, bytes]:
-    """File name -> content for the requested formats, manifest excluded."""
-    return document_files(report_to_json_dict(report), formats)
-
-
 def write_files(out_dir: Path, files: dict[str, bytes]) -> None:
     """Write each file into out_dir in name order, one ``write_atomic`` each,
     beside whatever out_dir already holds."""
@@ -330,7 +328,7 @@ def write_files(out_dir: Path, files: dict[str, bytes]) -> None:
 
 def _manifest_files(out_dir: Path) -> set[str]:
     """The file names the manifest in out_dir lists; none without a manifest
-    in the layout ``emit_document`` writes."""
+    in the layout ``emit`` writes."""
     try:
         manifest = json.loads((out_dir / MANIFEST_NAME).read_bytes())
         return {entry["file"] for entry in manifest["files"]}
@@ -338,9 +336,9 @@ def _manifest_files(out_dir: Path) -> set[str]:
         return set()
 
 
-def emit_document(document: dict, out_dir: Path, formats: Iterable[str] = FORMATS) -> ReportBundle:
-    """Write the bundle of a ``report_to_json_dict`` document as out_dir,
-    finishing with the manifest, and swap it in whole.
+def emit(report: ScenarioReport, out_dir: Path, formats: Iterable[str] = FORMATS) -> ReportBundle:
+    """Write the report's bundle as out_dir, finishing with the manifest,
+    and swap it in whole.
 
     The manifest records every emitted file with its size and SHA-256
     digest plus the scenario's config digest. An empty format set yields a
@@ -348,20 +346,13 @@ def emit_document(document: dict, out_dir: Path, formats: Iterable[str] = FORMAT
     bundle does not write it and out_dir's manifest does not list it.
     """
     out_dir = Path(out_dir)
-    files = document_files(document, formats)
+    files = render_files(report, formats)
     staged = {name: files[name] for name in sorted(files)}
     entries = [
         {"file": name, "bytes": len(payload), "digest": hashlib.sha256(payload).hexdigest()}
         for name, payload in staged.items()
     ]
-    manifest = {"config_digest": document["provenance"]["config_digest"], "files": entries}
+    manifest = {"config_digest": report.provenance["config_digest"], "files": entries}
     staged[MANIFEST_NAME] = json_bytes(manifest)
     replace_directory(out_dir, staged, _manifest_files(out_dir))
     return ReportBundle(directory=out_dir, manifest=manifest)
-
-
-def emit(
-    report: ScenarioReport, out_dir: Path, formats: Iterable[str] = FORMATS
-) -> ReportBundle:
-    """``emit_document`` of the report's ``report_to_json_dict``."""
-    return emit_document(report_to_json_dict(report), out_dir, formats)

@@ -37,6 +37,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -53,8 +54,8 @@ from .regress import (
     predict,
     spec_to_json_dict,
 )
-# The saved report's writer lives in report, beside the bundle's writer that
-# shares its texts; it stays importable from here.
+# report_to_json_bytes stays importable from here: perfbench and
+# tests/test_scenario.py call it as scenario's.
 from .report import report_to_json_bytes, report_to_json_dict  # noqa: F401
 from .stats import CorrelationMatrix, correlation_matrix, matrix_from_json_dict
 
@@ -199,6 +200,12 @@ class ScenarioReport:
             raise ConfigError(f"unknown projection_mode {provenance['projection_mode']!r}")
         if json_number(provenance["projection_cycles"], "projection_cycles", whole=True) < 1:
             raise ConfigError("projection_cycles must be at least 1")
+
+    @cached_property
+    def document(self) -> dict:
+        """The report's ``report_to_json_dict``, built once: ``emit`` renders
+        the bundle and ``report_to_json_bytes`` the saved report from it."""
+        return report_to_json_dict(self)
 
 
 # --- config (de)serialization -------------------------------------------------

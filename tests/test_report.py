@@ -14,9 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eventlens
+import eventlens.cli
 import eventlens.ingest
+import eventlens.scenario
 from eventlens import ConfigError, report_to_json_bytes, report_to_json_dict, run_scenario
 from eventlens.report import (
+    FORMATS,
     MANIFEST_NAME,
     Floats,
     Record,
@@ -26,6 +29,7 @@ from eventlens.report import (
     render_files,
 )
 
+from conftest import SYNTHETIC_DIR
 from test_scenario import linear_config, linear_universe
 
 
@@ -179,7 +183,10 @@ def test_two_threads_emitting_into_one_out_end_with_one_complete_bundle(report, 
 
 def test_the_saved_report_is_the_json_of_its_dict_of_json_numbers(report):
     document = report_to_json_dict(report)
-    assert report_to_json_bytes(report) == json_bytes(document)
+    # The report keeps one document; report_to_json_dict builds a fresh one.
+    assert report.document == document and report.document is not document
+    assert report.document is report.document
+    assert report_to_json_bytes(report) == json_bytes(report.document) == json_bytes(document)
     assert json.loads(json_bytes(document)) == document
 
     def leaves(value):
@@ -193,6 +200,32 @@ def test_the_saved_report_is_the_json_of_its_dict_of_json_numbers(report):
     target = document["targets"]["Y"]
     assert type(target["realized"]) is Floats and type(target["test_metrics"]) is Record
     assert target["realized"].text == ",".join(map(repr, report.targets["Y"].realized.tolist()))
+
+
+def test_a_report_builds_its_document_once(tmp_path, monkeypatch):
+    builds = []
+    build = report_to_json_dict
+
+    def counting(report):
+        builds.append(report)
+        return build(report)
+
+    # One counter for both names: a report's document is built through
+    # scenario's, and a caller could build one through report's.
+    for module in (eventlens.report, eventlens.scenario):
+        monkeypatch.setattr(module, "report_to_json_dict", counting)
+    report = run_scenario(linear_config(), linear_universe())
+    emit(report, tmp_path / "out")
+    report_to_json_bytes(report)
+    render_files(report, FORMATS)
+    assert len(builds) == 1 and builds[0] is report
+
+    builds.clear()
+    config = str(SYNTHETIC_DIR / "scenario_noisy.json")
+    argv = ["run", "--offline", "--config", config, "--out", str(tmp_path / "bundle"),
+            "--save-report", str(tmp_path / "report.json")]
+    assert eventlens.cli.main(argv) == 0
+    assert len(builds) == 1
 
 
 def test_csv_and_json_metrics_agree(report, tmp_path):
