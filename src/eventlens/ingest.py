@@ -34,7 +34,8 @@ same either way.
 Every CSV the package writes, a cache file or a report table, comes from
 ``csv_bytes``: a header line, then one line of comma-joined cells per row.
 Every file is written by ``write_atomic``; ``replace_directory`` swaps a
-whole directory of them in with one rename.
+whole directory of them in with one rename, and hard-links in, rather than
+writes again, each current file that reads back as its new bytes.
 
 Parse failures are fatal for the whole series rather than row-skipping:
 a silently dropped day would corrupt date alignment downstream. A CSV file
@@ -54,6 +55,7 @@ import math
 import os
 import re
 import shutil
+import stat
 import threading
 import time
 import urllib.parse
@@ -560,8 +562,12 @@ def replace_directory(path: Path, files: dict[str, bytes], superseded: Collectio
     """Replace the directory at ``path`` with one holding ``files``, swapped in
     with one rename.
 
-    Each file, in the dict's order, is created ``fresh`` by ``write_atomic``
-    in a new sibling ``<name>.<16 hex>.tmp``. Then each file of the current
+    Each file, in the dict's order, goes into a new sibling ``<name>.<16 hex>.tmp``:
+    the current directory's same-named file, if a regular file the effective
+    user owns with no other link, is hard-linked in and kept if it reads back
+    equal to the payload (keeping its inode, mode, owner and mtime); else, as
+    when the link fails (the first file's: no directory yet), the file is
+    created ``fresh`` by ``write_atomic``. Then each file of the current
     directory that ``files`` does not hold and ``superseded`` does not name is
     hard-linked into it, so files the new directory does not replace survive.
     The current directory is renamed to ``<name>.<16 hex>.old``, the new one
@@ -587,13 +593,24 @@ def replace_directory(path: Path, files: dict[str, bytes], superseded: Collectio
             raise ConfigError(
                 f"output directory {str(path)!r} holds the subdirectory {entry.name!r}; {whole}"
             )
+    present = {e.name for e in entries}
     kept = [e.name for e in entries if e.name not in files and e.name not in superseded]
     token = os.urandom(8).hex()
     staged = path.with_name(f"{path.name}.{token}.tmp")
     old = path.with_name(f"{path.name}.{token}.old")
     try:
         for name, payload in files.items():
-            write_atomic(staged / name, payload, fresh=True)
+            target = staged / name
+            if name in present:
+                with suppress(OSError):
+                    os.link(path / name, target, follow_symlinks=False)
+                    st = os.lstat(target)
+                    ours = stat.S_ISREG(st.st_mode) and (st.st_uid, st.st_nlink) == (os.geteuid(), 2)
+                    if ours and st.st_size == len(payload) and target.read_bytes() == payload:
+                        continue
+                with suppress(FileNotFoundError):
+                    target.unlink()
+            write_atomic(target, payload, fresh=True)
         for name in kept:
             os.link(path / name, staged / name, follow_symlinks=False)
         while True:

@@ -15,12 +15,13 @@ A report is turned into text in one pass: its ``document`` is its
 report all join those texts. ``emit`` and ``report_to_json_bytes``, the
 only writers of the bundle and the saved report, both read that document.
 
-``emit`` writes the bundle, manifest last, into a fresh sibling directory
-through ``ingest.write_atomic`` and swaps it in with
-``ingest.replace_directory``. A reader sees the old bundle, no directory,
-or the new one, never a mix, and re-emitting a report yields
-byte-identical files. The subcommands' ``write_files`` writes file by file
-into a directory they may share.
+``emit`` stages the bundle, manifest last, in a fresh sibling directory
+and swaps it in with ``ingest.replace_directory``. That hard-links in each
+file the current bundle holds with the same bytes, checked by reading it
+back, and creates the rest through ``ingest.write_atomic``. A reader sees
+the old bundle, no directory, or the new one, never a mix, and re-emitting
+a report yields byte-identical files. The subcommands' ``write_files``
+writes file by file into a directory they may share.
 
 ``json_bytes`` writes the bytes ``json.dumps(document, indent=2)`` writes,
 ASCII with a trailing newline, through its own encoder: CPython's C encoder
@@ -337,8 +338,8 @@ def _manifest_files(out_dir: Path) -> set[str]:
 
 
 def emit(report: ScenarioReport, out_dir: Path, formats: Iterable[str] = FORMATS) -> ReportBundle:
-    """Write the report's bundle as out_dir, finishing with the manifest,
-    and swap it in whole.
+    """Stage the report's bundle as out_dir, manifest last, linking in each
+    file out_dir already holds with the same bytes, and swap it in whole.
 
     The manifest records every emitted file with its size and SHA-256
     digest plus the scenario's config digest. An empty format set yields a

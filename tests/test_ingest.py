@@ -385,6 +385,61 @@ def test_replace_directory_creates_each_staged_file_in_place(tmp_path, monkeypat
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
+def test_replace_directory_links_each_unchanged_file_and_creates_each_changed_one(tmp_path):
+    out = tmp_path / "out"
+    replace_directory(out, {"a.csv": b"a\n", "b.csv": b"b\n", "c.csv": b"c\n"}, ())
+    before = {p.name: p.stat().st_ino for p in out.iterdir()}
+    replace_directory(out, {"a.csv": b"a\n", "b.csv": b"B\n", "c.csv": b"c\n"}, ())
+    after = {p.name: p.stat().st_ino for p in out.iterdir()}
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == {"a.csv": b"a\n", "b.csv": b"B\n", "c.csv": b"c\n"}
+    assert after["b.csv"] != before["b.csv"]
+    assert after["c.csv"] == before["c.csv"]
+    assert (out / "c.csv").stat().st_nlink == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_replace_directory_creates_a_file_over_a_same_named_symlink(tmp_path):
+    # The target holds its own path, so the link's size and the target's
+    # bytes both equal the payload: only the file type tells them apart.
+    target = tmp_path / "target.csv"
+    payload = str(target).encode()
+    target.write_bytes(payload)
+    out = tmp_path / "out"
+    replace_directory(out, {"a.csv": b"a\n", "b.csv": payload}, ())
+    (out / "b.csv").unlink()
+    (out / "b.csv").symlink_to(target)
+    assert (out / "b.csv").lstat().st_size == len(payload)
+    inode = target.stat().st_ino
+    replace_directory(out, {"a.csv": b"a\n", "b.csv": payload}, ())
+    assert not (out / "b.csv").is_symlink()
+    assert (out / "b.csv").read_bytes() == payload
+    assert (out / "b.csv").stat().st_ino != inode
+    assert target.read_bytes() == payload
+    assert (target.stat().st_ino, target.stat().st_nlink) == (inode, 1)
+
+
+def test_replace_directory_creates_a_file_that_has_a_second_hard_link(tmp_path):
+    out = tmp_path / "out"
+    replace_directory(out, {"a.csv": b"a\n", "b.csv": b"b\n"}, ())
+    elsewhere = tmp_path / "elsewhere.csv"
+    os.link(out / "b.csv", elsewhere)
+    replace_directory(out, {"a.csv": b"a\n", "b.csv": b"b\n"}, ())
+    assert (out / "b.csv").read_bytes() == b"b\n"
+    assert (out / "b.csv").stat().st_ino != elsewhere.stat().st_ino
+    assert elsewhere.stat().st_nlink == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() != 0, reason="chown needs root")
+def test_replace_directory_creates_a_file_another_user_owns(tmp_path):
+    out = tmp_path / "out"
+    replace_directory(out, {"a.csv": b"a\n", "b.csv": b"b\n"}, ())
+    os.chown(out / "b.csv", 12345, 12345)
+    inode = (out / "b.csv").stat().st_ino
+    replace_directory(out, {"a.csv": b"a\n", "b.csv": b"b\n"}, ())
+    assert (out / "b.csv").stat().st_ino != inode
+    assert (out / "b.csv").stat().st_uid == os.geteuid()
+
+
 def test_write_under_a_regular_file_fails_and_leaves_nothing(tmp_path):
     blocker = tmp_path / "out"
     blocker.write_bytes(b"not a directory")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import datetime as dt
 import hashlib
 import json
 import math
@@ -29,7 +30,7 @@ from eventlens.report import (
     render_files,
 )
 
-from conftest import SYNTHETIC_DIR
+from conftest import SYNTHETIC_DIR, make_series
 from test_scenario import linear_config, linear_universe
 
 
@@ -38,8 +39,21 @@ def report():
     return run_scenario(linear_config(), linear_universe())
 
 
+@pytest.fixture(scope="module")
+def noisy_report():
+    """The linear scenario with Y off its line by 0 or 1: every bundle file differs from report's."""
+    x_closes = [10.0 + 0.5 * i + (i % 3) for i in range(30)]
+    y_closes = [3.0 + 2.0 * c + (i % 2) for i, c in enumerate(x_closes)]
+    start = dt.date(2022, 1, 1)
+    return run_scenario(linear_config(), [make_series("X", start, x_closes), make_series("Y", start, y_closes)])
+
+
 def read_bundle(directory) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def inodes(directory) -> dict[str, int]:
+    return {path.name: path.stat().st_ino for path in directory.iterdir()}
 
 
 def test_emit_writes_expected_file_set(report, tmp_path):
@@ -87,8 +101,10 @@ def test_unknown_format_is_rejected(report, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_a_failed_write_leaves_the_previous_bundle_and_no_sibling(report, tmp_path, monkeypatch):
-    emit(report, tmp_path / "out", formats=("csv", "json"))
+def test_a_failed_write_leaves_the_previous_bundle_and_no_sibling(report, noisy_report, tmp_path, monkeypatch):
+    # No file of the previous bundle holds report's bytes, so none is linked
+    # in and each staged file, the 5th too, goes through write_atomic.
+    emit(noisy_report, tmp_path / "out", formats=("csv", "json"))
     before = read_bundle(tmp_path / "out")
     write_atomic = eventlens.ingest.write_atomic
     calls = []
@@ -105,6 +121,45 @@ def test_a_failed_write_leaves_the_previous_bundle_and_no_sibling(report, tmp_pa
     assert len(calls) == 5
     assert read_bundle(tmp_path / "out") == before
     assert [path.name for path in tmp_path.iterdir()] == ["out"]
+
+
+def test_an_equal_re_emit_creates_at_most_one_new_inode(report, tmp_path):
+    out = tmp_path / "out"
+    emit(report, out, formats=("csv", "json"))
+    first, before = read_bundle(out), inodes(out)
+    emit(report, out, formats=("csv", "json"))
+    after = inodes(out)
+    assert read_bundle(out) == first
+    assert after.keys() == before.keys()
+    assert sum(after[name] != before[name] for name in before) <= 1
+
+
+def test_a_re_emit_of_changed_numbers_creates_every_file_anew(report, noisy_report, tmp_path):
+    out = tmp_path / "out"
+    emit(noisy_report, out, formats=("csv", "json"))
+    before = inodes(out)
+    bundle = emit(report, out, formats=("csv", "json"))
+    after = inodes(out)
+    assert all(after[name] != before[name] for name in before)
+    expected = {**render_files(report, ("csv", "json")), MANIFEST_NAME: json_bytes(bundle.manifest)}
+    assert read_bundle(out) == expected
+
+
+def test_a_bundle_file_edited_in_place_is_not_carried_over(report, tmp_path):
+    out = tmp_path / "out"
+    bundle = emit(report, out, formats=("csv", "json"))
+    first = read_bundle(out)
+    edited = first["counterfactual_Y.csv"].replace(b"2022-01-26", b"2022-01-27")
+    assert edited != first["counterfactual_Y.csv"] and len(edited) == len(first["counterfactual_Y.csv"])
+    with open(out / "counterfactual_Y.csv", "r+b") as handle:
+        handle.write(edited)
+    assert emit(report, out, formats=("csv", "json")).manifest == bundle.manifest
+    files = read_bundle(out)
+    assert files == first
+    manifest = json.loads(files.pop(MANIFEST_NAME))
+    assert {entry["file"]: entry["digest"] for entry in manifest["files"]} == {
+        name: hashlib.sha256(payload).hexdigest() for name, payload in files.items()
+    }
 
 
 def test_a_csv_only_emit_over_a_full_bundle_leaves_no_json(report, tmp_path):
