@@ -34,8 +34,7 @@ same either way.
 Every CSV the package writes, a cache file or a report table, comes from
 ``csv_bytes``: a header line, then one line of comma-joined cells per row.
 Every file is written by ``write_atomic``; ``replace_directory`` swaps a
-whole directory of them in with one rename, and hard-links in, rather than
-writes again, each current file that reads back as its new bytes.
+whole directory of them in with one rename, linking in each unchanged file.
 
 Parse failures are fatal for the whole series rather than row-skipping:
 a silently dropped day would corrupt date alignment downstream. A CSV file
@@ -562,16 +561,17 @@ def replace_directory(path: Path, files: dict[str, bytes], superseded: Collectio
     """Replace the directory at ``path`` with one holding ``files``, swapped in
     with one rename.
 
-    Each file, in the dict's order, goes into a new sibling ``<name>.<16 hex>.tmp``:
-    the current directory's same-named file, if a regular file the effective
-    user owns with no other link, is hard-linked in and kept if it reads back
-    equal to the payload (keeping its inode, mode, owner and mtime); else, as
-    when the link fails (the first file's: no directory yet), the file is
-    created ``fresh`` by ``write_atomic``. Then each file of the current
-    directory that ``files`` does not hold and ``superseded`` does not name is
-    hard-linked into it, so files the new directory does not replace survive.
-    The current directory is renamed to ``<name>.<16 hex>.old``, the new one
-    to ``path``, and the old one is removed: a reader sees the old directory,
+    Each file, in the dict's order, goes into a new sibling
+    ``<name>.<16 hex>.tmp``. The current directory's same-named file of the
+    payload's size is hard-linked in, and kept if it is a regular file the
+    effective user owns with no other link that reads back equal to the
+    payload (keeping its inode, mode, owner and mtime). Any other file is
+    created ``fresh`` by ``write_atomic``, as is one whose link fails (the
+    first: no directory yet). Then each file of the current directory that
+    ``files`` does not hold and ``superseded`` does not name is hard-linked
+    into it, so files the new directory does not replace survive. The
+    current directory is renamed to ``<name>.<16 hex>.old``, the new one to
+    ``path``, and the old one is removed: a reader sees the old directory,
     none, or the new one, never a mix. Should another writer's directory land
     at ``path`` between the two renames, it is moved aside too, so the last
     writer's directory wins whole. A failure before the swap removes the new
@@ -593,23 +593,25 @@ def replace_directory(path: Path, files: dict[str, bytes], superseded: Collectio
             raise ConfigError(
                 f"output directory {str(path)!r} holds the subdirectory {entry.name!r}; {whole}"
             )
-    present = {e.name for e in entries}
+    present = {e.name: e for e in entries}
     kept = [e.name for e in entries if e.name not in files and e.name not in superseded]
     token = os.urandom(8).hex()
     staged = path.with_name(f"{path.name}.{token}.tmp")
     old = path.with_name(f"{path.name}.{token}.old")
     try:
         for name, payload in files.items():
-            target = staged / name
-            if name in present:
-                with suppress(OSError):
-                    os.link(path / name, target, follow_symlinks=False)
+            target, linked, entry = staged / name, False, present.get(name)
+            with suppress(OSError):
+                # A file of another size cannot read back equal: it is not linked.
+                if entry and entry.stat(follow_symlinks=False).st_size == len(payload):
+                    os.link(entry.path, target, follow_symlinks=False)
+                    linked = True
                     st = os.lstat(target)
                     ours = stat.S_ISREG(st.st_mode) and (st.st_uid, st.st_nlink) == (os.geteuid(), 2)
-                    if ours and st.st_size == len(payload) and target.read_bytes() == payload:
+                    if ours and target.read_bytes() == payload:
                         continue
-                with suppress(FileNotFoundError):
-                    target.unlink()
+            if linked:
+                target.unlink()
             write_atomic(target, payload, fresh=True)
         for name in kept:
             os.link(path / name, staged / name, follow_symlinks=False)

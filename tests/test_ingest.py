@@ -429,7 +429,7 @@ def test_replace_directory_creates_a_file_that_has_a_second_hard_link(tmp_path):
     assert elsewhere.stat().st_nlink == 1
 
 
-@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() != 0, reason="chown needs root")
+@pytest.mark.skipif(os.geteuid() != 0, reason="chown needs root")
 def test_replace_directory_creates_a_file_another_user_owns(tmp_path):
     out = tmp_path / "out"
     replace_directory(out, {"a.csv": b"a\n", "b.csv": b"b\n"}, ())

@@ -123,6 +123,33 @@ def test_a_failed_write_leaves_the_previous_bundle_and_no_sibling(report, noisy_
     assert [path.name for path in tmp_path.iterdir()] == ["out"]
 
 
+def test_a_failed_write_after_linked_files_leaves_the_previous_bundle_and_no_sibling(report, tmp_path, monkeypatch):
+    # The 2nd to 4th staged files are linked in, so each has two links until
+    # the 5th, edited in place to bytes of the same length, fails its write.
+    out = tmp_path / "out"
+    emit(report, out, formats=("csv", "json"))
+    edited = (out / "counterfactual_Y.csv").read_bytes().replace(b"2022-01-26", b"2022-01-27")
+    with open(out / "counterfactual_Y.csv", "r+b") as handle:
+        handle.write(edited)
+    before = read_bundle(out)
+    write_atomic = eventlens.ingest.write_atomic
+    calls = []
+
+    def edited_write_fails(path, payload, fresh=False):
+        calls.append(path.name)
+        if path.name == "counterfactual_Y.csv":
+            raise OSError("disk full")
+        write_atomic(path, payload, fresh)
+
+    monkeypatch.setattr(eventlens.ingest, "write_atomic", edited_write_fails)
+    with pytest.raises(OSError, match="disk full"):
+        emit(report, out, formats=("csv", "json"))
+    assert len(calls) == 2 and calls[1] == "counterfactual_Y.csv"
+    assert read_bundle(out) == before
+    assert all(path.stat().st_nlink == 1 for path in out.iterdir())
+    assert [path.name for path in tmp_path.iterdir()] == ["out"]
+
+
 def test_an_equal_re_emit_creates_at_most_one_new_inode(report, tmp_path):
     out = tmp_path / "out"
     emit(report, out, formats=("csv", "json"))
