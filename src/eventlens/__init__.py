@@ -23,14 +23,10 @@ from .ingest import (
     InstrumentId,
     InstrumentKind,
     ProviderConfig,
-    RateLimiter,
     RawSeries,
     fetch_daily,
     fetch_universe,
     load_csv,
-    parse_provider_payload,
-    series_to_csv_bytes,
-    write_csv,
 )
 from .metrics import MetricsReport, mae, mape, mse, rmse, score
 from .panel import AlignedPanel, BarField, ColumnKey, DateWindow, align
@@ -50,7 +46,6 @@ from .scenario import (
     config_digest,
     config_from_json_dict,
     config_to_json_dict,
-    projection_features,
     report_from_json_dict,
     run_scenario,
 )
@@ -81,7 +76,6 @@ __all__ = [
     "ProjectionMode",
     "ProviderConfig",
     "ProviderError",
-    "RateLimiter",
     "RawSeries",
     "RegressionModel",
     "ReportBundle",
@@ -102,16 +96,12 @@ __all__ = [
     "mae",
     "mape",
     "mse",
-    "parse_provider_payload",
     "pearson",
     "predict",
-    "projection_features",
     "report_from_json_dict",
     "report_to_json_bytes",
     "report_to_json_dict",
     "rmse",
     "run_scenario",
     "score",
-    "series_to_csv_bytes",
-    "write_csv",
 ]

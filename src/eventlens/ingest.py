@@ -575,9 +575,11 @@ def replace_directory(path: Path, files: dict[str, bytes], superseded: Collectio
     none, or the new one, never a mix. Should another writer's directory land
     at ``path`` between the two renames, it is moved aside too, so the last
     writer's directory wins whole. A failure before the swap removes the new
-    directory and leaves ``path`` as it was. A ``path`` that is a symlink, is
-    no directory or holds a subdirectory is refused with a ConfigError before
-    anything is written. ``files`` holds at least one file.
+    directory and leaves ``path`` as it was. A ``path`` that is a symlink,
+    names no directory of its own (``.``, ``..``) or holds a subdirectory is
+    refused with a ConfigError, and one that is a file with ``os.scandir``'s
+    NotADirectoryError, before anything is written. ``files`` holds at least
+    one file.
     """
     whole = "a bundle replaces its whole directory"
     if path.name in ("", ".."):

@@ -53,10 +53,7 @@ class ColumnKey:
     def __post_init__(self) -> None:
         check_symbol(self.symbol)
         if not isinstance(self.field, BarField):
-            try:
-                object.__setattr__(self, "field", BarField(self.field))
-            except ValueError:
-                raise ConfigError(f"unknown bar field {self.field!r}") from None
+            raise ConfigError(f"column field must be a BarField, got {self.field!r}")
 
     @cached_property
     def name(self) -> str:

@@ -124,12 +124,6 @@ def _design(columns: np.ndarray, include_intercept: bool) -> np.ndarray:
     return X
 
 
-def design_matrix(panel: AlignedPanel, spec: FeatureSpec) -> np.ndarray:
-    """Feature columns in spec order, with a constant-1 column prepended
-    when the spec includes an intercept."""
-    return _design(_gather(panel, spec.features), spec.include_intercept)
-
-
 def fit_ols(panel: AlignedPanel, spec: FeatureSpec) -> RegressionModel:
     """Fit the spec on the panel by least squares.
 

@@ -76,6 +76,7 @@ WINDOW_NAMES = (
     "source_window",
     "projection_window",
 )
+SCENARIO_KEYS = ("universe", "feature_specs", *WINDOW_NAMES, "projection_mode")
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,8 @@ class ScenarioReport:
     Each target's model predicts that target. ``provenance`` has exactly the
     ``PROVENANCE_KEYS``: SHA-256 hex digests of the config and of each input
     series (keyed by the symbols of the correlation labels, in their order),
-    the ``ProjectionMode`` value and the number of projection cycles.
+    the ``ProjectionMode`` value and the number of projection cycles. Both
+    matrices have the same labels, and each target is one of their symbols.
     """
 
     targets: dict[str, TargetResult]
@@ -200,6 +202,11 @@ class ScenarioReport:
             raise ConfigError(f"unknown projection_mode {provenance['projection_mode']!r}")
         if json_number(provenance["projection_cycles"], "projection_cycles", whole=True) < 1:
             raise ConfigError("projection_cycles must be at least 1")
+        if self.correlation_after.labels != self.correlation_before.labels:
+            raise ConfigError("correlation_after labels must equal correlation_before labels")
+        for symbol in self.targets:
+            if symbol not in symbols:
+                raise ConfigError(f"target {symbol} is not among the universe symbols {symbols}")
 
     @cached_property
     def document(self) -> dict:
@@ -266,6 +273,17 @@ def config_from_json_dict(document: dict) -> ScenarioConfig:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed scenario config: {exc}") from exc
     windows = {name: _window_from_json(document, name) for name in WINDOW_NAMES}
+    # Keys are checked once every object has been read, so a malformed
+    # object is named as such before an unknown key is.
+    for entries, keys, what in (
+        ([document], SCENARIO_KEYS, "scenario"),
+        (document["universe"], ("symbol", "kind"), "universe entry"),
+        (document["feature_specs"], ("target", "features", "include_intercept"), "feature spec"),
+        *(([document[name]], ("start", "end"), name) for name in WINDOW_NAMES),
+    ):
+        unknown = [key for entry in entries for key in entry if key not in keys]
+        if unknown:
+            raise ConfigError(f"unknown {what} key {unknown[0]!r}")
     return ScenarioConfig(universe, feature_specs, **windows, projection_mode=mode)
 
 

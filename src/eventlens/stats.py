@@ -49,10 +49,6 @@ class CorrelationMatrix:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", tuple(self.labels))
 
-    def entry(self, a: ColumnKey, b: ColumnKey) -> float:
-        index = {label: i for i, label in enumerate(self.labels)}
-        return float(self.values[index[a], index[b]])
-
 
 def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> float:
     """Sample Pearson r = cov(x, y) / (sigma_x * sigma_y).

@@ -18,7 +18,7 @@ import pytest
 
 from eventlens import cli, rmse, score
 from eventlens.panel import BarField, ColumnKey
-from eventlens.regress import design_matrix, fit_ols
+from eventlens.regress import fit_ols
 from eventlens.report import emit
 from eventlens.scenario import ProjectionMode, run_scenario
 from eventlens.stats import correlation_matrix, pearson
@@ -30,7 +30,7 @@ from conftest import (
     load_fixture_data,
     random_series,
 )
-from test_regress import Y, normal_equations, random_instance
+from test_regress import Y, column_stack_design, normal_equations, random_instance
 
 
 def passed(line: str) -> None:
@@ -65,7 +65,7 @@ def test_ols_matches_brute_force_normal_equations():
     for _ in range(200):
         panel, spec = random_instance(rng, max_rows=50, max_features=8)
         model = fit_ols(panel, spec)
-        X = design_matrix(panel, spec)
+        X = column_stack_design(panel, spec)
         y = panel.column(Y)
 
         oracle = normal_equations(X, y)
@@ -175,7 +175,7 @@ def test_synthetic_recovery_and_golden_bundle(tmp_path, truth):
         symbol = spec.target.symbol
         entry = truth["targets"][symbol]
         expected = np.array([entry["intercept"]] + list(entry["weights"].values()))
-        X = design_matrix(train, spec)
+        X = column_stack_design(train, spec)
         standard_errors = sigma * np.sqrt(np.diag(np.linalg.inv(X.T @ X)))
         deviations = np.abs(noisy_report.targets[symbol].model.weights - expected)
         assert np.all(deviations <= 3.0 * standard_errors), symbol
@@ -292,10 +292,11 @@ def test_live_paper_protocol_directions(tmp_path):
     assert mean_difference("WTI") < 0
     assert mean_difference("GOLD") < 0
 
-    rub = ColumnKey("RUBCNY", BarField.CLOSE)
-    wti = ColumnKey("WTI", BarField.CLOSE)
-    before = report.correlation_before.entry(rub, wti)
-    after = report.correlation_after.entry(rub, wti)
+    labels = report.correlation_before.labels
+    rub = labels.index(ColumnKey("RUBCNY", BarField.CLOSE))
+    wti = labels.index(ColumnKey("WTI", BarField.CLOSE))
+    before = report.correlation_before.values[rub, wti]
+    after = report.correlation_after.values[rub, wti]
     assert before < 0
     assert after < before
     passed("live paper protocol reproduces the published directional claims")

@@ -349,6 +349,20 @@ UNPARSEABLE_CONFIGS = {
             features=dict.fromkeys(d["scenario"]["feature_specs"][0]["features"])
         )
     ),
+    # A key the scenario does not read is refused, not ignored.
+    "scenario-unknown-key": _edited_noisy_config(lambda d: d["scenario"].update(bogus=1)),
+    "projection-mode-misspelled": _edited_noisy_config(
+        lambda d: d["scenario"].update(projection_modes="oracle_features")
+    ),
+    "universe-entry-unknown-key": _edited_noisy_config(
+        lambda d: d["scenario"]["universe"][0].update(name="Factor 1")
+    ),
+    "intercept-misspelled": _edited_noisy_config(
+        lambda d: d["scenario"]["feature_specs"][0].update(include_intercepts=False)
+    ),
+    "window-unknown-key": _edited_noisy_config(
+        lambda d: d["scenario"]["train_window"].update(event="2020-03-01")
+    ),
 }
 
 
@@ -510,6 +524,17 @@ def test_error_line_is_single_line_and_parseable(tmp_path, capsys, no_network):
 # (id, path into the golden report, replacement, error text after "config-error: ").
 DELETED = object()  # the replacement that removes the key instead
 AS_OBJECT = object()  # the replacement that turns the array into an object keyed by its items
+_GOLDEN_REPORT = json.loads((GOLDEN_DIR / "scenario_report.json").read_text())
+_AFTER = _GOLDEN_REPORT["correlation_after"]
+# The after-matrix with its labels, rows and columns reversed: a valid matrix.
+_REVERSED_AFTER = {
+    "labels": _AFTER["labels"][::-1],
+    "values": [row[::-1] for row in _AFTER["values"][::-1]],
+}
+# TGT1's result, filed as the result of a symbol outside the universe.
+_GHOST_TARGET = json.loads(
+    json.dumps(_GOLDEN_REPORT["targets"]["TGT1"]).replace('"TGT1.close"', '"GHOST.close"')
+)
 SAVED_REPORT_FAULTS = [
     ("realized-nan", ("targets", "TGT1", "realized", 0), math.nan,
      "realized and counterfactual series must be finite"),
@@ -570,6 +595,14 @@ SAVED_REPORT_FAULTS = [
      "provenance data_digests must name the universe symbols "
      "['FAC1', 'FAC2', 'FAC3', 'TGT1', 'TGT2', 'TGT3'] in order, "
      "got ['FAC1', 'FAC2', 'FAC3', 'TGT1', 'TGT2', 'TGT3', 'sub/dir\\x00']"),
+    # Both matrices have the run's labels, and each target is a universe symbol.
+    ("correlation-after-reversed", ("correlation_after",), _REVERSED_AFTER,
+     "correlation_after labels must equal correlation_before labels"),
+    ("correlation-after-other-label", ("correlation_after", "labels", 0), "FAC1.open",
+     "correlation_after labels must equal correlation_before labels"),
+    ("target-outside-the-universe", ("targets", "GHOST"), _GHOST_TARGET,
+     "target GHOST is not among the universe symbols "
+     "['FAC1', 'FAC2', 'FAC3', 'TGT1', 'TGT2', 'TGT3']"),
     # Every object of the document must be a JSON object.
     ("targets-array", ("targets",), [], "targets must be an object, got list"),
     ("targets-string", ("targets",), "TGT1", "targets must be an object, got str"),

@@ -27,16 +27,21 @@ from eventlens import (
     InstrumentKind,
     ProviderConfig,
     ProviderError,
-    RateLimiter,
     RawSeries,
     fetch_daily,
     load_csv,
-    parse_provider_payload,
-    series_to_csv_bytes,
-    write_csv,
 )
 import eventlens
-from eventlens.ingest import _walk_rows, provider_url, replace_directory, write_atomic
+from eventlens.ingest import (
+    RateLimiter,
+    _walk_rows,
+    parse_provider_payload,
+    provider_url,
+    replace_directory,
+    series_to_csv_bytes,
+    write_atomic,
+    write_csv,
+)
 
 from conftest import make_bar, make_series, random_series, series_of
 
@@ -569,15 +574,15 @@ def test_write_atomic_is_the_only_file_writer():
     assert swap == ["os.link", "os.rename"], sites
 
 
-def names_used(source: str, imports: bool = True) -> set[str]:
-    """Every name and attribute in source, and every name it imports if ``imports``."""
+def names_used(source: str) -> set[str]:
+    """Every name and attribute in source, and every name it imports."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.alias) and imports:
+        elif isinstance(node, ast.alias):
             names.add(node.asname or node.name)
     return names
 
@@ -585,11 +590,10 @@ def names_used(source: str, imports: bool = True) -> set[str]:
 def test_only_ingest_knows_the_csv_format():
     # Data digests come from RawSeries.digest; a module serializing a
     # series itself would be a second place that knows the CSV layout.
-    # The package's __init__ may import it to re-export it, and nothing more.
     users = {
         path.stem
         for path in Path(eventlens.__file__).parent.glob("*.py")
-        if "series_to_csv_bytes" in names_used(path.read_text(), imports=path.stem != "__init__")
+        if "series_to_csv_bytes" in names_used(path.read_text())
     }
     assert users == {"ingest"}
 

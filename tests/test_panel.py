@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import ast
 import datetime as dt
+import re
+from collections import Counter
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -49,6 +52,13 @@ def test_column_key_parse_rejects_garbage():
         ColumnKey.parse("sub/dir.close")
     with pytest.raises(ConfigError, match=r"'A\\x00B' may not contain non-printable characters"):
         ColumnKey.parse("A\u0000B.close")
+
+
+@pytest.mark.parametrize("field", ["close", 5, None])
+def test_column_key_takes_only_a_bar_field(field):
+    # A string is not read as the field it spells; ColumnKey.parse reads names.
+    with pytest.raises(ConfigError, match=f"^column field must be a BarField, got {field!r}$"):
+        ColumnKey("A", field)
 
 
 # --- align -----------------------------------------------------------------------
@@ -384,3 +394,120 @@ def test_no_type_is_built_around_its_constructor():
     sources = Path(eventlens.__file__).parent.glob("*.py")
     sites = {path.name: new_calls(path.read_text(encoding="utf-8")) for path in sources}
     assert not any(sites.values()), sites
+
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "eventlens"
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def names_in(tree: ast.AST, methods: bool = False) -> Counter:
+    """How often ``tree`` names each name, as a name, an attribute or an
+    import; only as an attribute if ``methods``, the way a method is named."""
+    named: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            named[node.attr] += 1
+        elif isinstance(node, ast.Name) and not methods:
+            named[node.id] += 1
+        elif isinstance(node, ast.alias) and not methods:
+            named[node.name.rpartition(".")[2]] += 1
+    return named
+
+
+def public_definitions(tree: ast.Module):
+    """(qualified name, node, is a method) of each public top-level function
+    and class, and of each public method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+            yield node.name, node, False
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, DEFINITIONS[:2]) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member, True
+
+
+def unnamed_definitions(modules: dict[str, str], elsewhere: list[str], documented: set[str]):
+    """``module.name`` of each public definition in ``modules`` (stem ->
+    source) that no source names outside the definition itself, and that
+    ``documented`` does not hold."""
+    trees = {stem: ast.parse(source) for stem, source in modules.items()}
+    every = [*trees.values(), *map(ast.parse, elsewhere)]
+    named = {methods: sum((names_in(tree, methods) for tree in every), Counter())
+             for methods in (False, True)}
+    return [
+        f"{stem}.{name}"
+        for stem, tree in trees.items()
+        for name, node, method in public_definitions(tree)
+        if node.name not in documented
+        and named[method][node.name] <= names_in(node, method)[node.name]
+    ]
+
+
+def library_names() -> set[str]:
+    """Every identifier in the code of README's Library section."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = re.findall(r"```.*?```|`[^`\n]+`", section, re.S)
+    return set(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
+
+
+def test_every_public_definition_is_named_outside_the_tests():
+    # The detector first: a definition named only inside itself, or a method
+    # named only as a plain name, counts as unnamed.
+    snippet = (
+        "def unused():\n    return unused()\n"
+        "def documented():\n    pass\n"
+        "class Kept:\n"
+        "    def called(self):\n        pass\n"
+        "    def recursive(self):\n        return self.recursive()\n"
+        "    def _private(self):\n        pass\n"
+        "class Unused:\n    pass\n"
+    )
+    user = "from snippet import Kept\nrecursive = Kept().called()\n"
+    assert unnamed_definitions({"snippet": snippet}, [user], {"documented"}) == [
+        "snippet.unused", "snippet.Kept.recursive", "snippet.Unused"
+    ]
+    # What keeps a definition is a name in the package (not its __init__,
+    # which only re-exports), the demos, the tools, the benchmark or
+    # README's Library section; a name in a test alone does not.
+    modules = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+    }
+    elsewhere = [
+        path.read_text(encoding="utf-8")
+        for folder in ("demos", "tools", "perfbench")
+        for path in sorted((ROOT / folder).glob("*.py"))
+    ]
+    assert unnamed_definitions(modules, elsewhere, library_names()) == []
+
+
+def public_bindings(source: str) -> set[str]:
+    """The public names a module's top level binds by import, assignment or definition."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+        elif isinstance(node, DEFINITIONS):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(target.id for target in targets if isinstance(target, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_the_package_exports_exactly_what_readme_documents():
+    source = "from .a import b, _c\nimport d.e\nf = 1\n_g: int = 2\ndef h():\n    i = 3\n"
+    assert public_bindings(source) == {"b", "d", "f", "h"}
+    exported = eventlens.__all__
+    assert len(set(exported)) == len(exported)
+    assert set(exported) == public_bindings((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    documented = {
+        name
+        for name in library_names()
+        if not name.startswith("_")
+        and not isinstance(getattr(eventlens, name, eventlens), ModuleType)
+    }
+    assert set(exported) == documented

@@ -15,7 +15,6 @@ from eventlens.regress import (
     FeatureSpec,
     FitDiagnostics,
     RegressionModel,
-    design_matrix,
     model_from_json_dict,
     model_to_json_dict,
 )
@@ -34,6 +33,15 @@ def panel_from(columns: dict[ColumnKey, list[float]]) -> AlignedPanel:
     n = len(next(iter(columns.values())))
     dates = [D(2022, 1, 3) + dt.timedelta(days=i) for i in range(n)]
     return panel_of(dates, columns)
+
+
+def column_stack_design(panel: AlignedPanel, spec: FeatureSpec) -> np.ndarray:
+    """The spec's feature columns in order, after a constant-1 column when it
+    has an intercept, stacked by ``np.column_stack``."""
+    columns = [panel.column(key) for key in spec.features]
+    if spec.include_intercept:
+        columns.insert(0, np.ones(panel.n_rows))
+    return np.column_stack(columns)
 
 
 def normal_equations(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -171,27 +179,36 @@ def test_predict_missing_feature_column():
 
 
 @pytest.mark.parametrize("include_intercept", [True, False])
-def test_design_matrix_is_the_column_stack_bit_for_bit(rng, include_intercept):
+def test_fit_is_the_svd_formula_on_the_column_stack_bit_for_bit(rng, include_intercept):
     # SVD and BLAS round strided or reordered operands differently, so the
-    # one-take design must be np.column_stack's array exactly, in its layout.
+    # one-take design that fit_ols and predict use must be np.column_stack's
+    # array exactly, in its layout: the formula on that array gives each bit.
     for _ in range(10):
         panel, spec = random_instance(rng)
         features = spec.features[::-1][::2] + spec.features[::-1][1::2]
         spec = dataclasses.replace(spec, features=features, include_intercept=include_intercept)
-        columns = [panel.column(key) for key in spec.features]
+        X = column_stack_design(panel, spec)
+        y = panel.column(Y)
+        U, s, Vt = np.linalg.svd(X, full_matrices=False)
+        weights = Vt.T @ ((U.T @ y) / s)
+        residual = y - X @ weights
+        model = fit_ols(panel, spec)
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.diagnostics == FitDiagnostics(
+            float(residual @ residual), X.shape[0], float(s[0] / s[-1])
+        )
         if include_intercept:
-            columns.insert(0, np.ones(panel.n_rows))
-        reference = np.column_stack(columns)
-        X = design_matrix(panel, spec)
-        assert X.flags.c_contiguous
-        assert X.shape == reference.shape and X.tobytes() == reference.tobytes()
+            predicted = X[:, 1:] @ weights[1:] + weights[0]
+        else:
+            predicted = X @ weights
+        assert predict(model, panel).tobytes() == predicted.tobytes()
 
 
 def test_matches_normal_equations_oracle(rng):
     for _ in range(40):
         panel, spec = random_instance(rng)
         model = fit_ols(panel, spec)
-        X = design_matrix(panel, spec)
+        X = column_stack_design(panel, spec)
         oracle = normal_equations(X, panel.column(Y))
         scale = np.max(np.abs(oracle))
         assert np.max(np.abs(model.weights - oracle)) <= 1e-9 * max(scale, 1.0)
@@ -201,7 +218,7 @@ def test_residual_orthogonality(rng):
     for _ in range(40):
         panel, spec = random_instance(rng)
         model = fit_ols(panel, spec)
-        X = design_matrix(panel, spec)
+        X = column_stack_design(panel, spec)
         y = panel.column(Y)
         residual = y - X @ model.weights
         scale = np.linalg.norm(X, np.inf) * max(np.linalg.norm(y, np.inf), 1.0)

@@ -132,6 +132,28 @@ def test_config_from_json_names_a_missing_or_malformed_window(name):
         config_from_json_dict(document)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(bogus=1), "unknown scenario key 'bogus'"),
+        (lambda d: d.update(projection_modes="oracle_features"),
+         "unknown scenario key 'projection_modes'"),
+        (lambda d: d["universe"][1].update(name="X"), "unknown universe entry key 'name'"),
+        (lambda d: d["feature_specs"][0].update(intercept=False),
+         "unknown feature spec key 'intercept'"),
+        (lambda d: d["test_window"].update(middle="2022-01-05"), "unknown test_window key 'middle'"),
+    ],
+    ids=["scenario", "misspelled-mode", "universe-entry", "spec", "window"],
+)
+def test_config_from_json_refuses_an_unknown_key(edit, message):
+    # A misspelled key would otherwise leave its setting at the default.
+    document = config_to_json_dict(linear_config())
+    edit(document)
+    with pytest.raises(ConfigError) as info:
+        config_from_json_dict(document)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("bound", ["start", "end"])
 @pytest.mark.parametrize("text", ["20220103", "2022-W01-1", "2022W011", "2022-W01"])
 def test_config_window_dates_must_be_in_yyyy_mm_dd_form(bound, text):
