@@ -18,7 +18,7 @@ it in whole.
 Exit codes: 0 success, 1 data/model errors, 2 usage errors. Failures are
 written to stderr as a single machine-parseable line.
 
-The config file is a JSON document with two sections::
+The config file is a JSON document with two sections and no other key::
 
     {"provider": {"cache_dir": "cache", "rate_limit": 5, ...},
      "scenario": {...}}
@@ -44,6 +44,7 @@ from .panel import FIELD_ORDER, AlignedPanel, align
 from .scenario import ProjectionMode, ScenarioConfig
 
 PROG = "eventlens"
+CONFIG_KEYS = ("provider", "scenario")
 
 
 def _offline_transport(url: str) -> bytes:
@@ -51,8 +52,12 @@ def _offline_transport(url: str) -> bytes:
 
 
 def _error_category(exc: BaseException) -> str:
+    """The exception's class name in kebab case: a capital after a lowercase
+    letter or digit, or after a one-letter word, starts a word, so
+    ``NotADirectoryError`` is ``not-a-directory-error`` and ``OSError`` is
+    ``oserror``."""
     name = type(exc).__name__
-    return re.sub(r"(?<=[a-z0-9])(?=[A-Z])", "-", name).lower()
+    return re.sub(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[a-z0-9][A-Z])(?=[A-Z])", "-", name).lower()
 
 
 def _fail(exc: BaseException) -> int:
@@ -77,6 +82,9 @@ def _load_config(path_str: str, parser: argparse.ArgumentParser) -> tuple[Provid
         document = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(document, dict):
             raise TypeError(f"top-level JSON is {type(document).__name__}, not an object")
+        unknown = [key for key in document if key not in CONFIG_KEYS]
+        if unknown:
+            raise ValueError(f"unknown config key {unknown[0]!r}")
         provider_section = json_object(document.get("provider", {}), "provider")
         cache_dir = Path(provider_section.pop("cache_dir", "cache"))
         scenario_config = scenario_mod.config_from_json_dict(document["scenario"])

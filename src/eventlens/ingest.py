@@ -22,14 +22,17 @@ series map. Any other payload is parsed by ``json.loads`` and walked entry
 by entry (``_walk_entries``), the reference the scan is held to; the error
 names the first offending entry in date order, an earlier broken bar first.
 
-A fetched series' cache file is built from the payload's own quote text when
-one regex (``_SHORT_DECIMALS``) proves every cell a decimal of at most 15
-significant digits in ``repr``'s fixed layout, such as the provider's
-four-decimal ``"1923.4500"``. Every such decimal survives a round trip
-through a binary64 float (C's ``DBL_DIG``), so the cell less its trailing
-zeros (``"1923.45"``) is what ``repr`` writes for its float. Any other
-cell sends the series through ``series_to_csv_bytes``. The bytes are the
-same either way.
+A scanned series' cache file is built from the scan's own quote columns
+when every cell is a decimal of at most 15 significant digits in ``repr``'s
+fixed layout, such as the provider's four-decimal ``"1923.4500"``. Every
+such decimal survives a round trip through a binary64 float (C's
+``DBL_DIG``), so the cell less its trailing zeros (``"1923.45"``) is what
+``repr`` writes for its float. ``_repr_cells`` proves a column so with
+string methods: one point a cell, none longer than 16 characters, none
+starting with "0". Only a column with a cell that starts with "0" runs the
+regex ``_SHORT_DECIMALS``, the reference, and only one holding ``"0\n"``
+has its trailing zeros stripped. Any other cell sends the series through
+``series_to_csv_bytes``. The bytes are the same either way.
 
 Every CSV the package writes, a cache file or a report table, comes from
 ``csv_bytes``: a header line, then one line of comma-joined cells per row.
@@ -63,7 +66,6 @@ from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Collection, Iterable
 
@@ -303,7 +305,8 @@ _DATE_KEY = re.compile(r"\d{4}-\d{2}-\d{2}")
 # layout ``repr`` uses from 1e-4 up, with at most 16 characters and so at most
 # 15 significant digits, which a binary64 float round-trips (DBL_DIG). Less
 # its trailing zeros (``_TRAILING_ZEROS``) such a cell is ``repr(float(cell))``.
-# [0-9], never \d: float() reads any Unicode digit.
+# [0-9], never \d: float() reads any Unicode digit. The reference for
+# ``_repr_cells``, which runs it only on a column with a cell starting "0".
 _SHORT_DECIMALS = re.compile(
     r"(?:(?=[^\n]{1,16}+\n)(?:[1-9][0-9]*+\.[0-9]++|0\.0{0,3}+[1-9][0-9]*+)\n)*+"
 )
@@ -381,12 +384,12 @@ def parse_provider_payload(body: bytes, instrument: InstrumentId) -> RawSeries:
 
 def _parse_payload(
     body: bytes, instrument: InstrumentId
-) -> tuple[RawSeries, list[str] | None, str | None]:
+) -> tuple[RawSeries, list[str] | None, list[list[str]] | None]:
     """The payload's series, and if the scan read it, its sorted date keys and
-    its quote cells' text, each cell followed by "\n" (else None and None)."""
+    its open, high, low and close columns of quote cells (else None and None)."""
     if (scanned := _scan_payload(body)) is not None:
-        *columns, dates, text = scanned
-        return RawSeries(instrument, *columns), dates, text
+        *arguments, dates, columns = scanned
+        return RawSeries(instrument, *arguments), dates, columns
     try:
         document = json.loads(body)
     except (ValueError, UnicodeDecodeError) as exc:
@@ -414,9 +417,12 @@ def _is_series_map(value: object) -> bool:
     )
 
 
-def _scan_payload(body: bytes) -> tuple[np.ndarray, np.ndarray, bool, list[str], str] | None:
-    """``RawSeries`` arguments, the sorted dates and the quote cells ending in "\n",
-    split out by the first entry's own text; None unless the JSON path agrees."""
+def _scan_payload(
+    body: bytes,
+) -> tuple[np.ndarray, np.ndarray, bool, list[str], list[list[str]]] | None:
+    """``RawSeries`` arguments, the sorted dates and the open, high, low and close
+    columns of quote cells, oldest first, split out by the first entry's own
+    text; None unless the JSON path agrees."""
     if not body.isascii() or b"\\" in body:
         return None
     text = body.decode("ascii")
@@ -458,10 +464,14 @@ def _scan_payload(body: bytes) -> tuple[np.ndarray, np.ndarray, bool, list[str],
         return None
     if any(map(rest.__contains__, _PROVIDER_ERROR_KEYS)) or any(map(_is_series_map, rest.values())):
         return None
-    columns = [cells[start + 2 + groups.index(key) :: step] for key in fields]
-    cells = list(chain.from_iterable(zip(*columns)))
-    quotes = np.fromiter(map(float, cells), dtype=float, count=len(cells)).reshape(-1, 4)
-    return _dates(days), quotes, close_only, dates, "\n".join(cells) + "\n"
+    # One column per distinct field, so a close-only payload parses its closes once.
+    columns = [cells[start + 2 + groups.index(key) :: step] for key in dict.fromkeys(fields)]
+    quotes = np.column_stack(
+        [np.fromiter(map(float, column), dtype=float, count=len(dates)) for column in columns]
+    )
+    if close_only:
+        quotes, columns = np.repeat(quotes, 4, axis=1), columns * 4
+    return _dates(days), quotes, close_only, dates, columns
 
 
 def _walk_entries(instrument: InstrumentId, series_map: dict) -> RawSeries:
@@ -510,22 +520,41 @@ def series_to_csv_bytes(series: RawSeries) -> bytes:
     """Serialize to the bit-exact CSV format: ISO dates and shortest
     round-trip decimals in ``csv_bytes``' layout."""
     dates = np.datetime_as_string(series.dates).tolist()
-    return _cells_csv(dates, list(map(repr, series.quotes.ravel().tolist())))
-
-
-def _cells_csv(dates: list[str], cells: list[str]) -> bytes:
-    """The cache file of ISO ``dates`` and their quote ``cells``, four a date."""
+    cells = list(map(repr, series.quotes.ravel().tolist()))
     return csv_bytes((CSV_HEADER,), zip(dates, cells[0::4], cells[1::4], cells[2::4], cells[3::4]))
 
 
-def _fetched_csv_bytes(series: RawSeries, dates: list[str] | None, text: str | None) -> bytes:
+def _repr_cells(column: list[str]) -> list[str] | None:
+    """The cells of a scanned ``column`` (ASCII digit runs, each with at most
+    one point) as ``repr`` writes their floats, or None unless
+    ``_SHORT_DECIMALS`` accepts every cell.
+
+    One point a cell, at most 16 characters and no leading "0" put every
+    cell in its first branch; only a column holding a leading "0" runs it."""
+    if max(map(len, column)) > 16:
+        return None
+    text = "\n".join(column) + "\n"
+    if text.count(".") != len(column):
+        return None
+    if (text[0] == "0" or "\n0" in text) and not _SHORT_DECIMALS.fullmatch(text):
+        return None
+    return _TRAILING_ZEROS.sub("", text).split("\n")[:-1] if "0\n" in text else column
+
+
+def _fetched_csv_bytes(
+    series: RawSeries, dates: list[str] | None, columns: list[list[str]] | None
+) -> bytes:
     """``series_to_csv_bytes(series)``, built from the payload's sorted date
-    keys and ``text``, its quote cells each followed by "\n", when
-    ``_SHORT_DECIMALS`` accepts every cell: less its trailing zeros, each is
-    then what ``repr`` writes for its float."""
-    if text is None or not _SHORT_DECIMALS.fullmatch(text):
+    keys and its quote ``columns`` when every cell is a short decimal: less
+    its trailing zeros, each is then what ``repr`` writes for its float."""
+    if columns is None:
         return series_to_csv_bytes(series)
-    return _cells_csv(dates, _TRAILING_ZEROS.sub("", text).splitlines())
+    cells = []
+    for column in columns:
+        if (short := _repr_cells(column)) is None:
+            return series_to_csv_bytes(series)
+        cells.append(short)
+    return csv_bytes((CSV_HEADER,), zip(dates, *cells))
 
 
 def write_atomic(path: Path, payload: bytes, fresh: bool = False) -> None:

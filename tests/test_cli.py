@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from eventlens import DailyBar, cli
+from eventlens import DailyBar, cli, errors
 from eventlens.regress import model_to_json_dict
 from eventlens.report import json_bytes
 from eventlens.scenario import report_from_json_dict
@@ -349,7 +349,10 @@ UNPARSEABLE_CONFIGS = {
             features=dict.fromkeys(d["scenario"]["feature_specs"][0]["features"])
         )
     ),
-    # A key the scenario does not read is refused, not ignored.
+    # A key the config or its scenario does not read is refused, not ignored.
+    "top-level-unknown-key": _edited_noisy_config(
+        lambda d: d.update(scenari0={"projection_mode": "oracle_features"})
+    ),
     "scenario-unknown-key": _edited_noisy_config(lambda d: d["scenario"].update(bogus=1)),
     "projection-mode-misspelled": _edited_noisy_config(
         lambda d: d["scenario"].update(projection_modes="oracle_features")
@@ -378,6 +381,17 @@ def test_unparseable_config_is_a_usage_error(tmp_path, capsys):
         assert len(err.splitlines()) == 2, (case, err)
         assert err.splitlines()[1].startswith(f"eventlens: error: unparseable config {bad}: "), case
     assert not (tmp_path / "out").exists()
+
+
+def test_a_misspelled_section_is_named_as_an_unknown_config_key(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(UNPARSEABLE_CONFIGS["top-level-unknown-key"])
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["run", "--config", str(bad), "--offline", "--out", str(tmp_path / "out")])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.splitlines()[1] == (
+        f"eventlens: error: unparseable config {bad}: unknown config key 'scenari0'"
+    )
 
 
 def test_unknown_format_is_a_usage_error(capsys):
@@ -505,6 +519,49 @@ def test_uncovered_window_is_the_same_config_error_for_every_command(
     )
     assert captured.out == ""
     assert not out.exists()
+
+
+# The category of every exception class the CLI prints: its EventLensError
+# classes and the OSErrors of reading and writing files.
+ERROR_CATEGORIES = {
+    errors.EventLensError: "event-lens-error",
+    errors.ProviderError: "provider-error",
+    errors.CacheError: "cache-error",
+    errors.DataFormatError: "data-format-error",
+    errors.BarInvariantError: "bar-invariant-error",
+    errors.PanelError: "panel-error",
+    errors.StatsError: "stats-error",
+    errors.FitError: "fit-error",
+    errors.MetricError: "metric-error",
+    errors.ConfigError: "config-error",
+    FileNotFoundError: "file-not-found-error",
+    PermissionError: "permission-error",
+    IsADirectoryError: "is-a-directory-error",
+    NotADirectoryError: "not-a-directory-error",
+    OSError: "oserror",
+}
+
+
+def test_each_error_class_the_cli_prints_has_its_pinned_category(capsys):
+    classes, pending = set(), [errors.EventLensError]
+    while pending:
+        classes.add(cls := pending.pop())
+        pending.extend(cls.__subclasses__())
+    assert classes <= ERROR_CATEGORIES.keys()
+    for cls, category in ERROR_CATEGORIES.items():
+        assert cli._fail(cls("two\nlines")) == 1
+        assert capsys.readouterr().err == f"eventlens: error: {category}: two lines\n"
+
+
+def test_an_out_that_is_a_file_is_a_not_a_directory_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_bytes(b"a file\n")
+    argv = ["report", "--from", str(GOLDEN_DIR / "scenario_report.json"), "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"eventlens: error: not-a-directory-error: [Errno 20] Not a directory: '{out}'\n"
+    )
+    assert out.read_bytes() == b"a file\n"
 
 
 def test_error_line_is_single_line_and_parseable(tmp_path, capsys, no_network):

@@ -1279,6 +1279,7 @@ from eventlens.ingest import (  # noqa: E402
     _fetched_csv_bytes,
     _is_series_map,
     _parse_payload,
+    _repr_cells,
     _scan_payload,
     _walk_entries,
 )
@@ -1513,11 +1514,12 @@ def test_payload_scan_agrees_with_the_json_walk(body):
     scanned = _scan_payload(body)
     if scanned is None:
         return
+    *arguments, dates, columns = scanned
     # What the scan accepts is the walk's series, flag and cache bytes.
-    assert parsed(lambda: RawSeries(GOLD, *scanned[:3])) == expected
+    assert parsed(lambda: RawSeries(GOLD, *arguments)) == expected
     with suppress(EventLensError):
-        series = RawSeries(GOLD, *scanned[:3])
-        assert _fetched_csv_bytes(series, *scanned[3:]) == series_to_csv_bytes(series)
+        series = RawSeries(GOLD, *arguments)
+        assert _fetched_csv_bytes(series, dates, columns) == series_to_csv_bytes(series)
 
 
 @pytest.mark.parametrize(
@@ -1619,9 +1621,9 @@ SCAN_ACCEPTED = {
 def test_the_scan_reads_each_plain_payload(text):
     body = text.encode()
     assert _scan_payload(body) is not None
-    series, dates, cells = _parse_payload(body, GOLD)
+    series, dates, columns = _parse_payload(body, GOLD)
     assert parsed(lambda: series) == json_walk(body)
-    assert _fetched_csv_bytes(series, dates, cells) == series_to_csv_bytes(series)
+    assert _fetched_csv_bytes(series, dates, columns) == series_to_csv_bytes(series)
 
 
 D3, D4, D5, D7 = (dt.date(2022, 1, day) for day in (3, 4, 5, 7))
@@ -1832,6 +1834,81 @@ def test_short_decimal_boundaries(cell):
     assert (_SHORT_DECIMALS.fullmatch(text) is not None) == accepted
     if accepted:
         assert _TRAILING_ZEROS.sub("", text) == f"1.5\n{SHORT_DECIMALS[cell]}\n2.25\n"
+
+
+# Cells as the scan matches them: ASCII digit runs, with at most one point.
+SCANNED_CELL = re.compile(r"[0-9]+(?:\.[0-9]+)?")
+scanned_cells = st.one_of(
+    decimal_text(),
+    st.floats(min_value=0.0, allow_infinity=False).map(repr),
+    st.floats(0.0, 1e12).map("{:.4f}".format),
+    st.builds("0.{}{}{}".format, st.sampled_from(["000", "0000"]), st.integers(1, 9), st.just("0")),
+    st.builds("0.{}{}".format, st.sampled_from(["000", "0000"]), st.integers(1, 9)),
+    st.integers(0, 10**17).map(str),
+).filter(SCANNED_CELL.fullmatch)
+
+
+@settings(deadline=None)
+@given(
+    rows=st.lists(st.lists(scanned_cells, min_size=4, max_size=4), min_size=1, max_size=6),
+    close_only=st.booleans(),
+    start=st.dates(dt.date(1990, 1, 1), dt.date(2030, 1, 1)),
+)
+def test_the_column_check_agrees_with_short_decimals_and_the_series_bytes(rows, close_only, start):
+    # Each row's cells ordered as a bar (low, open and close, high), so most series build.
+    rows = [sorted(row, key=float) for row in rows]
+    columns = [[row[i] for row in rows] for i in (1, 3, 0, 2)]
+    if close_only:
+        columns = columns[3:] * 4
+    for column in columns:
+        text = "\n".join(column) + "\n"
+        cells = _repr_cells(column)
+        assert (cells is not None) == (_SHORT_DECIMALS.fullmatch(text) is not None)
+        if cells is not None:
+            assert cells == [repr(float(cell)) for cell in column]
+    dates = [(start + dt.timedelta(days=i)).isoformat() for i in range(len(rows))]
+    quotes = [list(map(float, row)) for row in zip(*columns)]
+    try:
+        series = RawSeries(GOLD, np.array(dates, "datetime64[D]"), quotes, synthetic_ohlc=close_only)
+    except EventLensError:
+        return
+    assert _fetched_csv_bytes(series, dates, columns) == series_to_csv_bytes(series)
+
+
+def quoted_days(text, days: int, seed: int) -> dict:
+    """``days`` entries of valid bars from 1 up, newest first, each quote written by ``text``."""
+    rng = np.random.default_rng(seed)
+    first = dt.date(2019, 1, 1)
+    rows = {}
+    for i in range(days):
+        low, a, b, high = np.sort(rng.uniform(1.0, 3000.0, 4)).tolist()
+        day = (first + dt.timedelta(days=i)).isoformat()
+        rows[day] = tuple(map(text, (a, high, low, b)))
+    return dict(reversed(rows.items()))
+
+
+def test_a_fetch_of_provider_or_generator_text_runs_no_short_decimal_match(tmp_path, monkeypatch):
+    calls = []
+
+    class Spy:
+        def fullmatch(self, text):
+            calls.append(text)
+            return _SHORT_DECIMALS.fullmatch(text)
+
+    monkeypatch.setattr(eventlens.ingest, "_SHORT_DECIMALS", Spy())
+    dialects = {
+        "provider": (lambda q: f"{q:.4f}", LAYOUTS[3]),
+        "generator": (lambda q: repr(round(q, 4)), LAYOUTS[2]),
+        "below_one": (lambda q: f"{q / 4000:.4f}", LAYOUTS[3]),
+    }
+    for name, (text, layout) in dialects.items():
+        body = document_text(numbered_entries(quoted_days(text, 300, seed=7)), layout).encode()
+        config = ProviderConfig(cache_dir=tmp_path / name, rate_limit=1)
+        series = fetch_daily(GOLD, config, lambda url: body)
+        assert (tmp_path / name / "GOLD.csv").read_bytes() == series_to_csv_bytes(series)
+        # Four-decimal and repr text from 1 up is proved short without the pattern;
+        # a column holding a cell below 1 runs it.
+        assert bool(calls) == (name == "below_one"), name
 
 
 date_keys = st.one_of(
