@@ -21,6 +21,7 @@ order or its reverse, and ``json.loads`` of the rest proves them the one
 series map. Any other payload is parsed by ``json.loads`` and walked entry
 by entry (``_walk_entries``), the reference the scan is held to; the error
 names the first offending entry in date order, an earlier broken bar first.
+Either way a DataFormatError's text starts with the instrument's symbol.
 
 A scanned series' cache file is built from the scan's own quote columns
 when every cell is a decimal of at most 15 significant digits in ``repr``'s
@@ -44,7 +45,8 @@ a silently dropped day would corrupt date alignment downstream. A CSV file
 loads only if it holds exactly the bytes ``write_csv`` writes for the
 series it decodes, so ``RawSeries.digest`` is the SHA-256 of the file.
 Any other file is walked row by row, and the error names the first
-offending row in file order, else the first line unlike the writer's.
+offending row in file order, else the first line unlike the writer's; its
+text starts with the file's path and the line's number.
 """
 
 from __future__ import annotations
@@ -371,6 +373,14 @@ def _parse_quote(raw: object, date_str: str, field_name: str) -> float:
     raise DataFormatError(f"unparseable {field_name} quote {raw!r} for {date_str}")
 
 
+def _parse_date(raw: str, name: str) -> dt.date:
+    """A date from its ISO text; the error calls ``raw`` a bad ``name``."""
+    try:
+        return dt.date.fromisoformat(raw)
+    except ValueError as exc:
+        raise DataFormatError(f"bad {name} {raw!r}") from exc
+
+
 def parse_provider_payload(body: bytes, instrument: InstrumentId) -> RawSeries:
     """Parse the provider's daily-series JSON document into a RawSeries.
 
@@ -386,25 +396,29 @@ def _parse_payload(
     body: bytes, instrument: InstrumentId
 ) -> tuple[RawSeries, list[str] | None, list[list[str]] | None]:
     """The payload's series, and if the scan read it, its sorted date keys and
-    its open, high, low and close columns of quote cells (else None and None)."""
-    if (scanned := _scan_payload(body)) is not None:
-        *arguments, dates, columns = scanned
-        return RawSeries(instrument, *arguments), dates, columns
+    its open, high, low and close columns of quote cells (else None and None).
+    A DataFormatError's text starts with the instrument's symbol."""
     try:
-        document = json.loads(body)
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"payload is not valid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise DataFormatError("payload is not a JSON object")
+        if (scanned := _scan_payload(body)) is not None:
+            *arguments, dates, columns = scanned
+            return RawSeries(instrument, *arguments), dates, columns
+        try:
+            document = json.loads(body)
+        except (ValueError, UnicodeDecodeError) as exc:
+            raise DataFormatError(f"payload is not valid JSON: {exc}") from exc
+        if not isinstance(document, dict):
+            raise DataFormatError("payload is not a JSON object")
 
-    for key in _PROVIDER_ERROR_KEYS:
-        if key in document:
-            raise ProviderError(f"provider error for {instrument.symbol}: {document[key]}")
+        for key in _PROVIDER_ERROR_KEYS:
+            if key in document:
+                raise ProviderError(f"provider error for {instrument.symbol}: {document[key]}")
 
-    series_map = next(filter(_is_series_map, document.values()), None)
-    if series_map is None:
-        raise DataFormatError(f"payload for {instrument.symbol} has no daily series map")
-    return _walk_entries(instrument, series_map), None, None
+        series_map = next(filter(_is_series_map, document.values()), None)
+        if series_map is None:
+            raise DataFormatError("payload has no daily series map")
+        return _walk_entries(instrument, series_map), None, None
+    except DataFormatError as exc:
+        raise type(exc)(f"{instrument.symbol}: {exc}") from exc
 
 
 def _is_series_map(value: object) -> bool:
@@ -476,30 +490,25 @@ def _scan_payload(
 
 def _walk_entries(instrument: InstrumentId, series_map: dict) -> RawSeries:
     """The entry-by-entry reference parse: the series, or an error naming the
-    first offending entry in date order (an earlier broken bar wins)."""
+    first offending entry in date order (each bar is checked as it is decoded,
+    so an earlier broken bar wins)."""
     days: list[int] = []
     rows: list[list[float]] = []
     synthesized = False
-    try:
-        for date_str in sorted(series_map):
-            try:
-                date = dt.date.fromisoformat(date_str)
-            except ValueError as exc:
-                raise DataFormatError(f"bad date key {date_str!r}") from exc
-            entry = series_map[date_str]
-            *others, close = keys = _match_fields(entry, date_str)
-            if close is None:
-                raise DataFormatError(f"entry {date_str} has no close quote")
-            _parse_quote(entry[close], date_str, "close")  # named before a partial set
-            if others == [None, None, None]:
-                keys, synthesized = [close] * 4, True
-            elif None in others:
-                raise DataFormatError(f"entry {date_str} has a partial OHLC set")
-            rows.append([_parse_quote(entry[k], date_str, name) for k, name in zip(keys, _OHLC)])
-            days.append(date.toordinal())
-    except DataFormatError:
-        RawSeries(instrument, _dates(days), rows)
-        raise
+    for date_str in sorted(series_map):
+        date = _parse_date(date_str, "date key")
+        entry = series_map[date_str]
+        *others, close = keys = _match_fields(entry, date_str)
+        if close is None:
+            raise DataFormatError(f"entry {date_str} has no close quote")
+        _parse_quote(entry[close], date_str, "close")  # named before a partial set
+        if others == [None, None, None]:
+            keys, synthesized = [close] * 4, True
+        elif None in others:
+            raise DataFormatError(f"entry {date_str} has a partial OHLC set")
+        rows.append([_parse_quote(entry[k], date_str, name) for k, name in zip(keys, _OHLC)])
+        _check_bar(date_str, *rows[-1])
+        days.append(date.toordinal())
     return RawSeries(instrument, _dates(days), rows, synthetic_ohlc=synthesized)
 
 
@@ -557,19 +566,18 @@ def _fetched_csv_bytes(
     return csv_bytes((CSV_HEADER,), zip(dates, *cells))
 
 
-def write_atomic(path: Path, payload: bytes, fresh: bool = False) -> None:
+def write_atomic(path: Path, payload: bytes) -> None:
     """Replace the file at ``path`` with ``payload`` in one rename.
 
     Readers see the old file or the new one, never a partial write. The
     payload first goes to a temp file in the same directory whose random
     name no other writer (or a stray file left by a crash) shares; it is
     created with ``O_EXCL`` and mode 0o666 less the umask, like a plain
-    open, and removed if anything fails before the rename. A ``fresh`` path,
-    in a directory no reader sees, is created so with no temp name. A missing
+    open, and removed if anything fails before the rename. A missing
     directory is made, and the open retried once, only when the first open
     fails for it. This is the package's only file and directory writer.
     """
-    tmp = path if fresh else path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
     try:
         fd = os.open(tmp, flags, 0o666)
@@ -579,8 +587,7 @@ def write_atomic(path: Path, payload: bytes, fresh: bool = False) -> None:
     try:
         with open(fd, "wb") as handle:
             handle.write(payload)
-        if not fresh:
-            os.replace(tmp, path)
+        os.replace(tmp, path)
     except BaseException:
         tmp.unlink()
         raise
@@ -595,18 +602,19 @@ def replace_directory(path: Path, files: dict[str, bytes], superseded: Collectio
     payload's size is hard-linked in, and kept if it is a regular file the
     effective user owns with no other link that reads back equal to the
     payload (keeping its inode, mode, owner and mtime). Any other file is
-    created ``fresh`` by ``write_atomic``, as is one whose link fails (the
-    first: no directory yet). Then each file of the current directory that
-    ``files`` does not hold and ``superseded`` does not name is hard-linked
-    into it, so files the new directory does not replace survive. The
-    current directory is renamed to ``<name>.<16 hex>.old``, the new one to
-    ``path``, and the old one is removed: a reader sees the old directory,
-    none, or the new one, never a mix. Should another writer's directory land
-    at ``path`` between the two renames, it is moved aside too, so the last
-    writer's directory wins whole. A failure before the swap removes the new
-    directory and leaves ``path`` as it was. A ``path`` that is a symlink,
-    names no directory of its own (``.``, ``..``) or holds a subdirectory is
-    refused with a ConfigError, and one that is a file with ``os.scandir``'s
+    written by ``write_atomic``, whose rename replaces a rejected link, as is
+    one whose link fails (the first: no directory yet). Then each file of the
+    current directory that ``files`` does not hold and ``superseded`` does
+    not name is hard-linked into it, so files the new directory does not
+    replace survive. The current directory is renamed to
+    ``<name>.<16 hex>.old``, the new one to ``path``, and the old one is
+    removed: a reader sees the old directory, none, or the new one, never a
+    mix. Should another writer's directory land at ``path`` between the two
+    renames, it is moved aside too, so the last writer's directory wins
+    whole. A failure before the swap removes the new directory and leaves
+    ``path`` as it was. A ``path`` that is a symlink, names no directory of
+    its own (``.``, ``..``) or holds a subdirectory is refused with a
+    ConfigError, and one that is a file with ``os.scandir``'s
     NotADirectoryError, before anything is written. ``files`` holds at least
     one file.
     """
@@ -631,19 +639,16 @@ def replace_directory(path: Path, files: dict[str, bytes], superseded: Collectio
     old = path.with_name(f"{path.name}.{token}.old")
     try:
         for name, payload in files.items():
-            target, linked, entry = staged / name, False, present.get(name)
+            target, entry = staged / name, present.get(name)
             with suppress(OSError):
                 # A file of another size cannot read back equal: it is not linked.
                 if entry and entry.stat(follow_symlinks=False).st_size == len(payload):
                     os.link(entry.path, target, follow_symlinks=False)
-                    linked = True
                     st = os.lstat(target)
                     ours = stat.S_ISREG(st.st_mode) and (st.st_uid, st.st_nlink) == (os.geteuid(), 2)
                     if ours and target.read_bytes() == payload:
                         continue
-            if linked:
-                target.unlink()
-            write_atomic(target, payload, fresh=True)
+            write_atomic(target, payload)
         for name in kept:
             os.link(path / name, staged / name, follow_symlinks=False)
         while True:
@@ -718,25 +723,25 @@ def _parse_rows(body: str) -> tuple[np.ndarray, np.ndarray]:
 
 def _walk_rows(path: Path, text: str) -> tuple[np.ndarray, list[list[float]]]:
     """The row-by-row reference parse: the columns, or an error naming the first
-    offending row in file order (a date not after the row before it offends)."""
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
+    offending row in file order (a date not after the row before it offends),
+    its text after the row's ``path:line``."""
+    lines = text.removesuffix("\n").split("\n")
     days: list[int] = []
     rows: list[list[float]] = []
     for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise DataFormatError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
         try:
-            date = dt.date.fromisoformat(parts[0])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: bad date {parts[0]!r}") from exc
-        if days and date.toordinal() <= days[-1]:
-            order = "duplicate" if date.toordinal() == days[-1] else "out-of-order"
-            raise DataFormatError(f"{path}:{lineno}: {order} date {date.isoformat()}")
-        quotes = [_parse_quote(raw, date.isoformat(), name) for raw, name in zip(parts[1:], _OHLC)]
-        _check_bar(date.isoformat(), *quotes)
+            parts = line.split(",")
+            if len(parts) != 5:
+                raise DataFormatError(f"expected 5 fields, got {len(parts)}")
+            date = _parse_date(parts[0], "date")
+            day = date.isoformat()
+            if days and date.toordinal() <= days[-1]:
+                order = "duplicate" if date.toordinal() == days[-1] else "out-of-order"
+                raise DataFormatError(f"{order} date {day}")
+            quotes = [_parse_quote(raw, day, name) for raw, name in zip(parts[1:], _OHLC)]
+            _check_bar(day, *quotes)
+        except DataFormatError as exc:
+            raise type(exc)(f"{path}:{lineno}: {exc}") from exc
         days.append(date.toordinal())
         rows.append(quotes)
     return _dates(days), rows

@@ -365,31 +365,6 @@ def test_write_into_a_missing_directory_makes_it(tmp_path):
     assert list(tmp_path.rglob("*.tmp")) == []
 
 
-def test_a_fresh_write_creates_the_file_in_place_and_replaces_none(tmp_path, monkeypatch):
-    def refuse(src, dst):
-        raise AssertionError(f"renamed {src} to {dst}")
-
-    monkeypatch.setattr(os, "replace", refuse)
-    path = tmp_path / "staged" / "GOLD.csv"
-    write_atomic(path, b"x", fresh=True)
-    with pytest.raises(FileExistsError):
-        write_atomic(path, b"y", fresh=True)
-    assert path.read_bytes() == b"x"
-    assert [p.name for p in path.parent.iterdir()] == ["GOLD.csv"]
-
-
-def test_replace_directory_creates_each_staged_file_in_place(tmp_path, monkeypatch):
-    def refuse(src, dst):
-        raise AssertionError(f"renamed {src} to {dst}")
-
-    monkeypatch.setattr(os, "replace", refuse)
-    files = {"a.csv": b"a\n", "b.json": b"{}\n"}
-    replace_directory(tmp_path / "out", files, ())
-    replace_directory(tmp_path / "out", files, ())
-    assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == files
-    assert [p.name for p in tmp_path.iterdir()] == ["out"]
-
-
 def test_replace_directory_links_each_unchanged_file_and_creates_each_changed_one(tmp_path):
     out = tmp_path / "out"
     replace_directory(out, {"a.csv": b"a\n", "b.csv": b"b\n", "c.csv": b"c\n"}, ())
@@ -561,8 +536,7 @@ def test_write_atomic_is_the_only_file_writer():
     # mkdir) would bypass the atomicity and unique temp names every output
     # relies on, or decide a second way how an output directory is made.
     # The one directory swap renames and hard-links whole files, each of
-    # them written by write_atomic: created in place, in the staged
-    # directory no reader sees, with no temp name and no rename of its own.
+    # them written by write_atomic into the staged directory.
     sites = [
         site
         for path in sorted(Path(eventlens.__file__).parent.glob("*.py"))
@@ -845,12 +819,18 @@ CSV_EDGE_CASES = {
     "padded_date": ([row(" 2022-01-03")], DATA, "{path}:2: bad date ' 2022-01-03'"),
     "day_out_of_range": ([row("2022-02-30")], DATA, "{path}:2: bad date '2022-02-30'"),
     "inf_quote": (
-        [row("2022-01-05"), row("2022-01-06", high="inf")], BAR, "non-finite quote on 2022-01-06"
+        [row("2022-01-05"), row("2022-01-06", high="inf")],
+        BAR,
+        "{path}:3: non-finite quote on 2022-01-06",
     ),
-    "nan_quote": ([row("2022-01-06", close="nan")], BAR, "non-finite quote on 2022-01-06"),
-    "zero_quote": ([row("2022-01-03", "0.0", low="0.0")], BAR, "non-positive quote on 2022-01-03"),
+    "nan_quote": (
+        [row("2022-01-06", close="nan")], BAR, "{path}:2: non-finite quote on 2022-01-06"
+    ),
+    "zero_quote": (
+        [row("2022-01-03", "0.0", low="0.0")], BAR, "{path}:2: non-positive quote on 2022-01-03"
+    ),
     "unparseable_quote": (
-        [row("2022-01-06", low="n/a")], DATA, "unparseable low quote 'n/a' for 2022-01-06"
+        [row("2022-01-06", low="n/a")], DATA, "{path}:2: unparseable low quote 'n/a' for 2022-01-06"
     ),
     # five fields per row on average, but not in any one row
     "six_then_four_fields": (
@@ -865,7 +845,7 @@ CSV_EDGE_CASES = {
     "bad_ohlc_then_duplicate": (
         [row("2022-01-03"), BAD_OHLC_ROW, row("2022-01-03")],
         BAR,
-        OHLC_ERROR.format(date="2022-01-04"),
+        "{path}:3: " + OHLC_ERROR.format(date="2022-01-04"),
     ),
     "duplicate_then_bad_ohlc": (
         [row("2022-01-03"), row("2022-01-03"), BAD_OHLC_ROW],
@@ -873,10 +853,14 @@ CSV_EDGE_CASES = {
         "{path}:3: duplicate date 2022-01-03",
     ),
     "unsorted_bad_rows": (
-        [BAD_OHLC_ROW, row("2022-01-03", "-1.0")], BAR, OHLC_ERROR.format(date="2022-01-04")
+        [BAD_OHLC_ROW, row("2022-01-03", "-1.0")],
+        BAR,
+        "{path}:2: " + OHLC_ERROR.format(date="2022-01-04"),
     ),
     "bad_quote_then_bad_date": (
-        [row("2022-01-03", low="x"), row("NaT")], DATA, "unparseable low quote 'x' for 2022-01-03"
+        [row("2022-01-03", low="x"), row("NaT")],
+        DATA,
+        "{path}:2: unparseable low quote 'x' for 2022-01-03",
     ),
 }
 
@@ -1027,7 +1011,7 @@ def test_parse_payload_edge_case_errors(entries, error, message):
     with pytest.raises(EventLensError) as info:
         parse_provider_payload(payload_bytes(entries), GOLD)
     assert type(info.value) is error
-    assert str(info.value) == message
+    assert str(info.value) == f"GOLD: {message}"
 
 
 def test_parse_payload_accepts_underscore_decimal():
@@ -1044,12 +1028,12 @@ SERIES_MAP_EDGE_CASES = {
     "separator_in_key": (
         {"2022-01-05": entry(), "2022-01-03\n2022-01-04": entry()},
         DATA,
-        "payload for GOLD has no daily series map",
+        "GOLD: payload has no daily series map",
     ),
     "fullwidth_digit_key": (
         {"\uff12\uff10\uff12\uff12-01-03": entry()},
         DATA,
-        "bad date key '\uff12\uff10\uff12\uff12-01-03'",
+        "GOLD: bad date key '\uff12\uff10\uff12\uff12-01-03'",
     ),
 }
 
@@ -1171,6 +1155,17 @@ def test_load_csv_fails_as_the_row_walk_or_loads_only_the_written_bytes(tmp_path
         message = not_canonical(lineno, found, written).replace("{path}", str(path))
         expected = DataFormatError, message
     assert outcome(lambda: load_csv(path, GOLD)) == expected
+
+
+@settings(deadline=None)
+@given(text=csv_text_with_one_fault())
+def test_every_load_csv_error_starts_with_the_file_path(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("named") / "GOLD.csv"
+    path.write_text(text)
+    try:
+        load_csv(path, GOLD)
+    except DataFormatError as exc:
+        assert str(exc).startswith(f"{path}:")
 
 
 def trailing_zero(cell: str) -> str:
@@ -1384,6 +1379,12 @@ def parsed(build):
     return series.dates.tolist(), series.quotes.tolist(), series.synthetic_ohlc
 
 
+def named(outcome):
+    """``outcome`` as ``parse_provider_payload`` gives it: an error's text
+    after the symbol."""
+    return (outcome[0], f"GOLD: {outcome[1]}") if len(outcome) == 2 else outcome
+
+
 def json_walk(body: bytes):
     """What the parse gives with the scan refusing every payload: ``json.loads``
     plus the entry walk, the reference the scan is held to."""
@@ -1516,10 +1517,21 @@ def test_payload_scan_agrees_with_the_json_walk(body):
         return
     *arguments, dates, columns = scanned
     # What the scan accepts is the walk's series, flag and cache bytes.
-    assert parsed(lambda: RawSeries(GOLD, *arguments)) == expected
+    assert named(parsed(lambda: RawSeries(GOLD, *arguments))) == expected
     with suppress(EventLensError):
         series = RawSeries(GOLD, *arguments)
         assert _fetched_csv_bytes(series, dates, columns) == series_to_csv_bytes(series)
+
+
+@settings(deadline=None)
+@given(body=provider_payloads())
+def test_every_payload_error_names_the_symbol_once(body):
+    try:
+        parse_provider_payload(body, GOLD)
+    except ProviderError:
+        return  # its text is the provider's own, after the symbol
+    except DataFormatError as exc:
+        assert str(exc).count("GOLD") == 1, str(exc)
 
 
 @pytest.mark.parametrize(
@@ -1630,8 +1642,8 @@ D3, D4, D5, D7 = (dt.date(2022, 1, day) for day in (3, 4, 5, 7))
 BAR = [1.0, 2.0, 0.5, 1.5]
 ONE_DAY = {"2022-01-03": entry()}
 ONE_DAY_PARSED = ([D3], [BAR], False)
-NO_MAP = (DataFormatError, "payload for GOLD has no daily series map")
-NOT_JSON = "payload is not valid JSON: "
+NO_MAP = (DataFormatError, "GOLD: payload has no daily series map")
+NOT_JSON = "GOLD: payload is not valid JSON: "
 TWO_DAYS = {"2022-01-04": entry(), "2022-01-03": entry()}
 WEEKLY = ("Weekly", {"2022-01-07": entry()})
 # Payloads the scan refuses, each with what the parse gives, as it gave it
@@ -1664,7 +1676,7 @@ SCAN_REFUSED = {
     ),
     "earlier_series_map_the_scan_skips": (
         json_text(Members([("Weekly", SKIPPED_MAPS[0]), *provider_document(ONE_DAY)])),
-        (DataFormatError, "unparseable close quote 1.5 for 2022-01-07"),
+        (DataFormatError, "GOLD: unparseable close quote 1.5 for 2022-01-07"),
     ),
     "later_second_series_map": (
         json_text(Members([*provider_document(ONE_DAY), WEEKLY])), ONE_DAY_PARSED
@@ -1678,7 +1690,7 @@ SCAN_REFUSED = {
     "leading_point_quote": (document_text({"2022-01-03": entry(low=".5")}), ONE_DAY_PARSED),
     "inf_quote": (
         document_text({"2022-01-03": entry(high="inf")}),
-        (BarInvariantError, "non-finite quote on 2022-01-03"),
+        (BarInvariantError, "GOLD: non-finite quote on 2022-01-03"),
     ),
     "number_volume": (
         document_text({"2022-01-03": {**entry(), "volume": 100}}), ONE_DAY_PARSED
@@ -1692,19 +1704,19 @@ SCAN_REFUSED = {
         ([D3, D4], [BAR] * 2, False),
     ),
     "bad_date_key": (
-        document_text({"2022-02-30": entry()}), (DataFormatError, "bad date key '2022-02-30'")
+        document_text({"2022-02-30": entry()}), (DataFormatError, "GOLD: bad date key '2022-02-30'")
     ),
     "partial_ohlc": (
         document_text({"2022-01-03": {"open": "1.0", "close": "1.5"}}),
-        (DataFormatError, "entry 2022-01-03 has a partial OHLC set"),
+        (DataFormatError, "GOLD: entry 2022-01-03 has a partial OHLC set"),
     ),
     "two_closes": (
         document_text({"2022-01-03": {"close": "1.5", "4. close": "1.5"}}),
-        (DataFormatError, "entry 2022-01-03 has two close quotes"),
+        (DataFormatError, "GOLD: entry 2022-01-03 has two close quotes"),
     ),
     "empty_entry": (
         document_text({"2022-01-04": entry(), "2022-01-03": {}}),
-        (DataFormatError, "entry 2022-01-03 has no close quote"),
+        (DataFormatError, "GOLD: entry 2022-01-03 has no close quote"),
     ),
     "form_feed_in_each_entry": (
         document_text(DAYS3).replace('": {\n      "open"', '":\x0c{\n      "open"'),
@@ -1722,7 +1734,9 @@ SCAN_REFUSED = {
         document_text({"2022-01-03": {**entry(), "volume": "1\x1f"}}).replace("\\u001f", "\x1f"),
         (DataFormatError, NOT_JSON + "Invalid control character at: line 12 column 19 (char 235)"),
     ),
-    "not_an_object": (f"[{json_text(ONE_DAY)}]", (DataFormatError, "payload is not a JSON object")),
+    "not_an_object": (
+        f"[{json_text(ONE_DAY)}]", (DataFormatError, "GOLD: payload is not a JSON object")
+    ),
     "missing_comma": (
         document_text(TWO_DAYS, LAYOUTS[0]).replace('},"2022', '}"2022'),
         (DataFormatError, NOT_JSON + "Expecting ',' delimiter: line 1 column 156 (char 155)"),

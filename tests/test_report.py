@@ -109,11 +109,11 @@ def test_a_failed_write_leaves_the_previous_bundle_and_no_sibling(report, noisy_
     write_atomic = eventlens.ingest.write_atomic
     calls = []
 
-    def fifth_write_fails(path, payload, fresh=False):
+    def fifth_write_fails(path, payload):
         calls.append(path)
         if len(calls) == 5:
             raise OSError("disk full")
-        write_atomic(path, payload, fresh)
+        write_atomic(path, payload)
 
     monkeypatch.setattr(eventlens.ingest, "write_atomic", fifth_write_fails)
     with pytest.raises(OSError, match="disk full"):
@@ -135,11 +135,11 @@ def test_a_failed_write_after_linked_files_leaves_the_previous_bundle_and_no_sib
     write_atomic = eventlens.ingest.write_atomic
     calls = []
 
-    def edited_write_fails(path, payload, fresh=False):
+    def edited_write_fails(path, payload):
         calls.append(path.name)
         if path.name == "counterfactual_Y.csv":
             raise OSError("disk full")
-        write_atomic(path, payload, fresh)
+        write_atomic(path, payload)
 
     monkeypatch.setattr(eventlens.ingest, "write_atomic", edited_write_fails)
     with pytest.raises(OSError, match="disk full"):
