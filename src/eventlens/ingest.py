@@ -44,9 +44,13 @@ Parse failures are fatal for the whole series rather than row-skipping:
 a silently dropped day would corrupt date alignment downstream. A CSV file
 loads only if it holds exactly the bytes ``write_csv`` writes for the
 series it decodes, so ``RawSeries.digest`` is the SHA-256 of the file.
-Any other file is walked row by row, and the error names the first
-offending row in file order, else the first line unlike the writer's; its
-text starts with the file's path and the line's number.
+``_written_columns`` proves that from the cells it splits, with no second
+serialization: five cells and a newline a line, dates in ``isoformat``'s
+shape that datetime64[D] parses, and quotes each ``repr`` of its float.
+A proved file's digest is seeded, in ``load_csv`` alone, as the hash of
+the bytes read. Any other file is walked row by row, and the error names
+the first offending row in file order, else the first line unlike the
+writer's; its text starts with the file's path and the line's number.
 """
 
 from __future__ import annotations
@@ -519,6 +523,10 @@ def _dates(ordinals) -> np.ndarray:
 
 # --- CSV fixture / cache format ----------------------------------------------
 
+# Dates as ``isoformat`` writes them from year 0001, each followed by a "\n".
+_ISO_DATES = re.compile(r"(?:(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2}\n)*+")
+
+
 def csv_bytes(header: Iterable[str], rows: Iterable[Iterable[str]]) -> bytes:
     """The package's one CSV layout: the header line, then one line per row,
     each its cells joined by commas and ended by an LF; ASCII."""
@@ -680,10 +688,13 @@ def write_csv(series: RawSeries, path: Path) -> None:
 def load_csv(path: Path, instrument: InstrumentId) -> RawSeries:
     """Load a CSV fixture or cache file holding exactly what ``write_csv`` writes.
 
-    The series loads only if its ``digest`` is the SHA-256 of the bytes read.
-    Otherwise the error names the first malformed row, date not after the
-    row before it, or broken bar in file order, else the first line that
-    differs from the writer's. A header with no rows is an empty series.
+    A file ``_written_columns`` proves to be in the writer's layout loads
+    with its ``digest`` seeded as the SHA-256 of the bytes read: by the
+    proof those bytes are ``series_to_csv_bytes`` of the series. Any other
+    file is walked row by row, and loads only if it is written as read. The
+    error names the first malformed row, date not after the row before it,
+    or broken bar in file order, else the first line that differs from the
+    writer's. A header with no rows is an empty series.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -698,9 +709,11 @@ def load_csv(path: Path, instrument: InstrumentId) -> RawSeries:
         raise DataFormatError(f"{path}: expected header {CSV_HEADER!r}")
 
     with suppress(ValueError, DataFormatError):
-        series = RawSeries(instrument, *_parse_rows(text[len(CSV_HEADER) + 1 :].removesuffix("\n")))
-        if series.digest == hashlib.sha256(data).hexdigest():
-            return series
+        series = RawSeries(instrument, *_written_columns(text))
+        # By the proof the bytes read are the series' written bytes. This is
+        # the one place a digest is seeded rather than computed.
+        vars(series)["digest"] = hashlib.sha256(data).hexdigest()
+        return series
     series = RawSeries(instrument, *_walk_rows(path, text))
     written = series_to_csv_bytes(series).decode("ascii")
     for lineno, (found, line) in enumerate(zip(text.splitlines(True), written.splitlines(True)), 1):
@@ -709,16 +722,33 @@ def load_csv(path: Path, instrument: InstrumentId) -> RawSeries:
     return series
 
 
-def _parse_rows(body: str) -> tuple[np.ndarray, np.ndarray]:
-    """Dates and quotes of a CSV body read five cells a row; raises ValueError
-    for a date or quote cell that does not parse."""
-    cells = body.replace("\n", ",").split(",")
-    n = len(cells) // 5
-    days = np.fromiter(
-        map(dt.date.toordinal, map(dt.date.fromisoformat, cells[::5])), dtype=np.int64, count=n
-    )
-    del cells[::5]
-    return _dates(days), np.fromiter(map(float, cells), dtype=float, count=4 * n)
+def _written_columns(text: str) -> tuple[list[str], list[float]]:
+    """The date cells and the row-major quotes of a CSV ``text`` (header
+    checked) laid out as ``series_to_csv_bytes`` writes them; ValueError for
+    any other text.
+
+    Each line ends in "\n" and holds five cells; each date cell has the fixed
+    ``YYYY-MM-DD`` shape from year 0001, and each quote cell is ``repr`` of
+    its float. Such a date, once datetime64[D] parses it (in ``RawSeries``),
+    is its own ``isoformat``, so a series built from the result writes
+    ``text`` byte for byte."""
+    # A marker cell ends each line: a row is five cells and a "\n". The last
+    # "\n" is the cell before the last; unless there are 6n + 1 cells, it
+    # falls in a date or quote slot (or the empty last cell in a marker
+    # slot) and fails there, so the count needs no check of its own.
+    cells = text[len(CSV_HEADER) + 1 :].replace("\n", ",\n,").split(",")
+    n = len(cells) // 6
+    if not text.endswith("\n") or cells[5::6] != ["\n"] * n:
+        raise ValueError("not five cells a line")
+    dates = cells[:-1:6]
+    if not _ISO_DATES.fullmatch("\n".join([*dates, ""])):
+        raise ValueError("a date not in isoformat's shape")
+    del cells[5::6]
+    del cells[::5]  # the dates, and the empty cell after the last marker
+    quotes = list(map(float, cells))
+    if list(map(repr, quotes)) != cells:
+        raise ValueError("a quote not as repr writes it")
+    return dates, quotes
 
 
 def _walk_rows(path: Path, text: str) -> tuple[np.ndarray, list[list[float]]]:
