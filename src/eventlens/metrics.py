@@ -68,24 +68,24 @@ def _paired(true: Vector, pred: Vector) -> tuple[np.ndarray, np.ndarray]:
     return t, p
 
 
-def _mse(t: np.ndarray, p: np.ndarray) -> float:
-    return float(np.mean((t - p) ** 2))
+def _mse(t: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return np.mean((t - p) ** 2, axis=-1)
 
 
-def _mae(t: np.ndarray, p: np.ndarray) -> float:
-    return float(np.mean(np.abs(t - p)))
+def _mae(t: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return np.mean(np.abs(t - p), axis=-1)
 
 
-def _mape(t: np.ndarray, p: np.ndarray) -> float:
+def _mape(t: np.ndarray, p: np.ndarray) -> np.ndarray:
     zeros = np.flatnonzero(t == 0.0)
     if zeros.size:
         raise MetricError(f"true value of zero at index {int(zeros[0])}; percentage undefined")
-    return float(np.mean(np.abs(t - p) / np.abs(t)) * 100.0)
+    return np.mean(np.abs(t - p) / np.abs(t), axis=-1) * 100.0
 
 
 def mse(true: Vector, pred: Vector) -> float:
     """Mean of squared differences."""
-    return _mse(*_paired(true, pred))
+    return float(_mse(*_paired(true, pred)))
 
 
 def rmse(true: Vector, pred: Vector) -> float:
@@ -95,17 +95,37 @@ def rmse(true: Vector, pred: Vector) -> float:
 
 def mae(true: Vector, pred: Vector) -> float:
     """Mean of absolute differences."""
-    return _mae(*_paired(true, pred))
+    return float(_mae(*_paired(true, pred)))
 
 
 def mape(true: Vector, pred: Vector) -> float:
     """Mean of per-point |error| / |true|, in percent. Zero true values are an error."""
-    return _mape(*_paired(true, pred))
+    return float(_mape(*_paired(true, pred)))
+
+
+def _reports(t: np.ndarray, p: np.ndarray) -> list[MetricsReport]:
+    """The report of each row pair of the (k, n) stacks t and p. A mean over
+    a contiguous last axis sums each row as the mean of that row alone does,
+    so each report's bits do not depend on its stack."""
+    measures = (_mse(t, p).tolist(), _mae(t, p).tolist(), _mape(t, p).tolist())
+    n = t.shape[-1]
+    return [MetricsReport(s, math.sqrt(s), a, m, n) for s, a, m in zip(*measures)]
 
 
 def score(true: Vector, pred: Vector) -> MetricsReport:
     """All four metrics from one check of the inputs; rmse is sqrt(mse) by
     construction, as ``rmse`` computes it."""
     t, p = _paired(true, pred)
-    squared = _mse(t, p)
-    return MetricsReport(squared, math.sqrt(squared), _mae(t, p), _mape(t, p), n=t.shape[0])
+    return _reports(t[None], p[None])[0]
+
+
+def score_stack(true: np.ndarray, pred: np.ndarray) -> list[MetricsReport] | None:
+    """``score`` of each row pair of the (k, n) stacks ``true`` and ``pred``,
+    or None when any check ``score`` makes would fail for any row, so the
+    caller can name the first error through ``score``."""
+    if not (np.isfinite(true).all() and np.isfinite(pred).all()):
+        return None
+    try:
+        return _reports(true, pred)
+    except MetricError:
+        return None

@@ -12,6 +12,15 @@ and gathers them in one fancy-index take; the design handed to the SVD and
 to ``@`` is the C-contiguous (n_rows, n_coef) array ``np.column_stack``
 would build, because BLAS rounds strided operands differently.
 
+Each formula is written once, for a stack of designs: ``fit_stack`` and
+``predict_stack`` fit and predict same-shape specs in one call each, and
+``fit_ols`` and ``predict`` apply the same helpers to a stack of one. The
+SVD gufunc calls LAPACK's gesdd once per design, and ``matmul`` picks gemv
+or ddot for each item from its shape and strides, as for one array. The
+vectors of ddot and transposed gemv also start 16-byte aligned in every
+item, as in a fresh array, because OpenBLAS's SSE2 kernels round by that
+alignment. So each result's bits do not depend on its stack.
+
 Features are not standardized. OLS predictions are affine-equivariant, so
 scaling is cosmetic, and raw weights stay comparable to quote units.
 """
@@ -113,15 +122,54 @@ def _gather(panel: AlignedPanel, keys: tuple[ColumnKey, ...]) -> np.ndarray:
 
 
 def _design(columns: np.ndarray, include_intercept: bool) -> np.ndarray:
-    """``columns`` (one row per feature) as the columns of a C-contiguous
-    (n_rows, n_coef) array, after a constant-1 column when
-    ``include_intercept``: the layout ``np.column_stack`` gives."""
-    n_features, n_rows = columns.shape
-    X = np.empty((n_rows, include_intercept + n_features))
+    """``columns`` (one row per feature, in a stack of any depth) as the
+    columns of C-contiguous (n_rows, n_coef) arrays, after a constant-1
+    column when ``include_intercept``: the layout ``np.column_stack`` gives."""
+    *stack, n_features, n_rows = columns.shape
+    X = np.empty((*stack, n_rows, include_intercept + n_features))
     if include_intercept:
-        X[:, 0] = 1.0
-    X[:, include_intercept:] = columns.T
+        X[..., 0] = 1.0
+    X[..., include_intercept:] = columns.swapaxes(-1, -2)
     return X
+
+
+def _svd(X: np.ndarray) -> tuple[np.ndarray, ...]:
+    """U, s, Vt and the condition estimate s[0] / s[-1] (inf where s[-1] is
+    0) of each design in the stack X (k, n_rows, n_coef)."""
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    condition = np.full(len(s), np.inf)
+    np.divide(s[:, 0], s[:, -1], out=condition, where=s[:, -1] > 0.0)
+    return U, s, Vt, condition
+
+
+def _rows(k: int, m: int) -> np.ndarray:
+    """An empty (k, m) stack whose rows each start 16-byte aligned, as one
+    fresh array does: OpenBLAS's SSE2 (Prescott) kernels round ddot, and
+    transposed gemv, by the alignment of their vector operands."""
+    return np.empty((k, m + m % 2))[:, :m]
+
+
+def _solve(X, y, U, s, Vt) -> tuple[np.ndarray, np.ndarray]:
+    """The weights Vt.T @ ((U.T @ y) / s) and the residual sum of squares of
+    each design in the stack X (k, n_rows, n_coef) against its row of y."""
+    target = _rows(*y.shape)
+    target[...] = y
+    z = np.divide((U.mT @ target[..., None])[..., 0], s, out=_rows(*s.shape))
+    weights = (Vt.mT @ z[..., None])[..., 0]
+    residual = np.subtract(target, (X @ weights[..., None])[..., 0], out=_rows(*y.shape))
+    return weights, (residual[:, None, :] @ residual[..., None])[:, 0, 0]
+
+
+def _model(spec: FeatureSpec, weights, rss, n_rows: int, condition) -> RegressionModel:
+    return RegressionModel(
+        spec=spec,
+        weights=weights,
+        diagnostics=FitDiagnostics(
+            residual_sum_of_squares=float(rss),
+            training_rows=n_rows,
+            condition_estimate=float(condition),
+        ),
+    )
 
 
 def fit_ols(panel: AlignedPanel, spec: FeatureSpec) -> RegressionModel:
@@ -144,33 +192,56 @@ def fit_ols(panel: AlignedPanel, spec: FeatureSpec) -> RegressionModel:
     if n_rows < n_coef:
         raise FitError(f"too few rows: {n_rows} rows for {n_coef} coefficients")
 
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    condition = float(s[0] / s[-1]) if s[-1] > 0.0 else float("inf")
-    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
+    U, s, Vt, condition = _svd(X[None])
+    if not condition[0] <= CONDITION_LIMIT:
         raise FitError(
             f"rank-deficient design for {spec.target.name}: "
-            f"condition estimate {condition:.6e} exceeds {CONDITION_LIMIT:.0e}"
+            f"condition estimate {float(condition[0]):.6e} exceeds {CONDITION_LIMIT:.0e}"
         )
-    weights = Vt.T @ ((U.T @ y) / s)
+    weights, rss = _solve(X[None], y[None], U, s, Vt)
+    return _model(spec, weights[0], rss[0], n_rows, condition[0])
 
-    residual = y - X @ weights
-    return RegressionModel(
-        spec=spec,
-        weights=weights,
-        diagnostics=FitDiagnostics(
-            residual_sum_of_squares=float(residual @ residual),
-            training_rows=n_rows,
-            condition_estimate=condition,
-        ),
-    )
+
+def fit_stack(cells: np.ndarray, specs: tuple[FeatureSpec, ...]) -> list[RegressionModel] | None:
+    """``fit_ols``'s model of each of the same-shape ``specs``, from ``cells``
+    (k, 1 + n_features, n_rows): each spec's target row, then its feature
+    rows. None when any check ``fit_ols`` makes would fail for any spec, so
+    the caller can name the first error through ``fit_ols``.
+    """
+    y, features = cells[:, 0], cells[:, 1:]
+    X = _design(features, specs[0].include_intercept)
+    n_rows, n_coef = X.shape[1:]
+    if n_rows < n_coef or (features == y[:, None]).all(axis=2).any():
+        return None
+    try:
+        U, s, Vt, condition = _svd(X)
+    except np.linalg.LinAlgError:
+        return None
+    if not (condition <= CONDITION_LIMIT).all():
+        return None
+    weights, rss = _solve(X, y, U, s, Vt)
+    try:
+        return [
+            _model(spec, w, r, n_rows, c) for spec, w, r, c in zip(specs, weights, rss, condition)
+        ]
+    except FitError:
+        return None
+
+
+def predict_stack(features: np.ndarray, weights: np.ndarray, include_intercept: bool) -> np.ndarray:
+    """One point prediction per column of ``features`` (k, n_features,
+    n_rows) from its row of ``weights`` (k, n_coef, intercept first when
+    ``include_intercept``): intercept + dot(weights, features)."""
+    X = _design(features, False)
+    if include_intercept:
+        return (X @ weights[:, 1:, None])[..., 0] + weights[:, :1]
+    return (X @ weights[..., None])[..., 0]
 
 
 def predict(model: RegressionModel, panel: AlignedPanel) -> np.ndarray:
     """One point prediction per panel row: intercept + dot(weights, features)."""
-    X = _design(_gather(panel, model.spec.features), False)
-    if model.spec.include_intercept:
-        return X @ model.weights[1:] + model.weights[0]
-    return X @ model.weights
+    features = _gather(panel, model.spec.features)
+    return predict_stack(features[None], model.weights[None], model.spec.include_intercept)[0]
 
 
 def spec_to_json_dict(spec: FeatureSpec) -> dict:

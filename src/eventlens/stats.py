@@ -86,31 +86,36 @@ def _coefficients(products, sxx, syy):
 def correlation_matrix(panel: AlignedPanel, keys: Iterable[ColumnKey]) -> CorrelationMatrix:
     """Pairwise Pearson matrix over the selected panel columns.
 
-    Each column is centered once, each pair's dot product is taken on its
-    own (as ``pearson`` takes it; a matrix product would round otherwise),
-    and ``_coefficients`` then runs once over all pairs, so every entry
-    equals ``pearson`` of its two columns exactly. The diagonal is exactly
-    1; failures name the offending column.
+    The columns are centered in one stack and every pair's dot product is
+    one item of one stacked ``matmul``, the rows broadcast against each
+    other: numpy takes each item's product with the ddot that ``pearson``'s
+    ``xc @ yc`` calls, where a matrix product (gemm) would round otherwise.
+    ``_coefficients`` then runs once over all pairs, so every entry equals
+    ``pearson`` of its two columns exactly. The diagonal is exactly 1;
+    failures name the offending column.
     """
     labels = tuple(keys)
     if not labels:
         raise StatsError("correlation_matrix requires at least one column key")
     if panel.n_rows < 2:
         raise StatsError("correlation_matrix requires at least 2 panel rows")
-    columns = [panel.column(key) for key in labels]
-    centered = [column - column.mean() for column in columns]
-    squares = np.array([c @ c for c in centered])
+    columns = np.array([panel.column(key) for key in labels])
+    # Each row starts 16-byte aligned, as ``pearson``'s fresh arrays do:
+    # OpenBLAS's SSE2 (Prescott) ddot rounds by its operands' alignment.
+    n_rows = panel.n_rows
+    centered = np.empty((len(labels), n_rows + n_rows % 2))[:, :n_rows]
+    np.subtract(columns, columns.mean(axis=1, keepdims=True), out=centered)
+    products = (centered[:, None, None, :] @ centered[None, :, :, None])[..., 0, 0]
+    squares = products.diagonal()
     for key, square in zip(labels, squares):
         if square == 0.0:
             raise StatsError(f"column {key.name} has zero variance")
 
     n = len(labels)
     first, second = np.triu_indices(n, 1)
-    pairs = zip(first.tolist(), second.tolist())
-    products = np.array([centered[i] @ centered[j] for i, j in pairs])
     values = np.ones((n, n), dtype=float)
     values[first, second] = values[second, first] = _coefficients(
-        products, squares[first], squares[second]
+        products[first, second], squares[first], squares[second]
     )
     return CorrelationMatrix(labels, values)
 

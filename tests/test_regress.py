@@ -15,8 +15,10 @@ from eventlens.regress import (
     FeatureSpec,
     FitDiagnostics,
     RegressionModel,
+    fit_stack,
     model_from_json_dict,
     model_to_json_dict,
+    predict_stack,
 )
 
 from conftest import panel_of
@@ -202,6 +204,35 @@ def test_fit_is_the_svd_formula_on_the_column_stack_bit_for_bit(rng, include_int
         else:
             predicted = X @ weights
         assert predict(model, panel).tobytes() == predicted.tobytes()
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 6), st.integers(1, 7), st.booleans(), st.integers(0, 40), st.integers(0, 2**32 - 1)
+)
+def test_a_stacked_fit_and_prediction_are_fit_ols_and_predict_bit_for_bit(
+    k, n_features, include_intercept, extra_rows, seed
+):
+    # Rows and coefficients of either parity put stacked vectors on and off
+    # 16-byte boundaries; each item must still get one array's bits.
+    rng = np.random.default_rng(seed)
+    n_rows = n_features + include_intercept + extra_rows
+    keys = [ColumnKey(f"S{i}", BarField.CLOSE) for i in range(n_features + 3)]
+    panel = panel_from({key: rng.normal(size=n_rows) * rng.uniform(0.5, 3.0) for key in keys})
+    specs = []
+    for _ in range(k):
+        target, *features = rng.permutation(len(keys))[: n_features + 1]
+        specs.append(FeatureSpec(keys[target], tuple(keys[f] for f in features), include_intercept))
+    rows = np.array([[panel.index[key] for key in (s.target, *s.features)] for s in specs])
+    models = fit_stack(panel.values[rows], tuple(specs))
+    assert [model.spec for model in models] == specs
+    weights = np.array([model.weights for model in models])
+    predictions = predict_stack(panel.values[rows[:, 1:]], weights, include_intercept)
+    for model, predicted in zip(models, predictions):
+        alone = fit_ols(panel, model.spec)
+        assert model.weights.tobytes() == alone.weights.tobytes()
+        assert model.diagnostics == alone.diagnostics
+        assert predicted.tobytes() == predict(alone, panel).tobytes()
 
 
 def test_matches_normal_equations_oracle(rng):

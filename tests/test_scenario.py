@@ -3,25 +3,33 @@ from __future__ import annotations
 import dataclasses
 import datetime as dt
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eventlens import ConfigError, align
-from eventlens.panel import AlignedPanel, BarField, ColumnKey, DateWindow
+from eventlens import ConfigError, FitError, RawSeries, align, fit_ols, pearson, predict, score
+from eventlens import scenario
+from eventlens.panel import FIELD_ORDER, AlignedPanel, BarField, ColumnKey, DateWindow
 from eventlens.regress import FeatureSpec
 from eventlens.scenario import (
     ProjectionMode,
     ScenarioConfig,
+    ScenarioReport,
+    TargetResult,
     config_digest,
     config_from_json_dict,
     config_to_json_dict,
+    projection_cycles,
     projection_features,
     report_from_json_dict,
     report_to_json_bytes,
     run_scenario,
     series_digest,
 )
+from eventlens.stats import CorrelationMatrix
 
 from conftest import load_fixture_config, load_fixture_data, make_instrument, make_series
 
@@ -282,6 +290,130 @@ def test_errors_are_tagged_with_target_symbol():
     with pytest.raises(FitError, match="target Y"):
         # X.open equals X.close in these fixtures, a rank-deficient design
         run_scenario(linear_config(feature_specs=(spec,)), data)
+
+
+@pytest.mark.parametrize("order", ["rank_deficient_first", "copy_first"])
+def test_the_first_error_in_spec_order_is_named_from_inside_one_stack(order):
+    # Both specs have two features and an intercept, and two 20-row designs
+    # fit in one stack, so the stacked fit sees both failures at once. In
+    # these fixtures X.open equals X.close: spec A's design is rank
+    # deficient, and spec B's X.open copies its target X.close.
+    assert 2 * 8 * 20 * 3 <= scenario.FIT_STACK_BYTES
+    x, y = (ColumnKey(symbol, BarField.CLOSE) for symbol in "XY")
+    x_open = ColumnKey("X", BarField.OPEN)
+    rank_deficient = FeatureSpec(target=y, features=(x, x_open))
+    copy = FeatureSpec(target=x, features=(y, x_open))
+    if order == "rank_deficient_first":
+        specs, message = (rank_deficient, copy), "target Y: rank-deficient design for Y.close: "
+    else:
+        specs, message = (copy, rank_deficient), (
+            "target X: feature X.open is an exact copy of the target values"
+        )
+    with pytest.raises(FitError) as raised:
+        run_scenario(linear_config(feature_specs=specs), linear_universe())
+    assert str(raised.value).startswith(message)
+
+
+@st.composite
+def stacked_scenarios(draw):
+    """A config, its series and a fit stack budget. Two to twelve specs take
+    their design shapes (one to three features, with or without an
+    intercept) from at most three, so runs of one shape are common, and the
+    budget holds one to six training designs of one coefficient, so stacks
+    split on shape and on the budget. Window lengths of either parity put
+    stacked rows on and off 16-byte boundaries. Prices are random walks:
+    every design is well conditioned."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = [draw(st.integers(lo, hi)) for lo, hi in ((20, 31), (5, 12), (3, 9), (3, 13))]
+    n_symbols = draw(st.integers(2, 5))
+    symbols = [f"S{i}" for i in range(n_symbols)]
+    n_days = sum(lengths)
+    dates = [D(2022, 1, 3) + dt.timedelta(days=i) for i in range(n_days)]
+    data = []
+    for symbol in symbols:
+        close = 100.0 + np.cumsum(rng.normal(0.0, 1.0, n_days))
+        opens = close + rng.normal(0.0, 0.5, n_days)
+        high = np.maximum(opens, close) + rng.uniform(0.1, 1.0, n_days)
+        low = np.minimum(opens, close) - rng.uniform(0.1, 1.0, n_days)
+        quotes = np.column_stack([opens, high, low, close])
+        data.append(RawSeries(make_instrument(symbol), dates, quotes))
+
+    shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.booleans()), min_size=1, max_size=3))
+    specs = []
+    for n_features, include_intercept in draw(
+        st.lists(st.sampled_from(shapes), min_size=2, max_size=12)
+    ):
+        target = ColumnKey(draw(st.sampled_from(symbols)), BarField.CLOSE)
+        columns = [ColumnKey(s, f) for s in symbols for f in FIELD_ORDER]
+        columns.remove(target)
+        features = st.lists(
+            st.sampled_from(columns), min_size=n_features, max_size=n_features, unique=True
+        )
+        specs.append(FeatureSpec(target, tuple(draw(features)), include_intercept))
+
+    train, test, source, projection = (
+        DateWindow(dates[sum(lengths[:i])], dates[sum(lengths[: i + 1]) - 1]) for i in range(4)
+    )
+    config = ScenarioConfig(
+        universe=tuple(series.instrument for series in data),
+        feature_specs=tuple(specs),
+        train_window=train,
+        test_window=test,
+        correlation_before=DateWindow(train.start, test.end),
+        correlation_after=projection,
+        source_window=source,
+        projection_window=projection,
+        projection_mode=draw(st.sampled_from(list(ProjectionMode))),
+    )
+    return config, data, draw(st.integers(1, 6)) * 8 * lengths[0]
+
+
+def per_spec_report(config: ScenarioConfig, data: list[RawSeries]) -> ScenarioReport:
+    """The report as perfbench's traced pipeline composes it, each spec
+    through ``fit_ols``, ``predict``, ``score`` and ``projection_features``
+    alone, with each correlation entry a ``pearson`` of its own."""
+    panel = align(data, FIELD_ORDER)
+    slices = {name: panel.slice(window) for name, window in config.named_windows().items()}
+    names = ("train_window", "test_window", "projection_window")
+    train, test, projection = (slices[name] for name in names)
+    targets = {}
+    for spec in config.feature_specs:
+        model = fit_ols(train, spec)
+        test_metrics = score(test.column(spec.target), predict(model, test))
+        counterfactual = predict(model, projection_features(panel, config, spec))
+        realized = projection.column(spec.target)
+        divergence_metrics = score(realized, counterfactual)
+        targets[spec.target.symbol] = TargetResult(
+            model, test_metrics, projection.dates, realized, counterfactual, divergence_metrics
+        )
+    keys = config.close_keys()
+    before, after = (
+        CorrelationMatrix(
+            keys,
+            [[1.0 if a == b else pearson(part.column(a), part.column(b)) for b in keys]
+             for a in keys],
+        )
+        for part in (slices["correlation_before"], slices["correlation_after"])
+    )
+    provenance = {
+        "config_digest": config_digest(config),
+        "data_digests": {series.instrument.symbol: series_digest(series) for series in data},
+        "projection_mode": config.projection_mode.value,
+        "projection_cycles": projection_cycles(config, panel),
+    }
+    return ScenarioReport(targets, before, after, provenance)
+
+
+@settings(deadline=None)
+@given(stacked_scenarios())
+def test_the_stacked_run_is_the_per_spec_composition_byte_for_byte(drawn):
+    config, data, budget = drawn
+    # The stacked path must answer by itself: a per-target rerun fails the test.
+    with mock.patch.object(scenario, "FIT_STACK_BYTES", budget), mock.patch.object(
+        scenario, "_target_result", side_effect=AssertionError("the stacked path fell back")
+    ):
+        stacked = report_to_json_bytes(run_scenario(config, data))
+    assert stacked == report_to_json_bytes(per_spec_report(config, data))
 
 
 def test_provenance_carries_digests_and_cycles():

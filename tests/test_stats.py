@@ -104,12 +104,16 @@ def test_identical_columns_give_all_ones():
     np.testing.assert_array_equal(matrix.values, np.ones((2, 2)))
 
 
-def test_matrix_entries_match_pairwise_pearson(rng):
-    panel = align([random_series(f"S{i}", 40, rng) for i in range(4)])
-    keys = [key(f"S{i}") for i in range(4)]
+@settings(deadline=None)
+@given(st.integers(2, 60), st.integers(2, 80), st.integers(0, 2**32 - 1))
+def test_matrix_entries_match_pairwise_pearson(n_cols, n_rows, seed):
+    # Up to 1,770 pairs of one stacked product, each equal to pearson's own.
+    rng = np.random.default_rng(seed)
+    panel = align([random_series(f"S{i}", n_rows, rng) for i in range(n_cols)])
+    keys = [key(f"S{i}") for i in range(n_cols)]
     matrix = correlation_matrix(panel, keys)
-    for i in range(4):
-        for j in range(4):
+    for i in range(n_cols):
+        for j in range(n_cols):
             expected = 1.0 if i == j else pearson(panel.column(keys[i]), panel.column(keys[j]))
             assert matrix.values[i, j] == expected
 
