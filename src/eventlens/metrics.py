@@ -9,6 +9,10 @@ Metrics:
 MAPE averages the per-point ratios |true_i - pred_i| / |true_i|; a zero
 true value is a hard error rather than a silently skipped point, because
 dropping points would misstate n.
+
+``score_stack`` scores the row pairs of two (k, n) stacks up to the first
+pair it refuses and returns that pair's MetricError beside the reports
+before it; ``score`` is its stack of one and raises that error.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ class MetricsReport:
                 raise MetricError(f"{name} must be finite and non-negative, got {value}")
         if abs(self.rmse * self.rmse - self.mse) > 1e-12 * max(self.mse, 1e-300):
             raise MetricError(f"rmse^2 != mse: {self.rmse}^2 vs {self.mse}")
-        if self.mae > self.rmse + 1e-12:
+        if self.mae > self.rmse + 1e-12 * max(self.rmse, 1.0):
             raise MetricError(f"mae {self.mae} exceeds rmse {self.rmse}")
 
     @classmethod
@@ -103,29 +107,39 @@ def mape(true: Vector, pred: Vector) -> float:
     return float(_mape(*_paired(true, pred)))
 
 
-def _reports(t: np.ndarray, p: np.ndarray) -> list[MetricsReport]:
-    """The report of each row pair of the (k, n) stacks t and p. A mean over
-    a contiguous last axis sums each row as the mean of that row alone does,
-    so each report's bits do not depend on its stack."""
-    measures = (_mse(t, p).tolist(), _mae(t, p).tolist(), _mape(t, p).tolist())
-    n = t.shape[-1]
-    return [MetricsReport(s, math.sqrt(s), a, m, n) for s, a, m in zip(*measures)]
-
-
 def score(true: Vector, pred: Vector) -> MetricsReport:
-    """All four metrics from one check of the inputs; rmse is sqrt(mse) by
-    construction, as ``rmse`` computes it."""
+    """All four metrics from one check of the inputs, as ``score_stack`` of
+    one; rmse is sqrt(mse) by construction, as ``rmse`` computes it."""
     t, p = _paired(true, pred)
-    return _reports(t[None], p[None])[0]
+    reports, error = score_stack(t[None], p[None])
+    if error is not None:
+        raise error
+    return reports[0]
 
 
-def score_stack(true: np.ndarray, pred: np.ndarray) -> list[MetricsReport] | None:
+def score_stack(
+    true: np.ndarray, pred: np.ndarray
+) -> tuple[list[MetricsReport], MetricError | None]:
     """``score`` of each row pair of the (k, n) stacks ``true`` and ``pred``,
-    or None when any check ``score`` makes would fail for any row, so the
-    caller can name the first error through ``score``."""
-    if not (np.isfinite(true).all() and np.isfinite(pred).all()):
-        return None
+    up to the first row pair it refuses. That row's MetricError is returned
+    beside the reports of the rows before it, or None when every row is
+    scored.
+
+    A mean over a contiguous last axis sums each row as the mean of that row
+    alone does, so each report's bits do not depend on its stack. Overflow
+    warnings are off: a report's checks name a measure that is not finite.
+    """
+    undefined = ~(np.isfinite(true).all(1) & np.isfinite(pred).all(1)) | (true == 0.0).any(1)
+    scored = int(np.argmax(undefined)) if undefined.any() else len(true)
+    t, p = true[:scored], pred[:scored]
+    with np.errstate(over="ignore", invalid="ignore"):
+        measures = (_mse(t, p).tolist(), _mae(t, p).tolist(), _mape(t, p).tolist())
+    reports: list[MetricsReport] = []
     try:
-        return _reports(true, pred)
-    except MetricError:
-        return None
+        for s, a, m in zip(*measures):
+            reports.append(MetricsReport(s, math.sqrt(s), a, m, true.shape[1]))
+        if scored < len(true):
+            _mape(*_paired(true[scored], pred[scored]))  # raises that row's error
+    except MetricError as exc:
+        return reports, exc
+    return reports, None

@@ -12,9 +12,11 @@ and gathers them in one fancy-index take; the design handed to the SVD and
 to ``@`` is the C-contiguous (n_rows, n_coef) array ``np.column_stack``
 would build, because BLAS rounds strided operands differently.
 
-Each formula is written once, for a stack of designs: ``fit_stack`` and
-``predict_stack`` fit and predict same-shape specs in one call each, and
-``fit_ols`` and ``predict`` apply the same helpers to a stack of one. The
+Each formula and each check is written once, for a stack of designs:
+``fit_stack`` and ``predict_stack`` fit and predict same-shape specs in one
+call each, and ``fit_ols`` and ``predict`` are those calls on a stack of
+one. ``fit_stack`` fits up to the first spec it refuses and returns that
+spec's FitError beside the models before it; ``fit_ols`` raises it. The
 SVD gufunc calls LAPACK's gesdd once per design, and ``matmul`` picks gemv
 or ddot for each item from its shape and strides, as for one array. The
 vectors of ddot and transposed gemv also start 16-byte aligned in every
@@ -160,82 +162,76 @@ def _solve(X, y, U, s, Vt) -> tuple[np.ndarray, np.ndarray]:
     return weights, (residual[:, None, :] @ residual[..., None])[:, 0, 0]
 
 
-def _model(spec: FeatureSpec, weights, rss, n_rows: int, condition) -> RegressionModel:
-    return RegressionModel(
-        spec=spec,
-        weights=weights,
-        diagnostics=FitDiagnostics(
-            residual_sum_of_squares=float(rss),
-            training_rows=n_rows,
-            condition_estimate=float(condition),
-        ),
-    )
-
-
 def fit_ols(panel: AlignedPanel, spec: FeatureSpec) -> RegressionModel:
-    """Fit the spec on the panel by least squares.
+    """Fit the spec on the panel by least squares: ``fit_stack`` of one.
 
-    Raises FitError when a column is missing from the panel, when rows are
-    fewer than coefficients, when a feature column exactly duplicates the
-    target values (the first such feature in spec order is named), or when
-    the design's condition estimate exceeds CONDITION_LIMIT.
+    Raises FitError when a column is missing from the panel, or with the
+    error ``fit_stack`` names.
     """
-    cells = _gather(panel, (spec.target, *spec.features))
-    y, features = cells[0], cells[1:]
-    copies = (features == y).all(axis=1)
-    if copies.any():
-        key = spec.features[int(np.argmax(copies))]
-        raise FitError(f"feature {key.name} is an exact copy of the target values")
-
-    X = _design(features, spec.include_intercept)
-    n_rows, n_coef = X.shape
-    if n_rows < n_coef:
-        raise FitError(f"too few rows: {n_rows} rows for {n_coef} coefficients")
-
-    U, s, Vt, condition = _svd(X[None])
-    if not condition[0] <= CONDITION_LIMIT:
-        raise FitError(
-            f"rank-deficient design for {spec.target.name}: "
-            f"condition estimate {float(condition[0]):.6e} exceeds {CONDITION_LIMIT:.0e}"
-        )
-    weights, rss = _solve(X[None], y[None], U, s, Vt)
-    return _model(spec, weights[0], rss[0], n_rows, condition[0])
+    models, error = fit_stack(_gather(panel, (spec.target, *spec.features))[None], (spec,))
+    if error is not None:
+        raise error
+    return models[0]
 
 
-def fit_stack(cells: np.ndarray, specs: tuple[FeatureSpec, ...]) -> list[RegressionModel] | None:
-    """``fit_ols``'s model of each of the same-shape ``specs``, from ``cells``
-    (k, 1 + n_features, n_rows): each spec's target row, then its feature
-    rows. None when any check ``fit_ols`` makes would fail for any spec, so
-    the caller can name the first error through ``fit_ols``.
+def fit_stack(
+    cells: np.ndarray, specs: tuple[FeatureSpec, ...]
+) -> tuple[list[RegressionModel], FitError | None]:
+    """The models of the same-shape ``specs`` from ``cells`` (k, 1 +
+    n_features, n_rows): each spec's target row, then its feature rows.
+
+    Fitting stops at the first spec it refuses. That spec's FitError is
+    returned beside the models of the specs before it, or None when every
+    spec is fit. A spec is refused when a feature column exactly duplicates
+    the target values (the first such feature in spec order is named), when
+    rows are fewer than coefficients, when the design's condition estimate
+    exceeds CONDITION_LIMIT, or when its weights or residual sum of squares
+    are not finite. Overflow warnings are off: the diagnostics' checks name
+    a residual sum of squares that overflowed.
     """
     y, features = cells[:, 0], cells[:, 1:]
+    copies = (features == y[:, None]).all(axis=2)
     X = _design(features, specs[0].include_intercept)
     n_rows, n_coef = X.shape[1:]
-    if n_rows < n_coef or (features == y[:, None]).all(axis=2).any():
-        return None
-    try:
+    condition = np.full(len(specs), np.inf)
+    if n_rows >= n_coef:
         U, s, Vt, condition = _svd(X)
-    except np.linalg.LinAlgError:
-        return None
-    if not (condition <= CONDITION_LIMIT).all():
-        return None
-    weights, rss = _solve(X, y, U, s, Vt)
-    try:
-        return [
-            _model(spec, w, r, n_rows, c) for spec, w, r, c in zip(specs, weights, rss, condition)
-        ]
-    except FitError:
-        return None
+    refused = copies.any(axis=1) | ~(condition <= CONDITION_LIMIT)
+    fit = int(np.argmax(refused)) if refused.any() else len(specs)
+    models: list[RegressionModel] = []
+    if fit:
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights, rss = _solve(X[:fit], y[:fit], U[:fit], s[:fit], Vt[:fit])
+        try:
+            for spec, w, r, c in zip(specs, weights, rss, condition):
+                diagnostics = FitDiagnostics(float(r), n_rows, float(c))
+                models.append(RegressionModel(spec, w, diagnostics))
+        except FitError as exc:
+            return models, exc
+    if fit == len(specs):
+        return models, None
+    spec = specs[fit]
+    if copies[fit].any():
+        key = spec.features[int(np.argmax(copies[fit]))]
+        return models, FitError(f"feature {key.name} is an exact copy of the target values")
+    if n_rows < n_coef:
+        return models, FitError(f"too few rows: {n_rows} rows for {n_coef} coefficients")
+    return models, FitError(
+        f"rank-deficient design for {spec.target.name}: "
+        f"condition estimate {float(condition[fit]):.6e} exceeds {CONDITION_LIMIT:.0e}"
+    )
 
 
 def predict_stack(features: np.ndarray, weights: np.ndarray, include_intercept: bool) -> np.ndarray:
     """One point prediction per column of ``features`` (k, n_features,
     n_rows) from its row of ``weights`` (k, n_coef, intercept first when
-    ``include_intercept``): intercept + dot(weights, features)."""
+    ``include_intercept``): intercept + dot(weights, features). Overflow
+    warnings are off: a score's checks name a prediction that is not finite."""
     X = _design(features, False)
-    if include_intercept:
-        return (X @ weights[:, 1:, None])[..., 0] + weights[:, :1]
-    return (X @ weights[..., None])[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if include_intercept:
+            return (X @ weights[:, 1:, None])[..., 0] + weights[:, :1]
+        return (X @ weights[..., None])[..., 0]
 
 
 def predict(model: RegressionModel, panel: AlignedPanel) -> np.ndarray:

@@ -29,10 +29,10 @@ matching parts of a full run and an uncovered window fails them alike.
 shape as numpy stacks (``regress.fit_stack``, ``regress.predict_stack``,
 ``metrics.score_stack``), fit stacks bounded by FIT_STACK_BYTES. Each
 item of a stack gets the LAPACK and BLAS calls one array would get, so
-every result equals the per-target stages' bit for bit. A stacked call
-only answers that every check passed; on any failed check the run repeats
-through the per-target stages, which name the first error in spec order,
-prefixed with its target's symbol.
+every result equals the per-target stages' bit for bit. A stacked fit or
+score stops at the first item it refuses and returns that item's error, so
+the run names the first error in (spec, stage) order, fit before test score
+before divergence score, prefixed with its target's symbol.
 
 Given identical config and input series, a scenario run is fully
 deterministic, and its report serializes to byte-identical JSON.
@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import ConfigError, EventLensError, PanelError, json_array, json_number, json_object
 from .ingest import InstrumentId, InstrumentKind, RawSeries
-from .metrics import MetricsReport, score, score_stack
+from .metrics import MetricsReport, score_stack
 from .panel import FIELD_ORDER, AlignedPanel, BarField, ColumnKey, DateWindow, align
 from .regress import (
     FeatureSpec,
@@ -423,11 +423,8 @@ def run_scenario(config: ScenarioConfig, data: Iterable[RawSeries]) -> ScenarioR
     correlation_before, correlation_after = correlations(panel, config)
     cycles = projection_cycles(config, panel)
 
-    specs = config.feature_specs
-    results = _stacked_targets(panel, config, slices)
-    if results is None:
-        results = [_target_result(panel, config, spec) for spec in specs]
-    targets = {spec.target.symbol: result for spec, result in zip(specs, results)}
+    results = _targets(panel, config, slices)
+    targets = {spec.target.symbol: result for spec, result in zip(config.feature_specs, results)}
 
     provenance = {
         "config_digest": config_digest(config),
@@ -443,30 +440,18 @@ def run_scenario(config: ScenarioConfig, data: Iterable[RawSeries]) -> ScenarioR
     )
 
 
-def _target_result(panel: AlignedPanel, config: ScenarioConfig, spec: FeatureSpec) -> TargetResult:
-    """One spec's result through the per-target stages, or the first error
-    they raise, prefixed with the target's symbol."""
-    test = window_slice(panel, config, "test_window")
-    try:
-        model = fit_target(panel, config, spec)
-        test_metrics = score(test.column(spec.target), predict(model, test))
-        dates, realized, counterfactual = project_target(panel, config, model)
-        divergence_metrics = score(realized, counterfactual)
-    except EventLensError as exc:
-        raise type(exc)(f"target {spec.target.symbol}: {exc}") from exc
-    return TargetResult(model, test_metrics, dates, realized, counterfactual, divergence_metrics)
-
-
-def _stacked_targets(
+def _targets(
     panel: AlignedPanel, config: ScenarioConfig, slices: dict[str, AlignedPanel]
-) -> list[TargetResult] | None:
-    """Each spec's ``_target_result``, in spec order, or None when any check
-    would fail, so that ``_target_result`` names the first error.
+) -> list[TargetResult]:
+    """Each spec's fit, test score and projection, in spec order, or the
+    first error in (spec, stage) order, fit before test score before
+    divergence score, prefixed with its target's symbol.
 
     Consecutive specs of one design shape (feature count and intercept) are
-    fit in stacks of at most FIT_STACK_BYTES of training design cells, then
-    predicted and scored in one stack per window. Each spec's keys are
-    looked up once: every window's panel shares ``panel``'s index.
+    fit in stacks of at most FIT_STACK_BYTES of training design cells, up to
+    the first fit error, then the fitted specs are predicted and scored in
+    one stack per window. Each spec's keys are looked up once: every
+    window's panel shares ``panel``'s index.
     """
     names = ("train_window", "test_window", "projection_window")
     train, test, projection = (slices[name] for name in names)
@@ -475,27 +460,29 @@ def _stacked_targets(
     runs = groupby(config.feature_specs, lambda spec: (len(spec.features), spec.include_intercept))
     for (n_features, include_intercept), group in runs:
         group = tuple(group)
-        try:
-            rows = np.array(
-                [[panel.index[key] for key in (spec.target, *spec.features)] for spec in group]
-            )
-        except KeyError:
-            return None
-        step = max(1, FIT_STACK_BYTES // (8 * train.n_rows * (include_intercept + n_features)))
+        keys = [(spec.target, *spec.features) for spec in group]
+        rows = np.array([[panel.index[key] for key in spec_keys] for spec_keys in keys])
+        n_coef = include_intercept + n_features
+        step = max(1, FIT_STACK_BYTES // (8 * train.n_rows * n_coef))
         models: list[RegressionModel] = []
         for start in range(0, len(group), step):
-            fitted = fit_stack(train.values[rows[start : start + step]], group[start : start + step])
-            if fitted is None:
-                return None
+            stack = slice(start, start + step)
+            fitted, fit_error = fit_stack(train.values[rows[stack]], group[stack])
             models += fitted
-        weights = np.array([model.weights for model in models])
+            if fit_error is not None:
+                break
+        rows = rows[: len(models)]
+        weights = np.array([model.weights for model in models]).reshape(len(models), n_coef)
         predictions = predict_stack(test.values[rows[:, 1:]], weights, include_intercept)
         realized = projection.values[rows[:, 0]]
         counterfactual = predict_stack(features.values[rows[:, 1:]], weights, include_intercept)
-        test_scores = score_stack(test.values[rows[:, 0]], predictions)
-        divergences = score_stack(realized, counterfactual)
-        if test_scores is None or divergences is None:
-            return None
+        test_scores, test_error = score_stack(test.values[rows[:, 0]], predictions)
+        divergences, divergence_error = score_stack(realized, counterfactual)
+        stages = ((models, fit_error), (test_scores, test_error), (divergences, divergence_error))
+        errors = [(len(done), stage, error) for stage, (done, error) in enumerate(stages) if error]
+        if errors:
+            index, _, error = min(errors)
+            raise type(error)(f"target {group[index].target.symbol}: {error}") from error
         results += [
             TargetResult(model, test_score, projection.dates, real, counter, divergence)
             for model, test_score, real, counter, divergence in zip(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import datetime as dt
 import json
 import math
 import os
@@ -10,11 +11,12 @@ from pathlib import Path
 import pytest
 
 from eventlens import DailyBar, cli, errors
+from eventlens.ingest import series_to_csv_bytes
 from eventlens.regress import model_to_json_dict
 from eventlens.report import json_bytes
 from eventlens.scenario import report_from_json_dict
 
-from conftest import GOLDEN_DIR, SYNTHETIC_DIR
+from conftest import GOLDEN_DIR, SYNTHETIC_DIR, make_series
 
 NOISY_CONFIG = str(SYNTHETIC_DIR / "scenario_noisy.json")
 
@@ -465,6 +467,44 @@ def test_offline_cache_miss_is_a_data_error(tmp_path, capsys, no_network):
     assert code == 1
     err = capsys.readouterr().err
     assert err == "eventlens: error: provider-error: offline mode forbids network access\n"
+
+
+def test_an_overflowing_score_prints_one_error_line(tmp_path):
+    # Y.close is 1e200 over the test window, so its squared test errors
+    # overflow. A fresh interpreter prints any warning as a user sees it.
+    start = dt.date(2022, 1, 1)
+    x = [10.0 + 0.5 * i + (i % 3) for i in range(30)]
+    y = [1e200 if 20 <= i < 25 else 3.0 + 2.0 * close for i, close in enumerate(x)]
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    for symbol, closes in (("X", x), ("Y", y)):
+        series = make_series(symbol, start, closes)
+        (cache / f"{symbol}.csv").write_bytes(series_to_csv_bytes(series))
+
+    def window(a: int, b: int) -> dict:
+        days = (start + dt.timedelta(a), start + dt.timedelta(b))
+        return {"start": days[0].isoformat(), "end": days[1].isoformat()}
+
+    scenario = {
+        "universe": [{"symbol": symbol, "kind": "equity"} for symbol in "XY"],
+        "feature_specs": [{"target": "Y.close", "features": ["X.close"]}],
+        "train_window": window(0, 19),
+        "test_window": window(20, 24),
+        "correlation_before": window(0, 9),
+        "correlation_after": window(10, 19),
+        "source_window": window(20, 24),
+        "projection_window": window(25, 29),
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"provider": {"cache_dir": "cache"}, "scenario": scenario}))
+    argv = ["run", "--offline", "--config", str(config_path), "--out", str(tmp_path / "out")]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "eventlens.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert (result.returncode, result.stderr) == (
+        1, "eventlens: error: metric-error: target Y: mse must be finite and non-negative, got inf\n"
+    )
 
 
 def test_data_error_stream_is_stable_across_runs(tmp_path, capsys, no_network):

@@ -152,6 +152,14 @@ def test_report_rejects_mae_above_rmse():
         MetricsReport(mse=1.0, rmse=1.0, mae=1.5, mape=1.0, n=3)
 
 
+def test_a_constant_error_above_1e4_is_scored():
+    # sqrt(60000.17**2) rounds to 60000.16999999999: mae exceeds rmse by one
+    # ulp, a rounding of sqrt, not an inconsistent report.
+    report = score([100.0] * 5, [100.0 + 60000.17] * 5)
+    assert report.mae == 60000.17
+    assert report.rmse == math.sqrt(report.mse)
+
+
 def test_report_rejects_bad_counts_and_negatives():
     with pytest.raises(MetricError):
         MetricsReport(mse=1.0, rmse=1.0, mae=0.5, mape=1.0, n=0)

@@ -224,7 +224,8 @@ def test_a_stacked_fit_and_prediction_are_fit_ols_and_predict_bit_for_bit(
         target, *features = rng.permutation(len(keys))[: n_features + 1]
         specs.append(FeatureSpec(keys[target], tuple(keys[f] for f in features), include_intercept))
     rows = np.array([[panel.index[key] for key in (s.target, *s.features)] for s in specs])
-    models = fit_stack(panel.values[rows], tuple(specs))
+    models, error = fit_stack(panel.values[rows], tuple(specs))
+    assert error is None
     assert [model.spec for model in models] == specs
     weights = np.array([model.weights for model in models])
     predictions = predict_stack(panel.values[rows[:, 1:]], weights, include_intercept)

@@ -10,7 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eventlens import ConfigError, FitError, RawSeries, align, fit_ols, pearson, predict, score
+from eventlens import (
+    ConfigError,
+    EventLensError,
+    FitError,
+    MetricError,
+    RawSeries,
+    align,
+    fit_ols,
+    pearson,
+    predict,
+    score,
+)
 from eventlens import scenario
 from eventlens.panel import FIELD_ORDER, AlignedPanel, BarField, ColumnKey, DateWindow
 from eventlens.regress import FeatureSpec
@@ -314,6 +325,61 @@ def test_the_first_error_in_spec_order_is_named_from_inside_one_stack(order):
     assert str(raised.value).startswith(message)
 
 
+def shifted_universe(days, level):
+    """``linear_universe`` with Y.close set to ``level(close)`` on ``days``."""
+    x, y = linear_universe()
+    closes = [float(c) for c in y.quotes[:, 3]]
+    for day in days:
+        closes[day] = level(closes[day])
+    return [x, make_series("Y", D(2022, 1, 1), closes)]
+
+
+def window_days(a: int, b: int) -> DateWindow:
+    return DateWindow(D(2022, 1, 1) + dt.timedelta(a), D(2022, 1, 1) + dt.timedelta(b))
+
+
+def test_a_clean_level_shift_above_1e4_is_scored():
+    # The realized closes sit 60000.17 above the oracle counterfactual; the
+    # rounding of rmse once refused the divergence score.
+    data = shifted_universe(range(25, 30), lambda close: close + 60000.17)
+    report = run_scenario(linear_config(ProjectionMode.ORACLE_FEATURES), data)
+    assert report.targets["Y"].divergence_metrics.mae == pytest.approx(60000.17, rel=1e-12)
+
+
+def test_an_overflowing_fit_is_a_fit_error():
+    # Y.close is 1e200 on the later training days, so the residual sum of
+    # squares overflows; no correlation window reads those days.
+    config = linear_config(
+        test_window=window_days(20, 24),
+        correlation_before=window_days(20, 24),
+        correlation_after=window_days(25, 29),
+    )
+    data = shifted_universe(range(20), lambda close: 1e200 if close > 40.0 else close)
+    with pytest.raises(FitError, match="^target Y: residual_sum_of_squares must be finite"):
+        run_scenario(config, data)
+
+
+@pytest.mark.parametrize("order", ["overflow_first", "copy_first"])
+def test_the_first_error_in_spec_order_is_named_across_stages(order):
+    # Both specs share one stack. Spec A fits, then its test score overflows
+    # (Y.close is 1e200 over the test window); spec B's X.open copies its
+    # target X.close, so its fit is refused. Whichever comes first is named.
+    x, y = (ColumnKey(symbol, BarField.CLOSE) for symbol in "XY")
+    overflow = FeatureSpec(target=y, features=(x,))
+    copy = FeatureSpec(target=x, features=(ColumnKey("X", BarField.OPEN),))
+    if order == "overflow_first":
+        specs, error, message = (overflow, copy), MetricError, "target Y: mse must be finite"
+    else:
+        specs, error, message = (copy, overflow), FitError, (
+            "target X: feature X.open is an exact copy of the target values"
+        )
+    config = linear_config(feature_specs=specs, test_window=window_days(20, 24))
+    data = shifted_universe(range(20, 25), lambda close: 1e200)
+    with pytest.raises(error) as raised:
+        run_scenario(config, data)
+    assert str(raised.value).startswith(message)
+
+
 @st.composite
 def stacked_scenarios(draw):
     """A config, its series and a fit stack budget. Two to twelve specs take
@@ -321,12 +387,16 @@ def stacked_scenarios(draw):
     intercept) from at most three, so runs of one shape are common, and the
     budget holds one to six training designs of one coefficient, so stacks
     split on shape and on the budget. Window lengths of either parity put
-    stacked rows on and off 16-byte boundaries. Prices are random walks:
-    every design is well conditioned."""
+    stacked rows on and off 16-byte boundaries. Prices are random walks, so
+    designs of their columns are well conditioned; but S0 is sometimes
+    close-only (its open, high and low are its close), and then a spec may
+    copy its target (S0.close on S0.open) or be rank deficient (on S0.open
+    and S0.close), so the run fails on its first such spec."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lengths = [draw(st.integers(lo, hi)) for lo, hi in ((20, 31), (5, 12), (3, 9), (3, 13))]
     n_symbols = draw(st.integers(2, 5))
     symbols = [f"S{i}" for i in range(n_symbols)]
+    close_only = draw(st.booleans())
     n_days = sum(lengths)
     dates = [D(2022, 1, 3) + dt.timedelta(days=i) for i in range(n_days)]
     data = []
@@ -336,19 +406,34 @@ def stacked_scenarios(draw):
         high = np.maximum(opens, close) + rng.uniform(0.1, 1.0, n_days)
         low = np.minimum(opens, close) - rng.uniform(0.1, 1.0, n_days)
         quotes = np.column_stack([opens, high, low, close])
+        if close_only and symbol == "S0":
+            quotes = np.column_stack([close] * 4)
         data.append(RawSeries(make_instrument(symbol), dates, quotes))
 
+    s0_open, s0_close = (ColumnKey("S0", field) for field in (BarField.OPEN, BarField.CLOSE))
+    kinds = ["walk"] * 4 + (["copy", "rank_deficient"] if close_only else [])
     shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.booleans()), min_size=1, max_size=3))
     specs = []
     for n_features, include_intercept in draw(
         st.lists(st.sampled_from(shapes), min_size=2, max_size=12)
     ):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "rank_deficient" and n_features < 2:
+            kind = "copy"
         target = ColumnKey(draw(st.sampled_from(symbols)), BarField.CLOSE)
+        if kind != "walk":
+            target = s0_close if kind == "copy" else ColumnKey("S1", BarField.CLOSE)
+        planted = {"walk": [], "copy": [s0_open], "rank_deficient": [s0_open, s0_close]}[kind]
         columns = [ColumnKey(s, f) for s in symbols for f in FIELD_ORDER]
-        columns.remove(target)
+        for key in (target, *planted):
+            columns.remove(key)
         features = st.lists(
-            st.sampled_from(columns), min_size=n_features, max_size=n_features, unique=True
+            st.sampled_from(columns),
+            min_size=n_features - len(planted),
+            max_size=n_features - len(planted),
+            unique=True,
         )
+        features = st.permutations(planted + draw(features))
         specs.append(FeatureSpec(target, tuple(draw(features)), include_intercept))
 
     train, test, source, projection = (
@@ -371,18 +456,22 @@ def stacked_scenarios(draw):
 def per_spec_report(config: ScenarioConfig, data: list[RawSeries]) -> ScenarioReport:
     """The report as perfbench's traced pipeline composes it, each spec
     through ``fit_ols``, ``predict``, ``score`` and ``projection_features``
-    alone, with each correlation entry a ``pearson`` of its own."""
+    alone, with each correlation entry a ``pearson`` of its own; or the
+    first error those raise, prefixed with its target's symbol."""
     panel = align(data, FIELD_ORDER)
     slices = {name: panel.slice(window) for name, window in config.named_windows().items()}
     names = ("train_window", "test_window", "projection_window")
     train, test, projection = (slices[name] for name in names)
     targets = {}
     for spec in config.feature_specs:
-        model = fit_ols(train, spec)
-        test_metrics = score(test.column(spec.target), predict(model, test))
-        counterfactual = predict(model, projection_features(panel, config, spec))
-        realized = projection.column(spec.target)
-        divergence_metrics = score(realized, counterfactual)
+        try:
+            model = fit_ols(train, spec)
+            test_metrics = score(test.column(spec.target), predict(model, test))
+            counterfactual = predict(model, projection_features(panel, config, spec))
+            realized = projection.column(spec.target)
+            divergence_metrics = score(realized, counterfactual)
+        except EventLensError as exc:
+            raise type(exc)(f"target {spec.target.symbol}: {exc}") from exc
         targets[spec.target.symbol] = TargetResult(
             model, test_metrics, projection.dates, realized, counterfactual, divergence_metrics
         )
@@ -408,12 +497,17 @@ def per_spec_report(config: ScenarioConfig, data: list[RawSeries]) -> ScenarioRe
 @given(stacked_scenarios())
 def test_the_stacked_run_is_the_per_spec_composition_byte_for_byte(drawn):
     config, data, budget = drawn
-    # The stacked path must answer by itself: a per-target rerun fails the test.
-    with mock.patch.object(scenario, "FIT_STACK_BYTES", budget), mock.patch.object(
-        scenario, "_target_result", side_effect=AssertionError("the stacked path fell back")
-    ):
+    try:
+        expected = report_to_json_bytes(per_spec_report(config, data))
+    except EventLensError as exc:
+        with mock.patch.object(scenario, "FIT_STACK_BYTES", budget):
+            with pytest.raises(EventLensError) as raised:
+                run_scenario(config, data)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+        return
+    with mock.patch.object(scenario, "FIT_STACK_BYTES", budget):
         stacked = report_to_json_bytes(run_scenario(config, data))
-    assert stacked == report_to_json_bytes(per_spec_report(config, data))
+    assert stacked == expected
 
 
 def test_provenance_carries_digests_and_cycles():
