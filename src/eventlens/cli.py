@@ -4,16 +4,20 @@ Subcommands: fetch (populate the cache), correlate / fit / project (run
 some of the protocol's stages against the cache), run (full scenario to a
 report bundle), and report (re-emit a bundle from a saved scenario report).
 
-correlate, fit and project call the same ``scenario`` stages as
-``run_scenario`` (``correlations``, ``fit_target``, ``project_target``)
-and name, encode and write their files with the same ``report`` functions,
-so each file they write is byte-equal to the same-named file of a ``run``
-bundle (a fit model to its model in the saved report). run and report
-write the bundle with ``report.emit`` and run the ``--save-report``
-document with ``report.report_to_json_bytes``, its only writers. Every
-file is written through ``ingest.write_atomic``, which makes a missing
-directory; run and report stage their bundle beside ``--out`` and swap
-it in whole.
+correlate calls ``scenario.correlations``, as ``run_scenario`` does. fit
+and project call ``scenario.window_slice``, ``regress.fit_ols``,
+``regress.predict`` and ``scenario.projection_features``: the one-item
+forms of ``run_scenario``'s stacks, which give each item the LAPACK and
+BLAS calls one array gets. They name, encode and write their files with
+the same ``report`` functions, so each file they write is byte-equal to
+the same-named file of a ``run`` bundle (a fit model to its model in the
+saved report).
+
+run and report write the bundle with ``report.emit`` and run the
+``--save-report`` document with ``report.report_to_json_bytes``, its only
+writers. Every file is written through ``ingest.write_atomic``, which
+makes a missing directory; run and report stage their bundle beside
+``--out`` and swap it in whole.
 
 Exit codes: 0 success, 1 data/model errors, 2 usage errors. Failures are
 written to stderr as a single machine-parseable line.
@@ -41,6 +45,7 @@ from . import scenario as scenario_mod
 from .errors import EventLensError, ProviderError, json_object
 from .ingest import InstrumentId, ProviderConfig, RawSeries, fetch_daily, fetch_universe, write_atomic
 from .panel import FIELD_ORDER, AlignedPanel, align
+from .regress import fit_ols, predict
 from .scenario import ProjectionMode, ScenarioConfig
 
 PROG = "eventlens"
@@ -144,7 +149,8 @@ def cmd_correlate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 def cmd_fit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     provider, config = _load_config(args.config, parser)
     panel = _panel(config, provider, args.offline)
-    models = [scenario_mod.fit_target(panel, config, spec) for spec in config.feature_specs]
+    train = scenario_mod.window_slice(panel, config, "train_window")
+    models = [fit_ols(train, spec) for spec in config.feature_specs]
     report_mod.write_files(Path(args.out), report_mod.model_files(models))
     for model in models:
         symbol, rss = model.spec.target.symbol, model.diagnostics.residual_sum_of_squares
@@ -157,11 +163,14 @@ def cmd_project(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     config = _apply_mode(config, args.mode)
     formats = _parse_formats(args.format, parser)
     panel = _panel(config, provider, args.offline)
+    train = scenario_mod.window_slice(panel, config, "train_window")
     files: dict[str, bytes] = {}
     for spec in config.feature_specs:
-        model = scenario_mod.fit_target(panel, config, spec)
-        projection = scenario_mod.project_target(panel, config, model)
-        files.update(report_mod.counterfactual_files(spec.target.symbol, *projection, formats))
+        model = fit_ols(train, spec)
+        projection = scenario_mod.window_slice(panel, config, "projection_window")
+        counterfactual = predict(model, scenario_mod.projection_features(panel, config, spec))
+        paths = (projection.dates, projection.column(spec.target), counterfactual)
+        files.update(report_mod.counterfactual_files(spec.target.symbol, *paths, formats))
     report_mod.write_files(Path(args.out), files)
     for spec in config.feature_specs:
         print(f"counterfactual_{spec.target.symbol} written")

@@ -15,6 +15,9 @@ its ``dates``, so the protocol's stages can each ask for the windows they
 read and each panel a run reads is built and checked once. The memo needs
 no lock: two threads that slice one window at once build equal panels, and
 storing either in the dict is atomic.
+
+``aligned_rows`` allocates the scratch stacks ``regress`` and ``stats``
+hand to BLAS, each row 16-byte aligned as a fresh array is.
 """
 
 from __future__ import annotations
@@ -171,6 +174,13 @@ class AlignedPanel:
                 sliced = AlignedPanel(self.days[lo:hi], self.values[:, lo:hi], self.index)
             self._slices[window, onto] = sliced
         return sliced
+
+
+def aligned_rows(k: int, m: int) -> np.ndarray:
+    """An empty (k, m) stack whose rows each start 16-byte aligned, as one
+    fresh array does: OpenBLAS's SSE2 (Prescott) kernels round ddot, and
+    transposed gemv, by the alignment of their vector operands."""
+    return np.empty((k, m + m % 2))[:, :m]
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:

@@ -20,8 +20,9 @@ spec's FitError beside the models before it; ``fit_ols`` raises it. The
 SVD gufunc calls LAPACK's gesdd once per design, and ``matmul`` picks gemv
 or ddot for each item from its shape and strides, as for one array. The
 vectors of ddot and transposed gemv also start 16-byte aligned in every
-item, as in a fresh array, because OpenBLAS's SSE2 kernels round by that
-alignment. So each result's bits do not depend on its stack.
+item (``panel.aligned_rows``), as in a fresh array, because OpenBLAS's
+SSE2 kernels round by that alignment. So each result's bits do not depend
+on its stack.
 
 Features are not standardized. OLS predictions are affine-equivariant, so
 scaling is cosmetic, and raw weights stay comparable to quote units.
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FitError, json_array, json_number, json_object
-from .panel import AlignedPanel, BarField, ColumnKey
+from .panel import AlignedPanel, BarField, ColumnKey, aligned_rows
 
 CONDITION_LIMIT = 1e12
 
@@ -144,21 +145,14 @@ def _svd(X: np.ndarray) -> tuple[np.ndarray, ...]:
     return U, s, Vt, condition
 
 
-def _rows(k: int, m: int) -> np.ndarray:
-    """An empty (k, m) stack whose rows each start 16-byte aligned, as one
-    fresh array does: OpenBLAS's SSE2 (Prescott) kernels round ddot, and
-    transposed gemv, by the alignment of their vector operands."""
-    return np.empty((k, m + m % 2))[:, :m]
-
-
 def _solve(X, y, U, s, Vt) -> tuple[np.ndarray, np.ndarray]:
     """The weights Vt.T @ ((U.T @ y) / s) and the residual sum of squares of
     each design in the stack X (k, n_rows, n_coef) against its row of y."""
-    target = _rows(*y.shape)
+    target = aligned_rows(*y.shape)
     target[...] = y
-    z = np.divide((U.mT @ target[..., None])[..., 0], s, out=_rows(*s.shape))
+    z = np.divide((U.mT @ target[..., None])[..., 0], s, out=aligned_rows(*s.shape))
     weights = (Vt.mT @ z[..., None])[..., 0]
-    residual = np.subtract(target, (X @ weights[..., None])[..., 0], out=_rows(*y.shape))
+    residual = np.subtract(target, (X @ weights[..., None])[..., 0], out=aligned_rows(*y.shape))
     return weights, (residual[:, None, :] @ residual[..., None])[:, 0, 0]
 
 

@@ -19,20 +19,22 @@ ambiguous, so both readings are explicit modes:
 
 The protocol runs as named stages: ``universe_series`` (one input series
 per universe symbol), ``window_slice`` (a named window's rows, or a
-ConfigError naming the uncovered window), ``correlations``,
-``fit_target`` and ``project_target``. Each stage slices only the windows
-it reads. ``run_scenario`` runs them all; the CLI's correlate, fit and
-project subcommands run the stages they need, so their outputs equal the
-matching parts of a full run and an uncovered window fails them alike.
+ConfigError naming the uncovered window), ``correlations`` and
+``projection_features`` (a spec's counterfactual feature rows). Each
+stage slices only the windows it reads.
 
 ``run_scenario`` fits, predicts and scores consecutive specs of one design
 shape as numpy stacks (``regress.fit_stack``, ``regress.predict_stack``,
 ``metrics.score_stack``), fit stacks bounded by FIT_STACK_BYTES. Each
 item of a stack gets the LAPACK and BLAS calls one array would get, so
-every result equals the per-target stages' bit for bit. A stacked fit or
+every result equals its one-item form's (``regress.fit_ols``,
+``regress.predict``, ``metrics.score``) bit for bit. A stacked fit or
 score stops at the first item it refuses and returns that item's error, so
 the run names the first error in (spec, stage) order, fit before test score
-before divergence score, prefixed with its target's symbol.
+before divergence score, prefixed with its target's symbol. The CLI's
+correlate, fit and project subcommands call the stages and one-item forms
+they need, so their outputs equal the matching parts of a full run and an
+uncovered window fails them alike.
 
 Given identical config and input series, a scenario run is fully
 deterministic, and its report serializes to byte-identical JSON.
@@ -59,10 +61,8 @@ from .panel import FIELD_ORDER, AlignedPanel, BarField, ColumnKey, DateWindow, a
 from .regress import (
     FeatureSpec,
     RegressionModel,
-    fit_ols,
     fit_stack,
     model_from_json_dict,
-    predict,
     predict_stack,
     spec_to_json_dict,
 )
@@ -354,21 +354,6 @@ def correlations(
         correlation_matrix(window_slice(panel, config, "correlation_before"), close_keys),
         correlation_matrix(window_slice(panel, config, "correlation_after"), close_keys),
     )
-
-
-def fit_target(panel: AlignedPanel, config: ScenarioConfig, spec: FeatureSpec) -> RegressionModel:
-    """The spec's least-squares model, fit on the training window."""
-    return fit_ols(window_slice(panel, config, "train_window"), spec)
-
-
-def project_target(
-    panel: AlignedPanel, config: ScenarioConfig, model: RegressionModel
-) -> tuple[tuple[dt.date, ...], np.ndarray, np.ndarray]:
-    """Projection-window dates, realized target closes, and the model's
-    counterfactual closes over those dates."""
-    projection = window_slice(panel, config, "projection_window")
-    counterfactual = predict(model, projection_features(panel, config, model.spec))
-    return projection.dates, projection.column(model.spec.target), counterfactual
 
 
 def projection_features(

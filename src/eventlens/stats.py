@@ -5,6 +5,11 @@ features; that choice is a known econometric caveat (levels of trending
 series correlate strongly) and is documented rather than hidden behind a
 returns transform.
 
+``pearson`` and ``correlation_matrix`` share one kernel,
+``_correlations``, so every matrix entry is ``pearson`` of its two columns
+bit for bit. It refuses a column whose sum of squares is zero or
+overflows, rather than return a finite but wrong coefficient.
+
 In a report bundle a matrix is one table: a header of labels and one
 labelled row per label, with ``matrix_to_json_dict``'s document as JSON.
 """
@@ -17,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import StatsError, json_array, json_number, json_object
-from .panel import AlignedPanel, ColumnKey
+from .panel import AlignedPanel, ColumnKey, aligned_rows
 
 ENTRY_SLACK = 1e-12
 
@@ -51,12 +56,8 @@ class CorrelationMatrix:
 
 
 def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> float:
-    """Sample Pearson r = cov(x, y) / (sigma_x * sigma_y).
-
-    The normalization constant cancels between numerator and denominator,
-    so the sums are used directly. The result is clamped to [-1, 1] only
-    to absorb last-ulp overshoot.
-    """
+    """Sample Pearson r = cov(x, y) / (sigma_x * sigma_y): the off-diagonal
+    entry of ``_correlations`` of the stack [x, y]."""
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.ndim != 1 or ya.ndim != 1:
@@ -65,59 +66,59 @@ def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) ->
         raise StatsError(f"length mismatch: {xa.shape[0]} vs {ya.shape[0]}")
     if xa.shape[0] < 2:
         raise StatsError("pearson requires at least 2 points")
-    xc = xa - xa.mean()
-    yc = ya - ya.mean()
-    sxx = float(xc @ xc)
-    syy = float(yc @ yc)
-    if sxx == 0.0:
-        raise StatsError("zero variance in first input")
-    if syy == 0.0:
-        raise StatsError("zero variance in second input")
-    return float(_coefficients(xc @ yc, sxx, syy))
-
-
-def _coefficients(products, sxx, syy):
-    """r of each pair from its centered columns' dot product and their sums
-    of squares, clamped to [-1, 1] only to absorb last-ulp overshoot; takes
-    scalars or arrays alike."""
-    return np.fmin(1.0, np.fmax(-1.0, products / np.sqrt(sxx * syy)))
+    values = _correlations(np.array([xa, ya]), ("first", "second"), "{what} in {label} input")
+    return float(values[0, 1])
 
 
 def correlation_matrix(panel: AlignedPanel, keys: Iterable[ColumnKey]) -> CorrelationMatrix:
-    """Pairwise Pearson matrix over the selected panel columns.
-
-    The columns are centered in one stack and every pair's dot product is
-    one item of one stacked ``matmul``, the rows broadcast against each
-    other: numpy takes each item's product with the ddot that ``pearson``'s
-    ``xc @ yc`` calls, where a matrix product (gemm) would round otherwise.
-    ``_coefficients`` then runs once over all pairs, so every entry equals
-    ``pearson`` of its two columns exactly. The diagonal is exactly 1;
-    failures name the offending column.
-    """
+    """Pairwise Pearson matrix over the selected panel columns: the
+    ``_correlations`` of their stack, so every entry equals ``pearson`` of
+    its two columns exactly. Failures name the offending column."""
     labels = tuple(keys)
     if not labels:
         raise StatsError("correlation_matrix requires at least one column key")
     if panel.n_rows < 2:
         raise StatsError("correlation_matrix requires at least 2 panel rows")
     columns = np.array([panel.column(key) for key in labels])
-    # Each row starts 16-byte aligned, as ``pearson``'s fresh arrays do:
-    # OpenBLAS's SSE2 (Prescott) ddot rounds by its operands' alignment.
-    n_rows = panel.n_rows
-    centered = np.empty((len(labels), n_rows + n_rows % 2))[:, :n_rows]
-    np.subtract(columns, columns.mean(axis=1, keepdims=True), out=centered)
-    products = (centered[:, None, None, :] @ centered[None, :, :, None])[..., 0, 0]
-    squares = products.diagonal()
-    for key, square in zip(labels, squares):
-        if square == 0.0:
-            raise StatsError(f"column {key.name} has zero variance")
-
-    n = len(labels)
-    first, second = np.triu_indices(n, 1)
-    values = np.ones((n, n), dtype=float)
-    values[first, second] = values[second, first] = _coefficients(
-        products[first, second], squares[first], squares[second]
-    )
+    values = _correlations(columns, labels, "column {label.name} has {what}")
     return CorrelationMatrix(labels, values)
+
+
+def _correlations(columns: np.ndarray, labels: Sequence, refusal: str) -> np.ndarray:
+    """The Pearson matrix of the rows of ``columns`` (k, n): exactly 1 on
+    the diagonal, and each entry below it the bits of its mirror.
+
+    The rows are centered into ``aligned_rows``, and every pair's dot
+    product is one item of one stacked ``matmul``, the rows broadcast
+    against each other: numpy takes each item's product with ddot, where a
+    matrix product (gemm) would round otherwise, and OpenBLAS's SSE2
+    (Prescott) ddot rounds by its operands' alignment. The normalization
+    constant cancels, so r is a pair's product over the root of the product
+    of its two sums of squares, clamped to [-1, 1] only to absorb last-ulp
+    overshoot; where that product of sums leaves the normal floats, each
+    sum's root is taken first. A row whose sum of squares is zero or
+    overflows is refused with ``refusal.format(label=labels[row], what=...)``.
+    """
+    k, n = columns.shape
+    centered = aligned_rows(k, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(columns, columns.mean(axis=1, keepdims=True), out=centered)
+        products = (centered[:, None, None, :] @ centered[None, :, :, None])[..., 0, 0]
+        squares = products.diagonal()
+        refused = ~((squares > 0.0) & (squares < np.inf))
+        if refused.any():
+            row = int(np.argmax(refused))
+            what = "zero variance" if squares[row] == 0.0 else "an overflowing sum of squares"
+            raise StatsError(refusal.format(label=labels[row], what=what))
+        scale = np.multiply.outer(squares, squares)
+        normal = (scale >= np.finfo(float).tiny) & (scale < np.inf)
+        roots = np.sqrt(squares)
+        scale = np.where(normal, np.sqrt(scale), np.multiply.outer(roots, roots))
+    values = np.fmin(1.0, np.fmax(-1.0, products / scale))
+    lower = np.tri(k, k=-1, dtype=bool)
+    values[lower] = values.T[lower]
+    np.fill_diagonal(values, 1.0)
+    return values
 
 
 def matrix_to_json_dict(matrix: CorrelationMatrix) -> dict:

@@ -469,12 +469,13 @@ def test_offline_cache_miss_is_a_data_error(tmp_path, capsys, no_network):
     assert err == "eventlens: error: provider-error: offline mode forbids network access\n"
 
 
-def test_an_overflowing_score_prints_one_error_line(tmp_path):
-    # Y.close is 1e200 over the test window, so its squared test errors
-    # overflow. A fresh interpreter prints any warning as a user sees it.
+def run_in_a_fresh_interpreter(tmp_path, overflowing_days) -> tuple[int, str]:
+    """``eventlens run``'s exit code and stderr over 30 days where Y.close
+    is 3 + 2 * X.close, but 1e200 on ``overflowing_days``. A fresh
+    interpreter prints any warning as a user sees it."""
     start = dt.date(2022, 1, 1)
     x = [10.0 + 0.5 * i + (i % 3) for i in range(30)]
-    y = [1e200 if 20 <= i < 25 else 3.0 + 2.0 * close for i, close in enumerate(x)]
+    y = [1e200 if i in overflowing_days else 3.0 + 2.0 * close for i, close in enumerate(x)]
     cache = tmp_path / "cache"
     cache.mkdir()
     for symbol, closes in (("X", x), ("Y", y)):
@@ -502,8 +503,21 @@ def test_an_overflowing_score_prints_one_error_line(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "eventlens.cli", *argv], env=env, capture_output=True, text=True
     )
-    assert (result.returncode, result.stderr) == (
+    return result.returncode, result.stderr
+
+
+def test_an_overflowing_score_prints_one_error_line(tmp_path):
+    # Y.close is 1e200 over the test window, so its squared test errors overflow.
+    assert run_in_a_fresh_interpreter(tmp_path, range(20, 25)) == (
         1, "eventlens: error: metric-error: target Y: mse must be finite and non-negative, got inf\n"
+    )
+
+
+def test_an_overflowing_correlation_prints_one_error_line(tmp_path):
+    # Y.close is 1e200 on 3 of the 10 correlation_before days, so its sum of
+    # squares overflows; the correlations are computed before any fit.
+    assert run_in_a_fresh_interpreter(tmp_path, (2, 5, 8)) == (
+        1, "eventlens: error: stats-error: column Y.close has an overflowing sum of squares\n"
     )
 
 

@@ -16,6 +16,7 @@ from eventlens import (
     FitError,
     MetricError,
     RawSeries,
+    StatsError,
     align,
     fit_ols,
     pearson,
@@ -357,6 +358,14 @@ def test_an_overflowing_fit_is_a_fit_error():
     data = shifted_universe(range(20), lambda close: 1e200 if close > 40.0 else close)
     with pytest.raises(FitError, match="^target Y: residual_sum_of_squares must be finite"):
         run_scenario(config, data)
+
+
+def test_an_overflowing_correlation_is_a_stats_error():
+    # Y.close is 1e200 on 3 of the 10 correlation_before days, so its sum of
+    # squares overflows; the coefficient was once a finite 0.0.
+    data = shifted_universe((2, 5, 8), lambda close: 1e200)
+    with pytest.raises(StatsError, match="^column Y.close has an overflowing sum of squares$"):
+        run_scenario(linear_config(), data)
 
 
 @pytest.mark.parametrize("order", ["overflow_first", "copy_first"])

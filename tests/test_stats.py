@@ -54,6 +54,24 @@ def test_zero_variance_either_side():
         pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
 
 
+def test_an_overflowing_sum_of_squares_is_refused_either_side():
+    # The true r is about 0.98, but a sum of squares past the largest float
+    # leaves only the covariance over inf, a finite but wrong 0.0.
+    with pytest.raises(StatsError, match="^an overflowing sum of squares in first input$"):
+        pearson([1e200, 2e200, 3e200], [1.0, 2.0, 4.0])
+    with pytest.raises(StatsError, match="^an overflowing sum of squares in second input$"):
+        pearson([1.0, 2.0, 4.0], [1e200, 2e200, 3e200])
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-100])
+def test_sums_of_squares_whose_product_leaves_the_normal_floats(scale):
+    # Each sum of squares is a normal float, but their product overflows or
+    # underflows; r is scale-free all the same.
+    x, y = [1.0, 2.0, 3.0], [1.0, 2.0, 4.0]
+    scaled = pearson([scale * v for v in x], [scale * v for v in y])
+    assert scaled == pytest.approx(pearson(x, y), rel=1e-14)
+
+
 def test_symmetry_is_exact(rng):
     for _ in range(50):
         x = rng.normal(size=20)
