@@ -40,7 +40,7 @@ class PanelError(EventLensError):
 
 
 class StatsError(EventLensError):
-    """Correlation inputs are too short, mismatched, or constant."""
+    """Correlation inputs are too short, mismatched, non-finite, or constant."""
 
 
 class FitError(EventLensError):

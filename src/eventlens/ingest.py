@@ -233,9 +233,6 @@ class RawSeries:
             and np.array_equal(self.quotes, other.quotes)
         )
 
-    def __hash__(self) -> int:
-        return hash((self.instrument, self.dates.tobytes(), self.quotes.tobytes()))
-
     def __repr__(self) -> str:
         return (
             f"RawSeries(instrument={self.instrument!r}, {len(self)} bars, "

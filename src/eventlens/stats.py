@@ -7,8 +7,9 @@ returns transform.
 
 ``pearson`` and ``correlation_matrix`` share one kernel,
 ``_correlations``, so every matrix entry is ``pearson`` of its two columns
-bit for bit. It refuses a column whose sum of squares is zero or
-overflows, rather than return a finite but wrong coefficient.
+bit for bit. It scales each column by an exact power of two first, so it
+is right on every finite input; it refuses only a column holding a
+non-finite value and a column of zero variance.
 
 In a report bundle a matrix is one table: a header of labels and one
 labelled row per label, with ``matrix_to_json_dict``'s document as JSON.
@@ -88,37 +89,38 @@ def _correlations(columns: np.ndarray, labels: Sequence, refusal: str) -> np.nda
     """The Pearson matrix of the rows of ``columns`` (k, n): exactly 1 on
     the diagonal, and each entry below it the bits of its mirror.
 
-    The rows are centered into ``aligned_rows``, and every pair's dot
-    product is one item of one stacked ``matmul``, the rows broadcast
-    against each other: numpy takes each item's product with ddot, where a
-    matrix product (gemm) would round otherwise, and OpenBLAS's SSE2
-    (Prescott) ddot rounds by its operands' alignment. The normalization
-    constant cancels, so r is a pair's product over the root of the product
-    of its two sums of squares, clamped to [-1, 1] only to absorb last-ulp
-    overshoot; where that product of sums leaves the normal floats, each
-    sum's root is taken first. A row whose sum of squares is zero or
-    overflows is refused with ``refusal.format(label=labels[row], what=...)``.
+    Each row is scaled by 2^-e, e the binary exponent of its largest
+    |value|: exact, so a step that stays in the normal floats keeps its bits,
+    and no finite row's sums then leave them. The rows are centered into
+    ``aligned_rows``, and every pair's dot product is one item of one
+    stacked ``matmul``, the rows broadcast against each other: numpy takes
+    each item's product with ddot, where a matrix product (gemm) would
+    round otherwise, and OpenBLAS's SSE2 (Prescott) ddot rounds by its
+    operands' alignment. The normalization constant cancels, so r is a
+    pair's product over the root of the product of its two sums of squares,
+    clamped to [-1, 1] only to absorb last-ulp overshoot. A row holding a
+    non-finite value, or of zero variance, is refused with
+    ``refusal.format(label=labels[row], what=...)``.
     """
     k, n = columns.shape
+    peaks = np.abs(columns).max(axis=1)
+    _refuse_first(~np.isfinite(peaks), labels, refusal, "a non-finite value")
     centered = aligned_rows(k, n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(columns, columns.mean(axis=1, keepdims=True), out=centered)
-        products = (centered[:, None, None, :] @ centered[None, :, :, None])[..., 0, 0]
-        squares = products.diagonal()
-        refused = ~((squares > 0.0) & (squares < np.inf))
-        if refused.any():
-            row = int(np.argmax(refused))
-            what = "zero variance" if squares[row] == 0.0 else "an overflowing sum of squares"
-            raise StatsError(refusal.format(label=labels[row], what=what))
-        scale = np.multiply.outer(squares, squares)
-        normal = (scale >= np.finfo(float).tiny) & (scale < np.inf)
-        roots = np.sqrt(squares)
-        scale = np.where(normal, np.sqrt(scale), np.multiply.outer(roots, roots))
-    values = np.fmin(1.0, np.fmax(-1.0, products / scale))
+    np.ldexp(columns, -np.frexp(peaks)[1][:, None], out=centered)
+    centered -= centered.mean(axis=1, keepdims=True)
+    products = (centered[:, None, None, :] @ centered[None, :, :, None])[..., 0, 0]
+    squares = products.diagonal()
+    _refuse_first(squares == 0.0, labels, refusal, "zero variance")
+    values = np.fmin(1.0, np.fmax(-1.0, products / np.sqrt(np.multiply.outer(squares, squares))))
     lower = np.tri(k, k=-1, dtype=bool)
     values[lower] = values.T[lower]
     np.fill_diagonal(values, 1.0)
     return values
+
+
+def _refuse_first(refused: np.ndarray, labels: Sequence, refusal: str, what: str) -> None:
+    if refused.any():
+        raise StatsError(refusal.format(label=labels[int(np.argmax(refused))], what=what))
 
 
 def matrix_to_json_dict(matrix: CorrelationMatrix) -> dict:

@@ -396,6 +396,30 @@ def test_a_misspelled_section_is_named_as_an_unknown_config_key(tmp_path, capsys
     )
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fetch", "--config", NOISY_CONFIG, "--symbol", "NOPE", "--symbol", "FAC1"],
+         "symbols not in universe: NOPE"),
+        (["report", "--from", "{tmp}/absent.json"], "report file not found: {tmp}/absent.json"),
+        (["report", "--from", "{tmp}/bad.json"],
+         "unparseable report {tmp}/bad.json: Expecting value: line 1 column 1 (char 0)"),
+    ],
+    ids=["fetch-unknown-symbol", "report-missing", "report-unparseable"],
+)
+def test_a_bad_symbol_or_saved_report_is_one_usage_error_line(tmp_path, capsys, argv, message):
+    (tmp_path / "bad.json").write_text("not json")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([*argv, "--out", str(tmp_path / "out")] if argv[0] == "report" else argv)
+    assert excinfo.value.code == 2
+    # the usage line, then exactly one error line and no traceback
+    assert capsys.readouterr().err.splitlines()[1:] == [
+        "eventlens: error: " + message.replace("{tmp}", str(tmp_path))
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_format_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["run", "--config", NOISY_CONFIG, "--offline", "--format", "xml"])
@@ -513,11 +537,13 @@ def test_an_overflowing_score_prints_one_error_line(tmp_path):
     )
 
 
-def test_an_overflowing_correlation_prints_one_error_line(tmp_path):
-    # Y.close is 1e200 on 3 of the 10 correlation_before days, so its sum of
-    # squares overflows; the correlations are computed before any fit.
+def test_a_correlation_past_the_largest_float_prints_the_fit_error_line(tmp_path):
+    # Y.close is 1e200 on 3 of the 10 correlation_before days; the
+    # correlations are computed, and the training window's fit is refused.
     assert run_in_a_fresh_interpreter(tmp_path, (2, 5, 8)) == (
-        1, "eventlens: error: stats-error: column Y.close has an overflowing sum of squares\n"
+        1,
+        "eventlens: error: fit-error: target Y: residual_sum_of_squares must be finite and "
+        "non-negative, got inf\n",
     )
 
 

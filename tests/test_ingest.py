@@ -809,6 +809,13 @@ DATA, BAR = DataFormatError, BarInvariantError
 
 CSV_EDGE_CASES = {
     "nat": ([row("NaT")], DATA, "{path}:2: bad date 'NaT'"),
+    # U+0663 (ARABIC-INDIC DIGIT THREE) is written as the UTF-8 bytes d9 a3, at byte 34
+    "non_ascii_date": (
+        [row("2022-01-0\u0663")],
+        DATA,
+        "{path}: not ASCII: 'ascii' codec can't decode byte 0xd9 in position 34: "
+        "ordinal not in range(128)",
+    ),
     "year_zero": ([row("0000-01-03")], DATA, "{path}:2: bad date '0000-01-03'"),
     "year_five_digits": ([row("10000-01-03")], DATA, "{path}:2: bad date '10000-01-03'"),
     "year_negative": ([row("-0001-01-03")], DATA, "{path}:2: bad date '-0001-01-03'"),
@@ -911,7 +918,8 @@ CSV_ACCEPTED = {
 
 def write_rows(tmp_path, rows: list[str]):
     path = tmp_path / "GOLD.csv"
-    path.write_text("date,open,high,low,close\n" + "".join(row + "\n" for row in rows))
+    text = "date,open,high,low,close\n" + "".join(row + "\n" for row in rows)
+    path.write_text(text, encoding="utf-8")
     return path
 
 

@@ -71,6 +71,12 @@ def test_length_mismatch(fn):
 
 
 @pytest.mark.parametrize("fn", [mse, rmse, mae, mape, score])
+def test_inputs_must_be_1_d(fn):
+    with pytest.raises(MetricError, match="^metrics expect 1-D inputs$"):
+        fn([[1.0, 2.0]], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("fn", [mse, rmse, mae, mape, score])
 def test_empty_inputs(fn):
     with pytest.raises(MetricError, match="at least one point"):
         fn([], [])

@@ -5,6 +5,7 @@ import datetime as dt
 import hashlib
 import json
 import math
+import os
 import sys
 import threading
 from pathlib import Path
@@ -256,6 +257,34 @@ def test_two_threads_emitting_into_one_out_end_with_one_complete_bundle(report, 
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     files = read_bundle(out)
+    manifest = json.loads(files.pop(MANIFEST_NAME))
+    assert {entry["file"]: entry["digest"] for entry in manifest["files"]} == {
+        name: hashlib.sha256(payload).hexdigest() for name, payload in files.items()
+    }
+    assert [path.name for path in tmp_path.iterdir()] == ["out"]
+
+
+def test_a_bundle_landing_between_the_two_renames_is_superseded_whole(report, tmp_path, monkeypatch):
+    # Once, just before the staged directory is renamed in, another writer's
+    # complete CSV-only bundle lands at out: the rename meets a full
+    # directory, and emit moves that one aside too and tries again.
+    out, other = tmp_path / "out", tmp_path / "other"
+    emit(report, out, formats=("csv", "json"))
+    emit(report, other, formats=("csv",))
+    expected = read_bundle(out)
+    rename, landed = os.rename, []
+
+    def another_writer_first(src, dst):
+        if not landed and Path(src).suffix == ".tmp" and Path(dst) == out:
+            landed.append(dst)
+            rename(other, out)
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", another_writer_first)
+    emit(report, out, formats=("csv", "json"))
+    assert landed == [out]
+    files = read_bundle(out)
+    assert files == expected
     manifest = json.loads(files.pop(MANIFEST_NAME))
     assert {entry["file"]: entry["digest"] for entry in manifest["files"]} == {
         name: hashlib.sha256(payload).hexdigest() for name, payload in files.items()

@@ -110,6 +110,19 @@ def test_unresolvable_feature_symbol_is_rejected():
         linear_config(feature_specs=(spec,))
 
 
+@pytest.mark.parametrize(
+    "section, message",
+    [("universe", "universe must not be empty"),
+     ("feature_specs", "at least one feature spec is required")],
+)
+def test_config_from_json_refuses_an_empty_section(section, message):
+    document = config_to_json_dict(linear_config())
+    document[section] = []
+    with pytest.raises(ConfigError) as info:
+        config_from_json_dict(document)
+    assert str(info.value) == message
+
+
 def test_duplicate_universe_symbols_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         linear_config(universe=(make_instrument("X"), make_instrument("X")))
@@ -286,8 +299,6 @@ def test_duplicate_series_is_an_error():
 
 
 def test_errors_are_tagged_with_target_symbol():
-    from eventlens import StatsError
-
     data = linear_universe()
     flat = make_series("X", D(2022, 1, 1), [5.0] * 30)
     with pytest.raises(StatsError, match="zero variance"):
@@ -360,11 +371,12 @@ def test_an_overflowing_fit_is_a_fit_error():
         run_scenario(config, data)
 
 
-def test_an_overflowing_correlation_is_a_stats_error():
-    # Y.close is 1e200 on 3 of the 10 correlation_before days, so its sum of
-    # squares overflows; the coefficient was once a finite 0.0.
+def test_a_correlation_past_the_largest_float_goes_on_to_the_fit():
+    # Y.close is 1e200 on 3 of the 10 correlation_before days. Its sum of
+    # squares is past the largest float unscaled, but its coefficient is
+    # computed; the training window holds the same days, so the fit refuses.
     data = shifted_universe((2, 5, 8), lambda close: 1e200)
-    with pytest.raises(StatsError, match="^column Y.close has an overflowing sum of squares$"):
+    with pytest.raises(FitError, match="^target Y: residual_sum_of_squares must be finite"):
         run_scenario(linear_config(), data)
 
 
