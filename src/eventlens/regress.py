@@ -1,28 +1,31 @@
 """Ordinary least squares on panel columns.
 
 The model is close = w0 + w1*x1 + ... + wN*xN fit by minimizing the sum
-of squared residuals. The solve goes through an orthogonal decomposition
-(SVD) of the design matrix rather than the normal equations, which would
-square the condition number; the normal-equations route is reserved for
-test oracles. Rank deficiency is a hard error, never silently
-regularized.
+of squared residuals. The solve goes through a Householder QR of the
+design X with the target y as its last column, rather than the normal
+equations, which would square the condition number; the normal-equations
+route is reserved for test oracles. R of [X | y] holds X's triangular
+factor and z = Qᵀy, and the weights solve R w = z. The condition estimate
+is the ratio of the extreme singular values of that factor, which are X's.
+Rank deficiency is a hard error, never silently regularized.
 
 A fit or a prediction resolves its spec's column keys to panel rows once
-and gathers them in one fancy-index take; the design handed to the SVD and
-to ``@`` is the C-contiguous (n_rows, n_coef) array ``np.column_stack``
-would build, because BLAS rounds strided operands differently.
+and gathers them in one fancy-index take; the design handed to ``@`` is
+the C-contiguous (n_rows, n_coef) array ``np.column_stack`` would build,
+because BLAS rounds strided operands differently.
 
 Each formula and each check is written once, for a stack of designs:
 ``fit_stack`` and ``predict_stack`` fit and predict same-shape specs in one
 call each, and ``fit_ols`` and ``predict`` are those calls on a stack of
 one. ``fit_stack`` fits up to the first spec it refuses and returns that
 spec's FitError beside the models before it; ``fit_ols`` raises it. The
-SVD gufunc calls LAPACK's gesdd once per design, and ``matmul`` picks gemv
-or ddot for each item from its shape and strides, as for one array. The
-vectors of ddot and transposed gemv also start 16-byte aligned in every
-item (``panel.aligned_rows``), as in a fresh array, because OpenBLAS's
-SSE2 kernels round by that alignment. So each result's bits do not depend
-on its stack.
+QR, solve and singular-value gufuncs call LAPACK's geqrf, gesv and gesdd
+once per design, on a copy of their own, and ``matmul`` picks gemv or ddot
+for each item from its shape and strides, as for one array. The vectors
+of ddot and transposed gemv also start 16-byte aligned in every item
+(``panel.aligned_rows``), as in a fresh array, because OpenBLAS's SSE2
+kernels round by that alignment. So each result's bits do not depend on
+its stack.
 
 Features are not standardized. OLS predictions are affine-equivariant, so
 scaling is cosmetic, and raw weights stay comparable to quote units.
@@ -136,22 +139,34 @@ def _design(columns: np.ndarray, include_intercept: bool) -> np.ndarray:
     return X
 
 
-def _svd(X: np.ndarray) -> tuple[np.ndarray, ...]:
-    """U, s, Vt and the condition estimate s[0] / s[-1] (inf where s[-1] is
-    0) of each design in the stack X (k, n_rows, n_coef)."""
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    condition = np.full(len(s), np.inf)
+def _factor(Xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R of the QR factorization of each [X | y] in the stack Xy (k, n_rows,
+    n_coef + 1), n_rows >= n_coef, and the condition estimate s[0] / s[-1]
+    of each X, where s are the singular values of R's leading n_coef x
+    n_coef block; the estimate is inf where s[-1] is 0 or the block is not
+    finite (quotes near the largest float can overflow the reflections)."""
+    k, n_coef = len(Xy), Xy.shape[2] - 1
+    R = np.linalg.qr(Xy, mode="r")
+    square = R[:, :n_coef, :n_coef]
+    finite = np.isfinite(square).all(axis=(1, 2))
+    s = np.zeros((k, n_coef))
+    s[finite] = np.linalg.svd(square[finite], compute_uv=False)
+    condition = np.full(k, np.inf)
     np.divide(s[:, 0], s[:, -1], out=condition, where=s[:, -1] > 0.0)
-    return U, s, Vt, condition
+    return R, condition
 
 
-def _solve(X, y, U, s, Vt) -> tuple[np.ndarray, np.ndarray]:
-    """The weights Vt.T @ ((U.T @ y) / s) and the residual sum of squares of
-    each design in the stack X (k, n_rows, n_coef) against its row of y."""
+def _solve(X: np.ndarray, y: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weights and the residual sum of squares of each design in the
+    stack X (k, n_rows, n_coef) against its row of y, from R of [X | y]:
+    the weights solve R w = z, R's leading block against the head of its
+    last column (LU with partial pivoting swaps no row of a triangular R,
+    so this is back substitution), and the sum is the dot product of the
+    explicit residual y - X @ w with itself."""
+    n_coef = X.shape[-1]
+    weights = np.linalg.solve(R[:, :n_coef, :n_coef], R[:, :n_coef, n_coef:])[..., 0]
     target = aligned_rows(*y.shape)
     target[...] = y
-    z = np.divide((U.mT @ target[..., None])[..., 0], s, out=aligned_rows(*s.shape))
-    weights = (Vt.mT @ z[..., None])[..., 0]
     residual = np.subtract(target, (X @ weights[..., None])[..., 0], out=aligned_rows(*y.shape))
     return weights, (residual[:, None, :] @ residual[..., None])[:, 0, 0]
 
@@ -185,17 +200,19 @@ def fit_stack(
     """
     y, features = cells[:, 0], cells[:, 1:]
     copies = (features == y[:, None]).all(axis=2)
-    X = _design(features, specs[0].include_intercept)
-    n_rows, n_coef = X.shape[1:]
+    include_intercept = specs[0].include_intercept
+    n_rows, n_coef = cells.shape[2], include_intercept + features.shape[1]
     condition = np.full(len(specs), np.inf)
     if n_rows >= n_coef:
-        U, s, Vt, condition = _svd(X)
+        # [X | y] is the design of the cells with the target row moved last.
+        R, condition = _factor(_design(np.roll(cells, -1, axis=1), include_intercept))
     refused = copies.any(axis=1) | ~(condition <= CONDITION_LIMIT)
     fit = int(np.argmax(refused)) if refused.any() else len(specs)
     models: list[RegressionModel] = []
     if fit:
+        X = _design(features[:fit], include_intercept)
         with np.errstate(over="ignore", invalid="ignore"):
-            weights, rss = _solve(X[:fit], y[:fit], U[:fit], s[:fit], Vt[:fit])
+            weights, rss = _solve(X, y[:fit], R[:fit])
         try:
             for spec, w, r, c in zip(specs, weights, rss, condition):
                 diagnostics = FitDiagnostics(float(r), n_rows, float(c))

@@ -78,14 +78,14 @@ class ProjectionMode(str, Enum):
 
 
 # The most bytes of training design cells one stacked fit holds; its
-# gathered cells, design and SVD factors grow with it. Measured in process
-# on a 2-vCPU AVX-512 host, 128 KiB (3 dense designs of 70 x 59 cells, 2 wide
-# ones of 830 x 8) beat stacks of one design in 133 of 150 alternating
-# run_scenario calls on dense (75.6 -> 71.3 ms) and 137 of 150 on wide (12.5
-# -> 11.8 ms). 512 KiB was no faster on dense, slower on wide in 150 of 150,
-# and took peak_rss_mib from 39.6 to 40.6 MiB on dense and from 39.0 to 40.2
-# on wide; one stack per run of specs took dense to 45.1 MiB, against 39.3
-# before stacking, past the benchmark's 5% bound.
+# gathered cells, [X | y], QR factors and design grow with it. Measured in
+# process on a 2-vCPU AVX-512 host, 128 KiB (3 dense designs of 70 x 59 cells,
+# 2 wide ones of 830 x 8) beat stacks of one design in 129 and 122 of two runs
+# of 150 alternating run_scenario calls on dense (51.2 -> 48.4 ms) and 136 of
+# 150 on wide (11.1 -> 10.1 ms). 512 KiB lost to 128 KiB in 128 of 150 calls
+# on dense and 140 of 150 on wide, and took peak_rss_mib from 39.6 to 40.5 MiB
+# on dense and from 39.3 to 40.9 on wide; one stack per run of specs took
+# dense to 45.1 MiB, past the benchmark's 5% bound.
 FIT_STACK_BYTES = 128 * 1024
 
 PROVENANCE_KEYS = ("config_digest", "data_digests", "projection_mode", "projection_cycles")

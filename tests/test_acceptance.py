@@ -194,7 +194,7 @@ def test_synthetic_recovery_and_golden_bundle(tmp_path, truth):
 def test_pipeline_agrees_with_independent_brute_force_derivation():
     # tools/derive_golden.py recomputes the fixture results with exact
     # rational arithmetic over the normal equations; nothing here shares
-    # code with the pipeline's SVD route
+    # code with the pipeline's QR route
     derived = json.loads((GOLDEN_DIR / "derived_expectations.json").read_text())
     for config_name, expectations in derived.items():
         _, config = load_fixture_config(config_name)

@@ -181,8 +181,8 @@ def test_predict_missing_feature_column():
 
 
 @pytest.mark.parametrize("include_intercept", [True, False])
-def test_fit_is_the_svd_formula_on_the_column_stack_bit_for_bit(rng, include_intercept):
-    # SVD and BLAS round strided or reordered operands differently, so the
+def test_fit_is_the_qr_formula_on_the_column_stack_bit_for_bit(rng, include_intercept):
+    # LAPACK and BLAS round strided or reordered operands differently, so the
     # one-take design that fit_ols and predict use must be np.column_stack's
     # array exactly, in its layout: the formula on that array gives each bit.
     for _ in range(10):
@@ -191,8 +191,10 @@ def test_fit_is_the_svd_formula_on_the_column_stack_bit_for_bit(rng, include_int
         spec = dataclasses.replace(spec, features=features, include_intercept=include_intercept)
         X = column_stack_design(panel, spec)
         y = panel.column(Y)
-        U, s, Vt = np.linalg.svd(X, full_matrices=False)
-        weights = Vt.T @ ((U.T @ y) / s)
+        n_coef = X.shape[1]
+        R = np.linalg.qr(np.column_stack([X, y]), mode="r")
+        weights = np.linalg.solve(R[:n_coef, :n_coef], R[:n_coef, n_coef])
+        s = np.linalg.svd(R[:n_coef, :n_coef], compute_uv=False)
         residual = y - X @ weights
         model = fit_ols(panel, spec)
         assert model.weights.tobytes() == weights.tobytes()
@@ -310,6 +312,67 @@ def test_rank_deficiency_reports_condition_estimate():
     )
     with pytest.raises(FitError, match="condition estimate"):
         fit_ols(panel, FeatureSpec(target=Y, features=(X1, X2)))
+
+
+def near_copy_panel(rng, epsilon: float) -> AlignedPanel:
+    """30 rows where X2 is X1 plus ``epsilon`` times unit noise and Y is a
+    noisy line in X1."""
+    x1 = rng.normal(size=30)
+    return panel_from(
+        {X1: x1, X2: x1 + epsilon * rng.normal(size=30), Y: 2.0 * x1 + rng.normal(size=30)}
+    )
+
+
+def true_condition(panel: AlignedPanel, spec: FeatureSpec) -> float:
+    s = np.linalg.svd(column_stack_design(panel, spec), compute_uv=False)
+    return float(s[0] / s[-1])
+
+
+def test_a_near_copy_of_a_feature_past_the_condition_limit_is_refused(rng):
+    panel = near_copy_panel(rng, 1e-14)
+    spec = FeatureSpec(target=Y, features=(X1, X2))
+    assert true_condition(panel, spec) > 100 * CONDITION_LIMIT
+    with pytest.raises(FitError, match=r"^rank-deficient design for Y\.close: condition estimate "):
+        fit_ols(panel, spec)
+
+
+def test_a_near_copy_of_a_feature_well_inside_the_condition_limit_is_fit(rng):
+    panel = near_copy_panel(rng, 1e-8)
+    spec = FeatureSpec(target=Y, features=(X1, X2))
+    condition = true_condition(panel, spec)
+    assert 1e7 < condition < 1e9
+    model = fit_ols(panel, spec)
+    assert model.diagnostics.condition_estimate == pytest.approx(condition, rel=1e-6)
+
+
+def test_a_design_too_large_to_factor_is_refused_with_an_infinite_condition(rng):
+    # Columns near 5e307 are well conditioned, but their norms and products
+    # overflow: the estimate is inf, never a LAPACK error or a warning.
+    x1, x2 = (rng.uniform(0.5, 1.7, size=30) * 5e307 for _ in range(2))
+    panel = panel_from({X1: x1, X2: x2, Y: rng.uniform(1.0, 2.0, size=30)})
+    with pytest.raises(FitError, match=r"condition estimate inf exceeds 1e\+12$"):
+        fit_ols(panel, FeatureSpec(target=Y, features=(X1, X2), include_intercept=False))
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 8), st.booleans(), st.integers(3, 40), st.integers(0, 2**32 - 1)
+)
+def test_the_condition_estimate_is_the_design_singular_value_ratio(
+    n_features, include_intercept, extra_rows, seed
+):
+    # Gaussian columns with at least 3 more rows than coefficients are well
+    # conditioned, so every route to s[0] / s[-1] agrees to about 1e-14.
+    rng = np.random.default_rng(seed)
+    keys = [ColumnKey(f"F{i}", BarField.CLOSE) for i in range(n_features)]
+    n_rows = n_features + include_intercept + extra_rows
+    columns = {key: rng.normal(size=n_rows) * rng.uniform(0.5, 3.0) for key in keys}
+    panel = panel_from({**columns, Y: rng.normal(size=n_rows)})
+    spec = FeatureSpec(target=Y, features=tuple(keys), include_intercept=include_intercept)
+    model = fit_ols(panel, spec)
+    assert model.diagnostics.condition_estimate == pytest.approx(
+        true_condition(panel, spec), rel=1e-10
+    )
 
 
 # --- serialization ----------------------------------------------------------------------
