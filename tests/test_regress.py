@@ -355,9 +355,7 @@ def test_a_design_too_large_to_factor_is_refused_with_an_infinite_condition(rng)
 
 
 @settings(deadline=None)
-@given(
-    st.integers(1, 8), st.booleans(), st.integers(3, 40), st.integers(0, 2**32 - 1)
-)
+@given(st.integers(1, 8), st.booleans(), st.integers(3, 40), st.integers(0, 2**32 - 1))
 def test_the_condition_estimate_is_the_design_singular_value_ratio(
     n_features, include_intercept, extra_rows, seed
 ):
