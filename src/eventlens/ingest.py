@@ -47,10 +47,16 @@ series it decodes, so ``RawSeries.digest`` is the SHA-256 of the file.
 ``_written_columns`` proves that from the cells it splits, with no second
 serialization: five cells and a newline a line, dates in ``isoformat``'s
 shape that datetime64[D] parses, and quotes each ``repr`` of its float.
-A proved file's digest is seeded, in ``load_csv`` alone, as the hash of
-the bytes read. Any other file is walked row by row, and the error names
-the first offending row in file order, else the first line unlike the
-writer's; its text starts with the file's path and the line's number.
+``_reprs_proved`` shows the last with exact float arithmetic on a file's
+quotes at once, writing no text: each cell must be the decimal of its
+length nearest to its float, and no shorter decimal may read back as that
+float. Only a file holding a cell it cannot decide (a tie between two such
+decimals, an integer from 2**53, a cell of 18 or more digits) has its
+quotes compared with their ``repr``. A proved file's digest is seeded, in
+``load_csv`` alone, as the hash of the bytes read. Any other file is
+walked row by row, and the error names the first offending row in file
+order, else the first line unlike the writer's; its text starts with the
+file's path and the line's number.
 """
 
 from __future__ import annotations
@@ -522,6 +528,21 @@ def _dates(ordinals) -> np.ndarray:
 
 # Dates as ``isoformat`` writes them from year 0001, each followed by a "\n".
 _ISO_DATES = re.compile(r"(?:(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2}\n)*+")
+# Veltkamp's splitter, 2**27 + 1: it splits a float into two halves whose
+# products are exact, so x * y is hi + lo exactly (Dekker's product).
+_SPLITTER = 134217729.0
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: ``a`` as high + low exactly, each of at most 26 bits."""
+    split = a * _SPLITTER
+    high = split - (split - a)
+    return high, a - high
+
+
+# 10**k for k = 0..22, each a binary64 float exactly, and its two halves.
+_TENS = np.array([float(10**k) for k in range(23)])
+_TENS_HIGH, _TENS_LOW = _halves(_TENS)
 
 
 def csv_bytes(header: Iterable[str], rows: Iterable[Iterable[str]]) -> bytes:
@@ -719,16 +740,18 @@ def load_csv(path: Path, instrument: InstrumentId) -> RawSeries:
     return series
 
 
-def _written_columns(text: str) -> tuple[list[str], list[float]]:
+def _written_columns(text: str) -> tuple[list[str], np.ndarray]:
     """The date cells and the row-major quotes of a CSV ``text`` (header
     checked) laid out as ``series_to_csv_bytes`` writes them; ValueError for
     any other text.
 
     Each line ends in "\n" and holds five cells; each date cell has the fixed
     ``YYYY-MM-DD`` shape from year 0001, and each quote cell is ``repr`` of
-    its float. Such a date, once datetime64[D] parses it (in ``RawSeries``),
-    is its own ``isoformat``, so a series built from the result writes
-    ``text`` byte for byte."""
+    its float: ``_reprs_proved`` shows it by arithmetic, and only where that
+    cannot decide a cell is every quote's ``repr`` compared with its cell.
+    Such a date, once datetime64[D] parses it (in ``RawSeries``), is its own
+    ``isoformat``, so a series built from the result writes ``text`` byte
+    for byte."""
     # A marker cell ends each line: a row is five cells and a "\n". The last
     # "\n" is the cell before the last; unless there are 6n + 1 cells, it
     # falls in a date or quote slot (or the empty last cell in a marker
@@ -742,10 +765,93 @@ def _written_columns(text: str) -> tuple[list[str], list[float]]:
         raise ValueError("a date not in isoformat's shape")
     del cells[5::6]
     del cells[::5]  # the dates, and the empty cell after the last marker
-    quotes = list(map(float, cells))
-    if list(map(repr, quotes)) != cells:
+    quotes = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    if not _reprs_proved(cells, quotes) and list(map(repr, quotes.tolist())) != cells:
         raise ValueError("a quote not as repr writes it")
     return dates, quotes
+
+
+def _reprs_proved(cells: list[str], quotes: np.ndarray) -> bool:
+    """Whether exact float arithmetic proves each of ``cells`` (none holding
+    a comma) ``repr`` of its float x in ``quotes``; False when some cell is
+    not, or when the arithmetic cannot decide it.
+
+    A cell "I.F" with k = len(F) digits is proved when:
+
+    - *layout*: it holds ASCII digits and one point with a digit on each
+      side, I has no leading "0" unless it is "0", k <= 22 (so 10**k is a
+      float exactly), and 1e-4 <= x < 1e16, where ``repr`` writes a point;
+    - *nearest*: x * 10**k, below 1e17, is hi + lo exactly (Dekker's
+      product); its nearest integer D is less than 0.5 - 1e-9 from it, and
+      D % 100 is the cell's last two digits. ``float`` rounds correctly, so
+      the cell's digits, read as one integer, lie within ulp(x) / 2 * 10**k
+      of x * 10**k, which is at most 11.2 there: the last two digits pin
+      them to D;
+    - *shortest*: every multiple of 10 is farther than ulp(x) / 2 * 10**k +
+      1e-8 from x * 10**k, where ulp(x) is the spacing above x (from
+      ``np.frexp``). No decimal of fewer than k fraction digits then reads
+      back as x, and a trailing "0" is refused; a cell "I.0" instead needs
+      x < 2**53, so that x is the integer I.
+
+    Then the cell is the shortest decimal that reads back as x and the
+    nearest such, which is what ``repr`` writes (Steele and White's rule).
+    Ties, integers from 2**53, cells of 18 or more digits and values out of
+    range are left undecided. Only elementwise IEEE operations are used, so
+    the answer depends on no BLAS or SIMD kernel."""
+    if not cells:
+        return True
+    layout = _decimal_layout(cells)
+    if layout is None or not ((quotes >= 1e-4) & (quotes < 1e16)).all():
+        return False
+    k, last, last_two = layout
+    hi = quotes * _TENS[k]
+    if hi.max() >= 1e17:
+        return False
+    nearest = np.rint(hi)
+    off = hi - nearest + _product_error(quotes, k, hi)
+    carry = np.rint(off)
+    off -= carry  # x * 10**k - D
+    pinned = (nearest.astype(np.int64) + (carry - last_two).astype(np.int64)) % 100 == 0
+    offset = last + off  # from the multiple of 10 at or below D
+    # x = m * 2**e with 0.5 <= m < 1 has ulp(x) / 2 = 2**(e - 54).
+    half_ulp = np.ldexp(_TENS[k] * 2.0**-54, np.frexp(quotes)[1])
+    shortest = np.minimum(np.abs(offset), 10 - offset) > half_ulp + 1e-8
+    integral = (k == 1) & (last == 0) & (quotes < 2.0**53)
+    return bool((pinned & (np.abs(off) < 0.5 - 1e-9) & (shortest | integral)).all())
+
+
+def _decimal_layout(cells: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Each cell's fraction length k, and its last digit and last two digits
+    (the point skipped) as floats; None unless every cell is ASCII digits
+    around one point, k <= 22 and no integer part of two or more digits
+    starts with "0"."""
+    text = np.frombuffer(",".join(["", *cells, ""]).encode("ascii"), dtype=np.uint8)
+    # A comma, then each cell's point and the comma after it: every other
+    # byte must be a digit, and no two of these marks may be adjacent.
+    marks = np.flatnonzero(text < ord("0"))
+    commas, points = marks[::2], marks[1::2]
+    if (
+        len(marks) != 2 * len(cells) + 1
+        or text.max() > ord("9")
+        or (text[points] != ord(".")).any()
+        or (text[marks[:-1] + 1] < ord("0")).any()
+    ):
+        return None
+    starts, ends = commas[:-1] + 1, commas[1:]
+    k = ends - points - 1
+    # A leading "0" is one a digit follows, not the point.
+    if k.max() > 22 or ((text[starts] == ord("0")) & (text[starts + 1] != ord("."))).any():
+        return None
+    last = text[ends - 1] - 48.0  # digit values as floats, "0" being 48
+    return k, last, (text[ends - 2 - (k == 1)] - 48.0) * 10 + last
+
+
+def _product_error(x: np.ndarray, k: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """lo such that x * 10**k is hi + lo exactly, where hi is the rounded
+    product: Dekker's product of Veltkamp's halves."""
+    high, low = _halves(x)
+    tens_high, tens_low = _TENS_HIGH[k], _TENS_LOW[k]
+    return high * tens_high - hi + high * tens_low + low * tens_high + low * tens_low
 
 
 def _walk_rows(path: Path, text: str) -> tuple[np.ndarray, list[list[float]]]:

@@ -1971,3 +1971,159 @@ def test_series_map_check_agrees_with_a_per_key_match(value):
         and all(isinstance(entry, dict) for entry in value.values())
     )
     assert _is_series_map(value) == per_key
+
+
+# --- load_csv's arithmetic proof that each quote cell is repr of its float ------------
+
+import math  # noqa: E402
+import warnings  # noqa: E402
+from decimal import (  # noqa: E402
+    ROUND_DOWN,
+    ROUND_HALF_EVEN,
+    ROUND_HALF_UP,
+    ROUND_UP,
+    Context,
+    Decimal,
+)
+
+from eventlens.ingest import _decimal_layout, _reprs_proved  # noqa: E402
+
+from conftest import SYNTHETIC_DIR  # noqa: E402
+
+# 1258664062291215.25 is a float, halfway between the two shortest decimals
+# that read back as it: repr writes one, and only repr can say which.
+TIE = 1258664062291215.25
+
+
+@st.composite
+def repr_like_cells(draw) -> str:
+    """A float inside or outside [1e-4, 1e16), or a neighbour of one, written
+    by repr or to 15, 16 or 17 significant digits, then maybe edited: the last
+    digit set, a digit appended or dropped, a trailing or a leading "0"."""
+    x = draw(
+        st.one_of(st.floats(1e-4, 1e16), st.floats(), st.floats(1e-6, 1e-3), st.floats(1e14, 1e18))
+    )
+    x = draw(st.sampled_from([x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf)]))
+    text = draw(st.sampled_from(["{!r}", "{:.15g}", "{:.16g}", "{:.17g}"])).format(x)
+    digit = draw(st.sampled_from(DIGITS))
+    at = draw(st.integers(0, len(text) - 1))
+    edits = [text[:-1] + digit, text + digit, text[:at] + text[at + 1 :], text + "0", "0" + text]
+    return draw(st.sampled_from([text, *edits]))
+
+
+def cut_decimal(x: float, digits: int, rounding: str) -> str:
+    """The exact decimal of ``x`` rounded to ``digits`` fraction digits: a
+    tie's two candidates when its exact decimal ends in 5 just past them."""
+    return f"{Decimal(x).quantize(Decimal(10) ** -digits, rounding, Context(prec=80)):f}"
+
+
+proof_cells = st.one_of(
+    repr_like_cells(),
+    st.builds(
+        cut_decimal,
+        st.floats(1e-7, 1e16),
+        st.integers(1, 25),
+        st.sampled_from([ROUND_HALF_EVEN, ROUND_HALF_UP, ROUND_DOWN, ROUND_UP]),
+    ),
+    # Exact ties from 2**50, where floats step by 0.25.
+    st.builds("{}.{}".format, st.integers(2**50, 2**51 - 1), st.sampled_from("2378")),
+    st.integers(2**53, 10**17).map("{}.0".format),
+)
+
+
+def reads_as_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(deadline=None)
+@given(cells=st.lists(proof_cells, min_size=1, max_size=4))
+@example(cells=[cut_decimal(TIE, 1, ROUND_HALF_EVEN)])
+@example(cells=[cut_decimal(TIE, 1, ROUND_HALF_UP)])
+@example(cells=["9007199254740993.0", "1.5"])
+@example(cells=["0.00001"])
+@example(cells=["01.5"])
+@example(cells=["1_0.5"])
+@example(cells=["1234567890123456789012.5"])
+@example(cells=[])
+def test_the_repr_proof_accepts_no_cell_repr_writes_otherwise(cells):
+    cells = list(filter(reads_as_float, cells))
+    quotes = np.array(list(map(float, cells)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's warnings would reach a CLI user's stderr
+        proved = _reprs_proved(cells, quotes)
+    if proved:
+        assert list(map(repr, quotes.tolist())) == cells
+
+
+@given(
+    cell=st.one_of(
+        decimal_text(),
+        st.builds(round, st.floats(0.0, 1e6), st.integers(0, 15)).map(repr),
+        st.floats(0.0, 1e12).map("{:.4f}".format),
+    )
+)
+def test_the_repr_proof_decides_every_short_decimal(cell):
+    # So a cache file a fetch writes from four-decimal text loads without repr.
+    if _SHORT_DECIMALS.fullmatch(cell + "\n"):
+        short = _TRAILING_ZEROS.sub("", cell + "\n")[:-1]
+        assert _reprs_proved([short], np.array([float(short)]))
+
+
+def test_the_decimal_layout_reads_the_fraction_length_and_the_last_two_digits():
+    k, last, last_two = _decimal_layout(["0.5", "10.25", "123.0", "0.0001"])
+    assert k.tolist() == [1, 2, 1, 4]
+    assert last.tolist() == [5, 5, 0, 1]
+    assert last_two.tolist() == [5, 25, 30, 1]
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        ["15", "1-5.5"],  # no point in one cell, a sign in the other
+        ["1_0.5"],
+        ["1.5e00"],
+        ["01.5"],
+        ["00.5"],
+        [".5"],
+        ["5."],
+        ["1..5"],
+        ["1.5.5"],
+        ["1.5", ""],
+        [" 1.5"],
+        ["1.5 "],
+        ["+1.5"],
+        ["-1.5"],
+        ["1." + "1" * 23],
+    ],
+)
+def test_the_decimal_layout_refuses_every_other_cell(cells):
+    assert _decimal_layout(cells) is None
+
+
+def test_every_synthetic_fixture_quote_is_proved_without_repr(monkeypatch):
+    def no_repr(value):
+        raise AssertionError(f"repr({value!r}) called")
+
+    monkeypatch.setattr(eventlens.ingest, "repr", no_repr, raising=False)
+    paths = sorted(SYNTHETIC_DIR.glob("*/*.csv"))
+    assert len(paths) == 12
+    for path in paths:
+        digest = load_csv(path, InstrumentId(path.stem, InstrumentKind.EQUITY)).digest
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_a_canonical_file_holding_a_tie_loads_through_repr(tmp_path):
+    series = make_series("GOLD", dt.date(2022, 1, 3), [1.5, TIE, 2.25])
+    path = tmp_path / "GOLD.csv"
+    write_csv(series, path)
+    cells = path.read_text().replace("\n", ",").split(",")[5:-1]
+    del cells[::5]
+    assert "1258664062291215.2" in cells
+    assert not _reprs_proved(cells, np.array(list(map(float, cells))))
+    loaded = load_csv(path, series.instrument)
+    assert loaded == series
+    assert loaded.digest == hashlib.sha256(path.read_bytes()).hexdigest()
