@@ -44,19 +44,18 @@ Parse failures are fatal for the whole series rather than row-skipping:
 a silently dropped day would corrupt date alignment downstream. A CSV file
 loads only if it holds exactly the bytes ``write_csv`` writes for the
 series it decodes, so ``RawSeries.digest`` is the SHA-256 of the file.
-``_written_columns`` proves that from the cells it splits, with no second
-serialization: five cells and a newline a line, dates in ``isoformat``'s
-shape that datetime64[D] parses, and quotes each ``repr`` of its float.
-``_reprs_proved`` shows the last with exact float arithmetic on a file's
-quotes at once, writing no text: each cell must be the decimal of its
-length nearest to its float, and no shorter decimal may read back as that
-float. Only a file holding a cell it cannot decide (a tie between two such
-decimals, an integer from 2**53, a cell of 18 or more digits) has its
-quotes compared with their ``repr``. A proved file's digest is seeded, in
-``load_csv`` alone, as the hash of the bytes read. Any other file is
-walked row by row, and the error names the first offending row in file
-order, else the first line unlike the writer's; its text starts with the
-file's path and the line's number.
+``_proved_columns`` shows that from the file's bytes in one numpy pass,
+with no ``float`` call, no split and no second serialization: each line is
+a ``YYYY-MM-DD`` date and four quote cells of digits around a point, each
+cell's digits are read as one exact integer, and exact float arithmetic
+proves the cell both what ``float`` reads and what ``repr`` writes for the
+float it returns. A file it proves is loaded with its digest seeded, in
+``load_csv`` alone, as the hash of the bytes read. Any other file, one it
+cannot decide (a quote below 1e-4 or from 1e16, an integer from 2**53, a
+cell at a rounding margin) among them, is walked row by row and loads only
+if the series it decodes writes it back byte for byte. The error names the
+first offending row in file order, else the first line unlike the
+writer's; its text starts with the file's path and the line's number.
 """
 
 from __future__ import annotations
@@ -82,6 +81,7 @@ from pathlib import Path
 from typing import Callable, Collection, Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BarInvariantError,
@@ -203,7 +203,7 @@ class RawSeries:
 
     def __post_init__(self) -> None:
         dates = np.array(self.dates, dtype="datetime64[D]")
-        quotes = np.array(self.quotes, dtype=float).reshape(len(dates), 4)
+        quotes = np.array(self.quotes, dtype=np.float64).reshape(len(dates), 4)
         _check_bars(dates, quotes)
         if np.isnat(dates).any():
             raise DataFormatError(f"series {self.instrument.symbol}: missing date (NaT)")
@@ -526,8 +526,6 @@ def _dates(ordinals) -> np.ndarray:
 
 # --- CSV fixture / cache format ----------------------------------------------
 
-# Dates as ``isoformat`` writes them from year 0001, each followed by a "\n".
-_ISO_DATES = re.compile(r"(?:(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2}\n)*+")
 # Veltkamp's splitter, 2**27 + 1: it splits a float into two halves whose
 # products are exact, so x * y is hi + lo exactly (Dekker's product).
 _SPLITTER = 134217729.0
@@ -542,7 +540,23 @@ def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # 10**k for k = 0..22, each a binary64 float exactly, and its two halves.
 _TENS = np.array([float(10**k) for k in range(23)])
-_TENS_HIGH, _TENS_LOW = _halves(_TENS)
+_TENS_TABLE = np.array([_TENS, *_halves(_TENS)])
+_CSV_HEAD = f"{CSV_HEADER}\n".encode("ascii")
+# The bytes below "0" of a written row: the date's dashes, each quote's
+# comma and point, and the newline; and the least distance from each to the
+# one before it, the first three exact: the dashes 4 and 7 bytes into the
+# line and the comma 10, then a digit between any two.
+_ROW_MARKS = np.frombuffer(b"--,.,.,.,.\n", dtype=np.uint8)
+_MARK_GAPS = np.array([5, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2])
+_FIRST_DAY = np.datetime64("0001-01-01")
+# A quote cell holds at most 23 digits ("0." and 22 fraction digits), read
+# in a window of whole pairs. ANDed with row j of the masks (j zeros, then
+# 0x0F), a window of ASCII keeps only the cell's digit values; the weights
+# read its last 7 pairs and the 5 before them as integers below 10**14.
+_MAX_DIGITS = 23
+_DIGIT_MASKS = np.array([[0] * j + [0x0F] * (24 - j) for j in range(24)], dtype=np.uint8)
+_PAIR_WEIGHTS = np.zeros((2, 12))
+_PAIR_WEIGHTS[0, :5], _PAIR_WEIGHTS[1, 5:] = _TENS[8::-2], _TENS[12::-2]
 
 
 def csv_bytes(header: Iterable[str], rows: Iterable[Iterable[str]]) -> bytes:
@@ -706,13 +720,14 @@ def write_csv(series: RawSeries, path: Path) -> None:
 def load_csv(path: Path, instrument: InstrumentId) -> RawSeries:
     """Load a CSV fixture or cache file holding exactly what ``write_csv`` writes.
 
-    A file ``_written_columns`` proves to be in the writer's layout loads
-    with its ``digest`` seeded as the SHA-256 of the bytes read: by the
-    proof those bytes are ``series_to_csv_bytes`` of the series. Any other
-    file is walked row by row, and loads only if it is written as read. The
-    error names the first malformed row, date not after the row before it,
-    or broken bar in file order, else the first line that differs from the
-    writer's. A header with no rows is an empty series.
+    A file ``_proved_columns`` proves to be in the writer's layout from its
+    bytes loads with its ``digest`` seeded as the SHA-256 of the bytes read:
+    by the proof those bytes are ``series_to_csv_bytes`` of the series. Any
+    other file, one the proof leaves undecided among them, is walked row by
+    row, and loads only if it is written as read. The error names the first
+    malformed row, date not after the row before it, or broken bar in file
+    order, else the first line that differs from the writer's. A header with
+    no rows is an empty series.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -727,11 +742,13 @@ def load_csv(path: Path, instrument: InstrumentId) -> RawSeries:
         raise DataFormatError(f"{path}: expected header {CSV_HEADER!r}")
 
     with suppress(ValueError, DataFormatError):
-        series = RawSeries(instrument, *_written_columns(text))
-        # By the proof the bytes read are the series' written bytes. This is
-        # the one place a digest is seeded rather than computed.
-        vars(series)["digest"] = hashlib.sha256(data).hexdigest()
-        return series
+        columns = _proved_columns(data)
+        if columns is not None:
+            series = RawSeries(instrument, *columns)
+            # By the proof the bytes read are the series' written bytes. This
+            # is the one place a digest is seeded rather than computed.
+            vars(series)["digest"] = hashlib.sha256(data).hexdigest()
+            return series
     series = RawSeries(instrument, *_walk_rows(path, text))
     written = series_to_csv_bytes(series).decode("ascii")
     for lineno, (found, line) in enumerate(zip(text.splitlines(True), written.splitlines(True)), 1):
@@ -740,118 +757,114 @@ def load_csv(path: Path, instrument: InstrumentId) -> RawSeries:
     return series
 
 
-def _written_columns(text: str) -> tuple[list[str], np.ndarray]:
-    """The date cells and the row-major quotes of a CSV ``text`` (header
-    checked) laid out as ``series_to_csv_bytes`` writes them; ValueError for
-    any other text.
+def _proved_columns(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The datetime64[D] dates and (n, 4) quotes of the CSV file ``data``,
+    read from its bytes when exact float arithmetic proves it laid out as
+    ``series_to_csv_bytes`` writes it; None when it cannot, and ValueError
+    for a date that names no day.
 
-    Each line ends in "\n" and holds five cells; each date cell has the fixed
-    ``YYYY-MM-DD`` shape from year 0001, and each quote cell is ``repr`` of
-    its float: ``_reprs_proved`` shows it by arithmetic, and only where that
-    cannot decide a cell is every quote's ``repr`` compared with its cell.
-    Such a date, once datetime64[D] parses it (in ``RawSeries``), is its own
-    ``isoformat``, so a series built from the result writes ``text`` byte
-    for byte."""
-    # A marker cell ends each line: a row is five cells and a "\n". The last
-    # "\n" is the cell before the last; unless there are 6n + 1 cells, it
-    # falls in a date or quote slot (or the empty last cell in a marker
-    # slot) and fails there, so the count needs no check of its own.
-    cells = text[len(CSV_HEADER) + 1 :].replace("\n", ",\n,").split(",")
-    n = len(cells) // 6
-    if not text.endswith("\n") or cells[5::6] != ["\n"] * n:
-        raise ValueError("not five cells a line")
-    dates = cells[:-1:6]
-    if not _ISO_DATES.fullmatch("\n".join([*dates, ""])):
-        raise ValueError("a date not in isoformat's shape")
-    del cells[5::6]
-    del cells[::5]  # the dates, and the empty cell after the last marker
-    quotes = np.fromiter(map(float, cells), dtype=float, count=len(cells))
-    if not _reprs_proved(cells, quotes) and list(map(repr, quotes.tolist())) != cells:
-        raise ValueError("a quote not as repr writes it")
-    return dates, quotes
+    - *Layout*: after the header line, each line's bytes below "0" are
+      ``--,.,.,.,.\n``, the dashes 4 and 7 bytes in and the comma 10, no two
+      adjacent, and no byte is above "9". So a date is ``YYYY-MM-DD``, from
+      year 0001, which datetime64[D] parses back to its own ``isoformat``,
+      and a quote cell "I.F" has digits on each side of its point; I has no
+      leading "0" unless it is "0".
+    - *Digits*: with the points deleted, each cell's digits, at most 23,
+      are its integer C, read in a window of whole digit pairs by two dot
+      products with powers of ten: of its last 14 digits and of the 10
+      before them. Every partial sum is an integer below 2**53, so each is
+      exact in any order. C must be below 10**17, and k = len(F) is at most
+      22, so 10**k is a float exactly. C is c + c_error, c = fl(C).
+    - *Float*: q = fl(c / 10**k) is correctly rounded where C = c
+      (Clinger); its residual q * 10**k - C, from Dekker's product, moves it
+      to x, whose residual r is summed from exact parts. Then ``float``
+      reads the cell as x when |r| is below half the spacing on the cell's
+      side of x times 10**k, less a relative 1e-9. C is the integer nearest
+      x * 10**k when |r| < 0.5 - 1e-9, or when r is exactly +-0.5 and C is
+      even, the digit ``repr`` keeps between two nearest. No shorter
+      decimal reads back as x when every multiple of 10 is farther from
+      x * 10**k than half the spacing above x times 10**k, plus 1e-8, which
+      also refuses a trailing "0"; a cell "I.0" instead needs x < 2**53, so
+      that x is the integer I. With 1e-4 <= x < 1e16, where ``repr`` writes
+      a point, the cell is then the shortest decimal that reads back as x
+      and the nearest such: what ``repr`` writes (Steele and White's rule).
 
-
-def _reprs_proved(cells: list[str], quotes: np.ndarray) -> bool:
-    """Whether exact float arithmetic proves each of ``cells`` (none holding
-    a comma) ``repr`` of its float x in ``quotes``; False when some cell is
-    not, or when the arithmetic cannot decide it.
-
-    A cell "I.F" with k = len(F) digits is proved when:
-
-    - *layout*: it holds ASCII digits and one point with a digit on each
-      side, I has no leading "0" unless it is "0", k <= 22 (so 10**k is a
-      float exactly), and 1e-4 <= x < 1e16, where ``repr`` writes a point;
-    - *nearest*: x * 10**k, below 1e17, is hi + lo exactly (Dekker's
-      product); its nearest integer D is less than 0.5 - 1e-9 from it, and
-      D % 100 is the cell's last two digits. ``float`` rounds correctly, so
-      the cell's digits, read as one integer, lie within ulp(x) / 2 * 10**k
-      of x * 10**k, which is at most 11.2 there: the last two digits pin
-      them to D;
-    - *shortest*: every multiple of 10 is farther than ulp(x) / 2 * 10**k +
-      1e-8 from x * 10**k, where ulp(x) is the spacing above x (from
-      ``np.frexp``). No decimal of fewer than k fraction digits then reads
-      back as x, and a trailing "0" is refused; a cell "I.0" instead needs
-      x < 2**53, so that x is the integer I.
-
-    Then the cell is the shortest decimal that reads back as x and the
-    nearest such, which is what ``repr`` writes (Steele and White's rule).
-    Ties, integers from 2**53, cells of 18 or more digits and values out of
-    range are left undecided. Only elementwise IEEE operations are used, so
-    the answer depends on no BLAS or SIMD kernel."""
-    if not cells:
-        return True
-    layout = _decimal_layout(cells)
-    if layout is None or not ((quotes >= 1e-4) & (quotes < 1e16)).all():
-        return False
-    k, last, last_two = layout
-    hi = quotes * _TENS[k]
-    if hi.max() >= 1e17:
-        return False
-    nearest = np.rint(hi)
-    off = hi - nearest + _product_error(quotes, k, hi)
-    carry = np.rint(off)
-    off -= carry  # x * 10**k - D
-    pinned = (nearest.astype(np.int64) + (carry - last_two).astype(np.int64)) % 100 == 0
-    offset = last + off  # from the multiple of 10 at or below D
-    # x = m * 2**e with 0.5 <= m < 1 has ulp(x) / 2 = 2**(e - 54).
-    half_ulp = np.ldexp(_TENS[k] * 2.0**-54, np.frexp(quotes)[1])
-    shortest = np.minimum(np.abs(offset), 10 - offset) > half_ulp + 1e-8
-    integral = (k == 1) & (last == 0) & (quotes < 2.0**53)
-    return bool((pinned & (np.abs(off) < 0.5 - 1e-9) & (shortest | integral)).all())
-
-
-def _decimal_layout(cells: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Each cell's fraction length k, and its last digit and last two digits
-    (the point skipped) as floats; None unless every cell is ASCII digits
-    around one point, k <= 22 and no integer part of two or more digits
-    starts with "0"."""
-    text = np.frombuffer(",".join(["", *cells, ""]).encode("ascii"), dtype=np.uint8)
-    # A comma, then each cell's point and the comma after it: every other
-    # byte must be a digit, and no two of these marks may be adjacent.
-    marks = np.flatnonzero(text < ord("0"))
-    commas, points = marks[::2], marks[1::2]
+    Values out of range, integers from 2**53 and cells at a margin are left
+    undecided. Every step is an elementwise IEEE operation or a sum of
+    integers below 2**53, so the answer depends on no BLAS or SIMD kernel."""
+    if not data.startswith(_CSV_HEAD) or not data.endswith(b"\n"):
+        return None
+    text = np.frombuffer(data, dtype=np.uint8)
+    # From the header's newline on; each row adds 11 marks.
+    marks = np.flatnonzero(text < ord("0"))[len(_OHLC) :]
+    n = len(marks) // len(_ROW_MARKS)
+    if n == 0 or len(marks) != 1 + n * len(_ROW_MARKS):
+        return None
+    rows, gaps = marks[1:].reshape(n, -1), np.diff(marks).reshape(n, -1)
     if (
-        len(marks) != 2 * len(cells) + 1
-        or text.max() > ord("9")
-        or (text[points] != ord(".")).any()
-        or (text[marks[:-1] + 1] < ord("0")).any()
+        text[len(_CSV_HEAD) :].max() > ord("9")
+        or (text[rows] != _ROW_MARKS).any()
+        or (gaps < _MARK_GAPS).any()
+        or (gaps[:, :3] != _MARK_GAPS[:3]).any()
+        or ((text[rows[:, 2:-1:2] + 1] == ord("0")) & (gaps[:, 3::2] > 2)).any()
     ):
         return None
-    starts, ends = commas[:-1] + 1, commas[1:]
-    k = ends - points - 1
-    # A leading "0" is one a digit follows, not the point.
-    if k.max() > 22 or ((text[starts] == ord("0")) & (text[starts + 1] != ord("."))).any():
+    dates = text[rows[:, :1] + np.arange(-4, 6)].view("S10").ravel().astype("datetime64[D]")
+    k = (gaps[:, 4::2] - 1).ravel()
+    lengths = k + (gaps[:, 3::2] - 1).ravel()
+    width = lengths.max()
+    if dates.min() < _FIRST_DAY or width > _MAX_DIGITS:
         return None
-    last = text[ends - 1] - 48.0  # digit values as floats, "0" being 48
-    return k, last, (text[ends - 2 - (k == 1)] - 48.0) * 10 + last
+    width += width % 2
+    # Each cell's last ``width`` bytes, the point deleted, read as digits;
+    # the header keeps the first window inside the file.
+    ends = rows[:, 4::2].ravel() - np.arange(1, 4 * n + 1)
+    windows = sliding_window_view(np.delete(text, rows[:, 3::2].ravel()), width)[ends - width]
+    windows &= _DIGIT_MASKS[width - lengths, :width]
+    pairs = (windows[:, ::2] * 10 + windows[:, 1::2]).astype(np.float64)
+    high, low = pairs @ _PAIR_WEIGHTS[0, -width // 2 :], pairs @ _PAIR_WEIGHTS[1, -width // 2 :]
+    if high.max() >= 1000:  # C >= 10**17
+        return None
+    high *= _TENS[14]
+    c = high + low
+    c_error = low - (c - high)  # C - fl(C), exactly (Fast2Sum)
+    tens = _TENS_TABLE.take(k, axis=1)
+    q = c / tens[0]
+    hi, lo = _product(q, tens)
+    x = q - ((hi - c) - c_error + lo) / tens[0]
+    hi, lo = _product(x, tens)
+    part = (hi - c) - c_error  # exact: Sterbenz's lemma, then integers
+    r = part + lo  # x * 10**k - C
+    last = windows[:, -1]
+    mantissa, exponent = np.frexp(x)
+    # x = m * 2**e with 0.5 <= m < 1 is ulp(x) = 2**(e - 53) below the float
+    # above it, and twice as far from the float below when m is 0.5.
+    half_gap = np.ldexp(tens[0] * 2.0**-54, exponent)
+    below = np.where((r > 0) & (mantissa == 0.5), half_gap / 2, half_gap)
+    near = np.abs(r) < below * (1 - 1e-9)
+    nearest = np.abs(r) < 0.5 - 1e-9
+    if not nearest.all():
+        # r is part + lo exactly when both differences give the other back:
+        # one of them is exact (the Fast2Sum lemma).
+        exact = (r - part == lo) & (r - lo == part)
+        nearest |= (np.abs(r) == 0.5) & exact & (last % 2 == 0)
+    offset = last + r  # from the multiple of 10 at or below C
+    shortest = np.minimum(np.abs(offset), 10 - offset) > half_gap + 1e-8
+    if not shortest.all():
+        shortest |= (k == 1) & (last == 0) & (x < 2.0**53)
+    if not ((x >= 1e-4) & (x < 1e16) & near & nearest & shortest).all():
+        return None
+    return dates, x.reshape(n, 4)
 
 
-def _product_error(x: np.ndarray, k: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """lo such that x * 10**k is hi + lo exactly, where hi is the rounded
-    product: Dekker's product of Veltkamp's halves."""
+def _product(x: np.ndarray, tens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x * 10**k as hi + lo exactly, where hi is the rounded product and
+    ``tens`` holds 10**k and its halves: Dekker's product of Veltkamp's
+    halves."""
+    scale, scale_high, scale_low = tens
+    hi = x * scale
     high, low = _halves(x)
-    tens_high, tens_low = _TENS_HIGH[k], _TENS_LOW[k]
-    return high * tens_high - hi + high * tens_low + low * tens_high + low * tens_low
+    return hi, high * scale_high - hi + high * scale_low + low * scale_high + low * scale_low
 
 
 def _walk_rows(path: Path, text: str) -> tuple[np.ndarray, list[list[float]]]:

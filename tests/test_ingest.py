@@ -1973,7 +1973,7 @@ def test_series_map_check_agrees_with_a_per_key_match(value):
     assert _is_series_map(value) == per_key
 
 
-# --- load_csv's arithmetic proof that each quote cell is repr of its float ------------
+# --- load_csv's byte-level proof that each quote cell is repr of its float --------------
 
 import math  # noqa: E402
 import warnings  # noqa: E402
@@ -1986,13 +1986,31 @@ from decimal import (  # noqa: E402
     Decimal,
 )
 
-from eventlens.ingest import _decimal_layout, _reprs_proved  # noqa: E402
+from eventlens.ingest import CSV_HEADER, _proved_columns, csv_bytes  # noqa: E402
 
 from conftest import SYNTHETIC_DIR  # noqa: E402
 
 # 1258664062291215.25 is a float, halfway between the two shortest decimals
-# that read back as it: repr writes one, and only repr can say which.
+# that read back as it: repr writes the even one, 1258664062291215.2.
 TIE = 1258664062291215.25
+DAY = "2022-01-03"
+
+
+def csv_file(cells: list[str], dates: list[str] | None = None) -> bytes:
+    """A CSV file of ``cells`` four a row, the last row padded with "1.5",
+    each row after a cell of ``dates`` (by default ``DAY``)."""
+    cells = cells + ["1.5"] * (-len(cells) % 4)
+    dates = dates or [DAY] * (len(cells) // 4)
+    rows = [[date, *cells[4 * i : 4 * i + 4]] for i, date in enumerate(dates)]
+    return csv_bytes((CSV_HEADER,), rows)
+
+
+def proved(data: bytes):
+    """``_proved_columns(data)``, with numpy's warnings as errors: a warning
+    would reach a CLI user's stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _proved_columns(data)
 
 
 @st.composite
@@ -2029,34 +2047,77 @@ proof_cells = st.one_of(
     st.builds("{}.{}".format, st.integers(2**50, 2**51 - 1), st.sampled_from("2378")),
     st.integers(2**53, 10**17).map("{}.0".format),
 )
+date_cells = st.one_of(
+    st.dates().map(dt.date.isoformat),
+    st.sampled_from(["2019-02-30", "2019-02-29", "0000-01-01", "2019-13-01", "2019-00-10"]),
+    st.sampled_from(["2019-1-01", "2019-01-1", "20190-1-01", "2019/01/01", "+019-01-01"]),
+    st.text(DIGITS + "-", min_size=8, max_size=12),
+)
 
 
-def reads_as_float(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
+def iso_date(cell: str) -> bool:
+    with suppress(ValueError):
+        return dt.date.fromisoformat(cell).isoformat() == cell
+    return False
 
 
 @settings(deadline=None)
-@given(cells=st.lists(proof_cells, min_size=1, max_size=4))
-@example(cells=[cut_decimal(TIE, 1, ROUND_HALF_EVEN)])
-@example(cells=[cut_decimal(TIE, 1, ROUND_HALF_UP)])
-@example(cells=["9007199254740993.0", "1.5"])
-@example(cells=["0.00001"])
-@example(cells=["01.5"])
-@example(cells=["1_0.5"])
-@example(cells=["1234567890123456789012.5"])
-@example(cells=[])
-def test_the_repr_proof_accepts_no_cell_repr_writes_otherwise(cells):
-    cells = list(filter(reads_as_float, cells))
-    quotes = np.array(list(map(float, cells)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # numpy's warnings would reach a CLI user's stderr
-        proved = _reprs_proved(cells, quotes)
-    if proved:
-        assert list(map(repr, quotes.tolist())) == cells
+@given(
+    cells=st.lists(proof_cells, min_size=1, max_size=16),
+    dates=st.lists(date_cells, min_size=4, max_size=4),
+)
+@example(cells=[cut_decimal(TIE, 1, ROUND_HALF_EVEN)], dates=[DAY] * 4)
+@example(cells=[cut_decimal(TIE, 1, ROUND_HALF_UP)], dates=[DAY] * 4)
+@example(cells=["9007199254740993.0", "1.5"], dates=[DAY] * 4)
+@example(cells=["0.00001"], dates=[DAY] * 4)
+@example(cells=["01.5"], dates=[DAY] * 4)
+@example(cells=["1_0.5"], dates=[DAY] * 4)
+@example(cells=["1234567890123456789012.5"], dates=[DAY] * 4)
+@example(cells=["0.29999999999999999"], dates=[DAY] * 4)  # repr writes "0.3"
+@example(cells=["1.50"], dates=[DAY] * 4)
+@example(cells=["0.00012345678901234567"], dates=["0000-01-01"] * 4)
+@example(cells=["1.5"], dates=["2022-01-031"] * 4)
+@example(cells=["1.5"], dates=["20220-01-03"] * 4)
+@example(cells=["0.00012345678901234567"], dates=["2019-02-30"] * 4)
+def test_the_repr_proof_accepts_no_cell_repr_writes_otherwise(cells, dates):
+    rows = -(-len(cells) // 4)
+    data = csv_file(cells, dates[:rows])
+    try:
+        columns = proved(data)
+    except ValueError:
+        # Only a date naming no day is refused so, and only one in the shape.
+        assert not all(map(iso_date, dates[:rows]))
+        return
+    if columns is not None:
+        days, quotes = columns
+        assert np.datetime_as_string(days).tolist() == dates[:rows]
+        assert all(map(iso_date, dates[:rows]))
+        cells = data.decode("ascii").replace("\n", ",").split(",")[5:-1]
+        del cells[::5]
+        x = quotes.ravel().tolist()
+        assert [float(c).hex() for c in cells] == [v.hex() for v in x]
+        assert list(map(repr, x)) == cells
+
+
+@settings(deadline=None)
+@given(
+    x=st.one_of(
+        st.floats(1e-4, 1e16, exclude_max=True),
+        st.floats(1e-4, 1e-1),  # leading zeros in the fraction
+        st.floats(1e14, 1e16, exclude_max=True),  # ties are common here
+        st.builds(float, st.integers(1, 2**53)),
+        st.integers(2**50, 2**51 - 1).map(lambda i: i + 0.25),  # an exact tie
+    )
+)
+@example(x=TIE)
+@example(x=0.00012345678901234567)
+@example(x=2.0**53 - 1)
+@example(x=1e-4)
+@example(x=9999999999999998.0)
+def test_the_repr_proof_decides_every_repr_from_1e_4_to_1e16(x):
+    columns = proved(csv_file([repr(x)]))
+    assert columns is not None or (repr(x).endswith(".0") and x >= 2**53)
+    assert columns is None or columns[1][0, 0] == x
 
 
 @given(
@@ -2070,14 +2131,15 @@ def test_the_repr_proof_decides_every_short_decimal(cell):
     # So a cache file a fetch writes from four-decimal text loads without repr.
     if _SHORT_DECIMALS.fullmatch(cell + "\n"):
         short = _TRAILING_ZEROS.sub("", cell + "\n")[:-1]
-        assert _reprs_proved([short], np.array([float(short)]))
+        assert proved(csv_file([short])) is not None
 
 
-def test_the_decimal_layout_reads_the_fraction_length_and_the_last_two_digits():
-    k, last, last_two = _decimal_layout(["0.5", "10.25", "123.0", "0.0001"])
-    assert k.tolist() == [1, 2, 1, 4]
-    assert last.tolist() == [5, 5, 0, 1]
-    assert last_two.tolist() == [5, 25, 30, 1]
+def test_the_byte_proof_reads_each_cell_as_float_does():
+    cells = ["0.5", "10.25", "123.0", "0.0001", "0.00012345678901234567", "1.2345678901234567"]
+    cells += ["9007199254740991.0", "1234567890123456.8", "0.1", "99.99999999999999"]
+    days, quotes = proved(csv_file(cells, ["0001-01-01", "2020-02-29", "9999-12-31"]))
+    assert np.datetime_as_string(days).tolist() == ["0001-01-01", "2020-02-29", "9999-12-31"]
+    assert quotes.ravel().tolist()[: len(cells)] == list(map(float, cells))
 
 
 @pytest.mark.parametrize(
@@ -2101,14 +2163,48 @@ def test_the_decimal_layout_reads_the_fraction_length_and_the_last_two_digits():
     ],
 )
 def test_the_decimal_layout_refuses_every_other_cell(cells):
-    assert _decimal_layout(cells) is None
+    assert proved(csv_file(cells)) is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2022-01-03,1.5,1.5,1.5,1.5",  # no newline at the end
+        "2022-01-03,1.5,1.5,1.5\n",
+        "2022-01-03,1.5,1.5,1.5,1.5,1.5\n",
+        "2022-01-03,1.5,1.5,1.5,1.5\n\n",
+        "2022-1-03,1.5,1.5,1.5,1.5\n",
+        "2022-01-031,1.5,1.5,1.5\n",
+        "2022-01-031,1.5,1.5,1.5,1.5\n",
+        "2022-001-03,1.5,1.5,1.5,1.5\n",
+        "20220-01-03,1.5,1.5,1.5,1.5\n",
+        "2022-01-03,1.5,1.5,1.5,1.5\n5",
+        "20220-1-03,1.5,1.5,1.5,1.5\n",
+        "2022/01/03,1.5,1.5,1.5,1.5\n",
+        "0000-01-03,1.5,1.5,1.5,1.5\n",
+        "2022-01-03,1.5,1.5,1.5,1.5\n2022-01-04,1.5,1.5,1.5\n",
+        "2022-01-03,1.5,1.5,1.5,1.5\r\n",
+        "2022-01-03,1.5,1.5,1.5,1.5\n 2022-01-04,1.5,1.5,1.5,1.5\n",
+        "2022-01-03,123456789012345678.0,1.5,1.5,1.5\n",  # C >= 10**17
+        "2022-01-03,0.00000000000000000000005,1.5,1.5,1.5\n",  # k > 22
+    ],
+)
+def test_the_byte_proof_refuses_every_other_line(text):
+    assert proved(f"{CSV_HEADER}\n{text}".encode("ascii")) is None
+
+
+@pytest.mark.parametrize("day", ["2019-02-30", "2019-02-29", "2019-13-01", "2019-00-10", "2019-01-00"])
+def test_a_date_naming_no_day_is_a_value_error(day):
+    with pytest.raises(ValueError):
+        _proved_columns(csv_file(["1.5"], [day]))
 
 
 def test_every_synthetic_fixture_quote_is_proved_without_repr(monkeypatch):
-    def no_repr(value):
-        raise AssertionError(f"repr({value!r}) called")
+    def refused(value):
+        raise AssertionError(f"called on {value!r}")
 
-    monkeypatch.setattr(eventlens.ingest, "repr", no_repr, raising=False)
+    monkeypatch.setattr(eventlens.ingest, "float", refused, raising=False)
+    monkeypatch.setattr(eventlens.ingest, "repr", refused, raising=False)
     paths = sorted(SYNTHETIC_DIR.glob("*/*.csv"))
     assert len(paths) == 12
     for path in paths:
@@ -2116,14 +2212,34 @@ def test_every_synthetic_fixture_quote_is_proved_without_repr(monkeypatch):
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_a_canonical_file_holding_a_tie_loads_through_repr(tmp_path):
+def test_a_canonical_file_holding_a_tie_is_proved(tmp_path, monkeypatch):
     series = make_series("GOLD", dt.date(2022, 1, 3), [1.5, TIE, 2.25])
     path = tmp_path / "GOLD.csv"
     write_csv(series, path)
-    cells = path.read_text().replace("\n", ",").split(",")[5:-1]
-    del cells[::5]
-    assert "1258664062291215.2" in cells
-    assert not _reprs_proved(cells, np.array(list(map(float, cells))))
+    assert b",1258664062291215.2," in path.read_bytes()
+    assert proved(path.read_bytes())[1].tolist() == series.quotes.tolist()
+    monkeypatch.setattr(eventlens.ingest, "repr", None, raising=False)
     loaded = load_csv(path, series.instrument)
     assert loaded == series
     assert loaded.digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("close", [5e-05, 2.0**53 + 2, 1e16, 0.5e-4])
+def test_a_canonical_file_the_proof_leaves_undecided_loads_through_the_walk(tmp_path, close):
+    # Below 1e-4 and from 1e16 repr writes an exponent; from 2**53 an "I.0"
+    # cell is left undecided. The row walk reads such a file and its rewrite.
+    series = make_series("GOLD", dt.date(2022, 1, 3), [1.5, close, 2.25])
+    path = tmp_path / "GOLD.csv"
+    write_csv(series, path)
+    assert proved(path.read_bytes()) is None
+    loaded = load_csv(path, series.instrument)
+    assert loaded == series
+    assert loaded.digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_a_cell_of_18_significant_digits_is_refused_as_the_walk_refuses_it(tmp_path):
+    path = tmp_path / "GOLD.csv"
+    path.write_bytes(csv_file(["1.23456789012345678", "2.5", "1.0", "1.5"]))
+    assert proved(path.read_bytes()) is None
+    with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}:2: not canonical: "):
+        load_csv(path, GOLD)
