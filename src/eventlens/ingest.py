@@ -15,25 +15,23 @@ date order on whole arrays. The parsers only decode: they collect plain
 day ordinals and floats and hand the columns over. ``DailyBar`` is the row
 type of ``RawSeries.bars``, a view built only when a caller reads it.
 
-A provider payload is read by one scan (``_scan_payload``) when its entries
-repeat the first one's text with a plain decimal for each quote, in date
-order or its reverse, and ``json.loads`` of the rest proves them the one
-series map. Any other payload is parsed by ``json.loads`` and walked entry
-by entry (``_walk_entries``), the reference the scan is held to; the error
-names the first offending entry in date order, an earlier broken bar first.
-Either way a DataFormatError's text starts with the instrument's symbol.
-
-A scanned series' cache file is built from the scan's own quote columns
-when every cell is a decimal of at most 15 significant digits in ``repr``'s
-fixed layout, such as the provider's four-decimal ``"1923.4500"``. Every
-such decimal survives a round trip through a binary64 float (C's
-``DBL_DIG``), so the cell less its trailing zeros (``"1923.45"``) is what
-``repr`` writes for its float. ``_repr_cells`` proves a column so with
-string methods: one point a cell, none longer than 16 characters, none
-starting with "0". Only a column with a cell that starts with "0" runs the
-regex ``_SHORT_DECIMALS``, the reference, and only one holding ``"0\n"``
-has its trailing zeros stripped. Any other cell sends the series through
-``series_to_csv_bytes``. The bytes are the same either way.
+A provider payload is read by one byte-level scan (``_scan_payload``) when
+its entries repeat the first one's text: one row of quote positions per
+entry, each entry's fixed text (its keys and the punctuation around them,
+and the gap before it) held to the first's byte for byte, and ``json.loads``
+of the rest, with the entries left out, proving them the one series map.
+The dates and the open, high, low and close cells are gathered, oldest
+first and each cell less its trailing zeros but the digit after its point,
+into the cache file's bytes in one take, and ``RawSeries.from_csv_bytes``
+proves those bytes as ``load_csv`` does: the file a fetch writes is one
+``load_csv`` proves, and the series carries its SHA-256. Any other payload,
+or one with a cell the proof does not decide (no point, a leading zero, a
+quote below 1e-4, digits ``repr`` would not write) or dates out of order,
+is parsed by ``json.loads`` and walked entry by entry (``_walk_entries``),
+the reference the scan is held to; its series is written out by
+``series_to_csv_bytes``, and the error names the first offending entry in
+date order, an earlier broken bar first. Either way a DataFormatError's
+text starts with the instrument's symbol.
 
 Every CSV the package writes, a cache file or a report table, comes from
 ``csv_bytes``: a header line, then one line of comma-joined cells per row.
@@ -49,11 +47,12 @@ with no ``float`` call, no split and no second serialization: each line is
 a ``YYYY-MM-DD`` date and four quote cells of digits around a point, each
 cell's digits are read as one exact integer, and exact float arithmetic
 proves the cell both what ``float`` reads and what ``repr`` writes for the
-float it returns. A file it proves is loaded with its digest seeded, in
-``load_csv`` alone, as the hash of the bytes read. Any other file, one it
-cannot decide (a quote below 1e-4 or from 1e16, an integer from 2**53, a
-cell at a rounding margin) among them, is walked row by row and loads only
-if the series it decodes writes it back byte for byte. The error names the
+float it returns. ``RawSeries.from_csv_bytes`` loads a file it proves with
+its digest seeded as the hash of the bytes, the one way a digest is seeded
+rather than computed. Any other file, one it cannot decide (a quote below
+1e-4 or from 1e16, an integer from 2**53, a cell at a rounding margin)
+among them, is walked row by row and loads only if the series it decodes
+writes it back byte for byte. The error names the
 first offending row in file order, else the first line unlike the
 writer's; its text starts with the file's path and the line's number.
 """
@@ -218,6 +217,22 @@ class RawSeries:
         object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "quotes", quotes)
 
+    @classmethod
+    def from_csv_bytes(
+        cls, instrument: InstrumentId, data: bytes, synthetic_ohlc: bool = False
+    ) -> RawSeries | None:
+        """The series of the CSV file ``data`` when ``_proved_columns`` proves
+        it what ``write_csv`` writes for that series, with its ``digest``
+        seeded as the SHA-256 of ``data``; None when the proof cannot decide,
+        a date names no day, or the columns break a bar invariant or the
+        date order. The one way a digest is seeded rather than computed."""
+        with suppress(ValueError, DataFormatError):
+            if (columns := _proved_columns(data)) is not None:
+                series = cls(instrument, *columns, synthetic_ohlc)
+                object.__setattr__(series, "digest", hashlib.sha256(data).hexdigest())
+                return series
+        return None
+
     @cached_property
     def digest(self) -> str:
         """SHA-256 of the series' CSV bytes, as ``write_csv`` writes them."""
@@ -310,27 +325,20 @@ _PROVIDER_ERROR_KEYS = ("Error Message", "Note", "Information")
 # ``\d``, not [0-9]: a key of other Unicode digits still picks the map, and
 # the decode names it a bad date.
 _DATE_KEY = re.compile(r"\d{4}-\d{2}-\d{2}")
-# Quote cells joined by "\n", each followed by one, all decimals in the fixed
-# layout ``repr`` uses from 1e-4 up, with at most 16 characters and so at most
-# 15 significant digits, which a binary64 float round-trips (DBL_DIG). Less
-# its trailing zeros (``_TRAILING_ZEROS``) such a cell is ``repr(float(cell))``.
-# [0-9], never \d: float() reads any Unicode digit. The reference for
-# ``_repr_cells``, which runs it only on a column with a cell starting "0".
-_SHORT_DECIMALS = re.compile(
-    r"(?:(?=[^\n]{1,16}+\n)(?:[1-9][0-9]*+\.[0-9]++|0\.0{0,3}+[1-9][0-9]*+)\n)*+"
-)
-# The zeros ending a cell after a digit, which keeps the "0" of "123.0". In
-# cells ``_SHORT_DECIMALS`` accepts they all follow the point.
-_TRAILING_ZEROS = re.compile(r"0(?<=[0-9]0)0*+(?=\n)")
-# The scan's tokens: JSON whitespace (``\s`` also takes \f and \v), a comma
-# in it, a string's text with no control character, and a first entry.
-_WS = r"[ \t\n\r]*"
-_SEPARATOR = re.compile(f"{_WS},{_WS}")
-_CHARS = r'[^"\x00-\x1f]*'
-_PAIR = f'"{_CHARS}"{_WS}:{_WS}"{_CHARS}"'
+# The scan's tokens: JSON whitespace (``\s`` also takes \f and \v), a
+# string's text with no control character, and a first entry.
+_WS = rb"[ \t\n\r]*"
+_CHARS = rb'[^"\x00-\x1f]*'
+_PAIR = rb'"%b"%b:%b"%b"' % (_CHARS, _WS, _WS, _CHARS)
 _FIRST_ENTRY = re.compile(
-    rf'"[0-9]{{4}}-[0-9]{{2}}-[0-9]{{2}}"{_WS}:{_WS}\{{{_WS}{_PAIR}(?:{_WS},{_WS}{_PAIR})*{_WS}\}}'
+    rb'"[0-9]{4}-[0-9]{2}-[0-9]{2}"%b:%b\{%b%b(?:%b,%b%b)*%b\}' % (_WS, _WS, _WS, _PAIR, _WS, _WS, _PAIR, _WS)
 )
+# What stands in for a scanned payload's entries when ``json.loads`` checks
+# the rest: a member no payload holds (a payload with a backslash is not
+# scanned), ending in a string as the last entry does; and the series map it
+# leaves when the entries were the map's only members.
+_MARKER = b'"\\\\": {"": ""'
+_MARKED = {"\\": {"": ""}}
 # Accepts bare field names and numbered variants like "1. open"; deliberately
 # rejects derived fields such as "5. adjusted close".
 _FIELD_KEY = re.compile(rf"(?:\d+[a-z]?\.\s*)?({'|'.join(_OHLC)})$")
@@ -399,16 +407,12 @@ def parse_provider_payload(body: bytes, instrument: InstrumentId) -> RawSeries:
     return _parse_payload(body, instrument)[0]
 
 
-def _parse_payload(
-    body: bytes, instrument: InstrumentId
-) -> tuple[RawSeries, list[str] | None, list[list[str]] | None]:
-    """The payload's series, and if the scan read it, its sorted date keys and
-    its open, high, low and close columns of quote cells (else None and None).
-    A DataFormatError's text starts with the instrument's symbol."""
+def _parse_payload(body: bytes, instrument: InstrumentId) -> tuple[RawSeries, bytes | None]:
+    """The payload's series and, if the scan read it, its cache file's bytes
+    (else None). A DataFormatError's text starts with the instrument's symbol."""
     try:
-        if (scanned := _scan_payload(body)) is not None:
-            *arguments, dates, columns = scanned
-            return RawSeries(instrument, *arguments), dates, columns
+        if (scanned := _scan_payload(body, instrument)) is not None:
+            return scanned
         try:
             document = json.loads(body)
         except (ValueError, UnicodeDecodeError) as exc:
@@ -423,7 +427,7 @@ def _parse_payload(
         series_map = next(filter(_is_series_map, document.values()), None)
         if series_map is None:
             raise DataFormatError("payload has no daily series map")
-        return _walk_entries(instrument, series_map), None, None
+        return _walk_entries(instrument, series_map), None
     except DataFormatError as exc:
         raise type(exc)(f"{instrument.symbol}: {exc}") from exc
 
@@ -438,19 +442,16 @@ def _is_series_map(value: object) -> bool:
     )
 
 
-def _scan_payload(
-    body: bytes,
-) -> tuple[np.ndarray, np.ndarray, bool, list[str], list[list[str]]] | None:
-    """``RawSeries`` arguments, the sorted dates and the open, high, low and close
-    columns of quote cells, oldest first, split out by the first entry's own
-    text; None unless the JSON path agrees."""
+def _scan_payload(body: bytes, instrument: InstrumentId) -> tuple[RawSeries, bytes] | None:
+    """The series and its cache file's bytes, gathered from the entries that
+    repeat the first one's text and proved by ``RawSeries.from_csv_bytes``;
+    None unless the JSON path agrees."""
     if not body.isascii() or b"\\" in body:
         return None
-    text = body.decode("ascii")
-    if not (first := _FIRST_ENTRY.search(text)):
+    if not (first := _FIRST_ENTRY.search(body)):
         return None
     # Split at quotes: punctuation, the date, then each key and its value.
-    parts = first[0].split('"')
+    parts = first[0].decode("ascii").split('"')
     keys = parts[3::4]
     try:
         fields = _match_fields(keys, "")
@@ -460,39 +461,80 @@ def _scan_payload(
     fields = fields[3:] * 4 if close_only else fields
     if None in fields:
         return None
-    pieces = list(map(re.escape, parts))
-    pieces[1] = "([0-9]{4}-[0-9]{2}-[0-9]{2})"
-    pieces[5::4] = [r"([0-9]++(?:\.[0-9]++)?+)" if key in fields else _CHARS for key in keys]
-    cells = re.split('"'.join(pieces), text[first.start() :])
-    groups = [key for key in keys if key in fields]
-    stride = 2 + len(groups)
-    separators = set(cells[stride:-1:stride]) or {","}
-    if cells[0] or len(separators) > 1 or not _SEPARATOR.fullmatch(*separators):
+    # One row of quote positions per entry, as many as the first one holds.
+    text = np.frombuffer(body, dtype=np.uint8)
+    quotes = np.flatnonzero(text == ord('"'))
+    quotes = quotes[np.searchsorted(quotes, first.start()) :]
+    width = len(parts) - 1
+    rows = quotes[: len(quotes) // width * width].reshape(-1, width)
+    # The entries run on while each repeats the first's fixed text, quotes
+    # included: from the date and each value to the next value, and the gap
+    # from the entry before, which must be a "},". The dates and the quote
+    # cells between are the proof's to check.
+    gap = body[rows[0, -1] : rows[1, 0] + 1] if len(rows) > 1 else b""
+    if gap.translate(None, b" \t\n\r") == b'"},"':
+        runs = [(rows[:-1, -1], gap)]
+        runs += [(rows[1:, j], body[rows[0, j] : rows[0, j + 3] + 1]) for j in range(1, width - 1, 4)]
+        rows = rows[: 1 + min(_rows_holding(body, *run) for run in runs)]
+    else:
+        rows = rows[:1]
+    # The fixed text holds every control character of the entries, so no
+    # value holds one.
+    in_entry = np.count_nonzero(text[rows[0, 0] : rows[0, -1]] < 0x20)
+    in_gap = np.count_nonzero(text[rows[0, -1] : rows[0, -1] + len(gap)] < 0x20)
+    in_all = np.count_nonzero(text[rows[0, 0] : rows[-1, -1]] < 0x20)
+    if in_all != len(rows) * in_entry + (len(rows) - 1) * in_gap:
         return None
-    # Entries newest first, as the provider writes them, are read backwards.
-    start, step = (-1 - stride, -stride) if cells[1] > cells[-stride] else (0, stride)
-    dates = cells[start + 1 :: step]
-    if any(map(str.__ge__, dates, dates[1:])):
-        return None
-    # With a marker for the entries, the rest must be an object holding just the
-    # marker as a direct member; a later member of the same key drops it.
+    # With the marker for the entries, the rest must be an object holding the
+    # marker's map as a direct member; a later member of the same key drops it.
     try:
-        rest = json.loads(f'{text[: first.start()]}"\\\\": 0{cells[-1]}')
-        days = list(map(dt.date.toordinal, map(dt.date.fromisoformat, dates)))
+        rest = json.loads(body[: first.start()] + _MARKER + body[rows[-1, -1] + 1 :])
     except ValueError:
         return None
-    if type(rest) is not dict or {"\\": 0} not in rest.values():
+    if type(rest) is not dict or _MARKED not in rest.values():
         return None
     if any(map(rest.__contains__, _PROVIDER_ERROR_KEYS)) or any(map(_is_series_map, rest.values())):
         return None
-    # One column per distinct field, so a close-only payload parses its closes once.
-    columns = [cells[start + 2 + groups.index(key) :: step] for key in dict.fromkeys(fields)]
-    quotes = np.column_stack(
-        [np.fromiter(map(float, column), dtype=float, count=len(dates)) for column in columns]
-    )
-    if close_only:
-        quotes, columns = np.repeat(quotes, 4, axis=1), columns * 4
-    return _dates(days), quotes, close_only, dates, columns
+    # Entries newest first, as the provider writes them, are read backwards.
+    if body[rows[0, 0] : rows[0, 1]] > body[rows[-1, 0] : rows[-1, 1]]:
+        rows = rows[::-1]
+    # Each row's date, then its open, high, low and close cells, from their
+    # first byte to the quote after them.
+    columns = np.array([0, *(4 + 4 * keys.index(key) for key in fields)])
+    starts, ends = rows[:, columns] + 1, rows[:, columns + 1]
+    # Less its trailing zeros but the digit after its point, a cell is what
+    # repr writes for its float, if any is. A cell ending in more zeros than
+    # the proof reads digits is refused either way.
+    cells = ends[:, 1:]
+    for _ in range(_MAX_DIGITS):
+        zeros = (text[cells - 1] == ord("0")) & (text[cells - 2] != ord("."))
+        if not zeros.any():
+            break
+        cells -= zeros
+    # The file in one ragged take of each field and the byte after it, which
+    # then becomes the comma or the newline.
+    sizes = (ends - starts + 1).ravel()
+    offsets = np.cumsum(sizes)
+    index = np.repeat(starts.ravel() + sizes - offsets, sizes)
+    index += np.arange(offsets[-1])
+    lines = text[index]
+    lines[offsets.reshape(-1, 5) - 1] = _FIELD_ENDS
+    data = _CSV_HEAD + lines.tobytes()
+    series = RawSeries.from_csv_bytes(instrument, data, close_only)
+    return None if series is None else (series, data)
+
+
+def _rows_holding(data: bytes, starts: np.ndarray, run: bytes) -> int:
+    """How many of ``starts``, from the first, ``data`` holds ``run`` at. A
+    start too near the end reads the last window, which ends as ``data``
+    does: a payload ``json.loads`` takes ends in "}" or white space, and no
+    run of fixed text ends so."""
+    last = len(data) - len(run)
+    windows = np.ndarray((last + 1,), f"V{len(run)}", data, strides=(1,))
+    found, runs = windows[np.minimum(starts, last)].tobytes(), run * len(starts)
+    if found == runs:
+        return len(starts)
+    return np.argmax(np.frombuffer(found, np.uint8) != np.frombuffer(runs, np.uint8)) // len(run)
 
 
 def _walk_entries(instrument: InstrumentId, series_map: dict) -> RawSeries:
@@ -547,6 +589,7 @@ _CSV_HEAD = f"{CSV_HEADER}\n".encode("ascii")
 # one before it, the first three exact: the dashes 4 and 7 bytes into the
 # line and the comma 10, then a digit between any two.
 _ROW_MARKS = np.frombuffer(b"--,.,.,.,.\n", dtype=np.uint8)
+_FIELD_ENDS = np.frombuffer(b",,,,\n", dtype=np.uint8)
 _MARK_GAPS = np.array([5, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2])
 _FIRST_DAY = np.datetime64("0001-01-01")
 # A quote cell holds at most 23 digits ("0." and 22 fraction digits), read
@@ -571,39 +614,6 @@ def series_to_csv_bytes(series: RawSeries) -> bytes:
     dates = np.datetime_as_string(series.dates).tolist()
     cells = list(map(repr, series.quotes.ravel().tolist()))
     return csv_bytes((CSV_HEADER,), zip(dates, cells[0::4], cells[1::4], cells[2::4], cells[3::4]))
-
-
-def _repr_cells(column: list[str]) -> list[str] | None:
-    """The cells of a scanned ``column`` (ASCII digit runs, each with at most
-    one point) as ``repr`` writes their floats, or None unless
-    ``_SHORT_DECIMALS`` accepts every cell.
-
-    One point a cell, at most 16 characters and no leading "0" put every
-    cell in its first branch; only a column holding a leading "0" runs it."""
-    if max(map(len, column)) > 16:
-        return None
-    text = "\n".join(column) + "\n"
-    if text.count(".") != len(column):
-        return None
-    if (text[0] == "0" or "\n0" in text) and not _SHORT_DECIMALS.fullmatch(text):
-        return None
-    return _TRAILING_ZEROS.sub("", text).split("\n")[:-1] if "0\n" in text else column
-
-
-def _fetched_csv_bytes(
-    series: RawSeries, dates: list[str] | None, columns: list[list[str]] | None
-) -> bytes:
-    """``series_to_csv_bytes(series)``, built from the payload's sorted date
-    keys and its quote ``columns`` when every cell is a short decimal: less
-    its trailing zeros, each is then what ``repr`` writes for its float."""
-    if columns is None:
-        return series_to_csv_bytes(series)
-    cells = []
-    for column in columns:
-        if (short := _repr_cells(column)) is None:
-            return series_to_csv_bytes(series)
-        cells.append(short)
-    return csv_bytes((CSV_HEADER,), zip(dates, *cells))
 
 
 def write_atomic(path: Path, payload: bytes) -> None:
@@ -721,10 +731,11 @@ def load_csv(path: Path, instrument: InstrumentId) -> RawSeries:
     """Load a CSV fixture or cache file holding exactly what ``write_csv`` writes.
 
     A file ``_proved_columns`` proves to be in the writer's layout from its
-    bytes loads with its ``digest`` seeded as the SHA-256 of the bytes read:
-    by the proof those bytes are ``series_to_csv_bytes`` of the series. Any
-    other file, one the proof leaves undecided among them, is walked row by
-    row, and loads only if it is written as read. The error names the first
+    bytes loads through ``RawSeries.from_csv_bytes``, its ``digest`` the
+    SHA-256 of the bytes read: by the proof those bytes are
+    ``series_to_csv_bytes`` of the series. Any other file, one the proof
+    leaves undecided among them, is walked row by row, and loads only if it
+    is written as read. The error names the first
     malformed row, date not after the row before it, or broken bar in file
     order, else the first line that differs from the writer's. A header with
     no rows is an empty series.
@@ -741,14 +752,8 @@ def load_csv(path: Path, instrument: InstrumentId) -> RawSeries:
     if text != CSV_HEADER and not text.startswith(CSV_HEADER + "\n"):
         raise DataFormatError(f"{path}: expected header {CSV_HEADER!r}")
 
-    with suppress(ValueError, DataFormatError):
-        columns = _proved_columns(data)
-        if columns is not None:
-            series = RawSeries(instrument, *columns)
-            # By the proof the bytes read are the series' written bytes. This
-            # is the one place a digest is seeded rather than computed.
-            vars(series)["digest"] = hashlib.sha256(data).hexdigest()
-            return series
+    if (series := RawSeries.from_csv_bytes(instrument, data)) is not None:
+        return series
     series = RawSeries(instrument, *_walk_rows(path, text))
     written = series_to_csv_bytes(series).decode("ascii")
     for lineno, (found, line) in enumerate(zip(text.splitlines(True), written.splitlines(True)), 1):
@@ -929,10 +934,9 @@ def fetch_daily(
     except Exception as exc:
         raise ProviderError(f"provider unreachable for {instrument.symbol}: {exc}") from exc
 
-    series, dates, text = _parse_payload(body, instrument)
-    payload = _fetched_csv_bytes(series, dates, text)
+    series, data = _parse_payload(body, instrument)
     try:
-        write_atomic(cache_path, payload)
+        write_atomic(cache_path, series_to_csv_bytes(series) if data is None else data)
     except OSError as exc:
         raise CacheError(f"cannot write cache file {cache_path}: {exc}") from exc
     return series

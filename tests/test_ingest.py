@@ -1290,12 +1290,8 @@ def test_constructor_raises_exactly_as_the_row_by_row_reference(columns):
 # --- the payload scan against json.loads and the entry walk -------------------------
 
 from eventlens.ingest import (  # noqa: E402
-    _SHORT_DECIMALS,
-    _TRAILING_ZEROS,
-    _fetched_csv_bytes,
     _is_series_map,
     _parse_payload,
-    _repr_cells,
     _scan_payload,
     _walk_entries,
 )
@@ -1533,15 +1529,13 @@ def provider_payloads(draw) -> bytes:
 def test_payload_scan_agrees_with_the_json_walk(body):
     expected = json_walk(body)
     assert parsed(lambda: parse_provider_payload(body, GOLD)) == expected
-    scanned = _scan_payload(body)
+    scanned = _scan_payload(body, GOLD)
     if scanned is None:
         return
-    *arguments, dates, columns = scanned
+    series, data = scanned
     # What the scan accepts is the walk's series, flag and cache bytes.
-    assert named(parsed(lambda: RawSeries(GOLD, *arguments))) == expected
-    with suppress(EventLensError):
-        series = RawSeries(GOLD, *arguments)
-        assert _fetched_csv_bytes(series, dates, columns) == series_to_csv_bytes(series)
+    assert named(parsed(lambda: series)) == expected
+    assert data == series_to_csv_bytes(series)
 
 
 @settings(deadline=None)
@@ -1594,7 +1588,7 @@ def test_bulk_payload_parse_resolves_each_key_layout_once(monkeypatch):
     assert (len(series), series.synthetic_ohlc, calls) == (800, False, [tuple(full["2020-01-01"])])
     # It refuses two layouts after resolving the first, and the walk reads them.
     calls.clear()
-    assert _scan_payload(payload_bytes(mixed)) is None
+    assert _scan_payload(payload_bytes(mixed), GOLD) is None
     assert calls == [("close",)]
     series = parse_provider_payload(payload_bytes(mixed), GOLD)
     monkeypatch.undo()
@@ -1625,7 +1619,15 @@ FOUR_DECIMAL_ROWS = {
     "2022-01-04": ("1923.4500", "1930.0000", "1900.1000", "1925.0000"),
     "2022-01-03": ("1910.0000", "1924.3000", "1905.0000", "1923.4500"),
 }
+# 16 and 17 significant digits, each what repr writes for its float.
 SEVENTEEN_DIGIT_ROWS = {
+    "2022-01-04": (
+        "1.2345678901234567", "2.0000000000000004", "0.5000000000000001", "1.5000000000000002"
+    ),
+    "2022-01-03": ("9.401870698993836", "9.401870698993836", "8.397381398802226", "9.000000000000002"),
+}
+# Each reads as the float of the same cell above, which repr writes instead.
+NOT_REPR_ROWS = {
     "2022-01-04": (
         "1.2345678901234567", "2.0000000000000004", "0.50000000000000011", "1.5000000000000002"
     ),
@@ -1653,10 +1655,10 @@ SCAN_ACCEPTED = {
 @pytest.mark.parametrize("text", SCAN_ACCEPTED.values(), ids=SCAN_ACCEPTED.keys())
 def test_the_scan_reads_each_plain_payload(text):
     body = text.encode()
-    assert _scan_payload(body) is not None
-    series, dates, columns = _parse_payload(body, GOLD)
+    assert _scan_payload(body, GOLD) is not None
+    series, data = _parse_payload(body, GOLD)
     assert parsed(lambda: series) == json_walk(body)
-    assert _fetched_csv_bytes(series, dates, columns) == series_to_csv_bytes(series)
+    assert data == series_to_csv_bytes(series)
 
 
 D3, D4, D5, D7 = (dt.date(2022, 1, day) for day in (3, 4, 5, 7))
@@ -1707,6 +1709,19 @@ SCAN_REFUSED = {
         (ProviderError, "provider error for GOLD: Thank you for using the API"),
     ),
     "exponent_quote": (document_text({"2022-01-03": entry(open_="1e0")}), ONE_DAY_PARSED),
+    "digits_repr_does_not_write": (
+        document_text(numbered_entries(NOT_REPR_ROWS)),
+        (
+            [D3, D4],
+            [list(map(float, NOT_REPR_ROWS[day])) for day in ("2022-01-03", "2022-01-04")],
+            False,
+        ),
+    ),
+    "no_point_quote": (document_text({"2022-01-03": entry(high="2")}), ONE_DAY_PARSED),
+    "leading_zero_quote": (document_text({"2022-01-03": entry(open_="01.0")}), ONE_DAY_PARSED),
+    "quote_below_1e_4": (
+        document_text({"2022-01-03": entry(low="0.00005")}), ([D3], [[1.0, 2.0, 5e-05, 1.5]], False)
+    ),
     "padded_quote": (document_text({"2022-01-03": entry(close=" 1.5")}), ONE_DAY_PARSED),
     "leading_point_quote": (document_text({"2022-01-03": entry(low=".5")}), ONE_DAY_PARSED),
     "inf_quote": (
@@ -1723,6 +1738,14 @@ SCAN_REFUSED = {
     "two_key_orders": (
         document_text({"2022-01-04": entry(), "2022-01-03": dict(reversed(entry().items()))}),
         ([D3, D4], [BAR] * 2, False),
+    ),
+    # Read in the first entry's key order, the second would still be a valid
+    # bar, with its open and close swapped.
+    "two_key_orders_each_a_valid_bar": (
+        document_text(
+            {"2022-01-04": entry(), "2022-01-03": {"close": "1.25", "high": "2.0", "low": "0.5", "open": "1.0"}}
+        ),
+        ([D3, D4], [[1.0, 2.0, 0.5, 1.25], BAR], False),
     ),
     "bad_date_key": (
         document_text({"2022-02-30": entry()}), (DataFormatError, "GOLD: bad date key '2022-02-30'")
@@ -1751,6 +1774,12 @@ SCAN_REFUSED = {
             + "Expecting property name enclosed in double quotes: line 12 column 7 (char 223)",
         ),
     ),
+    "control_character_in_a_later_volume": (
+        document_text(
+            {"2022-01-04": {**entry(), "volume": "1"}, "2022-01-03": {**entry(), "volume": "1\x1f"}}
+        ).replace("\\u001f", "\x1f"),
+        (DataFormatError, NOT_JSON + "Invalid control character at: line 19 column 19 (char 366)"),
+    ),
     "control_character_in_a_volume": (
         document_text({"2022-01-03": {**entry(), "volume": "1\x1f"}}).replace("\\u001f", "\x1f"),
         (DataFormatError, NOT_JSON + "Invalid control character at: line 12 column 19 (char 235)"),
@@ -1762,6 +1791,10 @@ SCAN_REFUSED = {
         document_text(TWO_DAYS, LAYOUTS[0]).replace('},"2022', '}"2022'),
         (DataFormatError, NOT_JSON + "Expecting ',' delimiter: line 1 column 156 (char 155)"),
     ),
+    "missing_comma_after_the_second_entry": (
+        document_text(DAYS3, LAYOUTS[0]).replace('},"2022-01-03"', '}"2022-01-03"'),
+        (DataFormatError, NOT_JSON + "Expecting ',' delimiter: line 1 column 224 (char 223)"),
+    ),
     "text_after_the_object": (
         document_text(ONE_DAY, LAYOUTS[0]) + " x",
         (DataFormatError, NOT_JSON + "Extra data: line 1 column 159 (char 158)"),
@@ -1772,7 +1805,7 @@ SCAN_REFUSED = {
 @pytest.mark.parametrize("text,expected", SCAN_REFUSED.values(), ids=SCAN_REFUSED.keys())
 def test_the_scan_refuses_and_the_parse_gives_what_it_gave_before(text, expected):
     body = text.encode()
-    assert _scan_payload(body) is None
+    assert _scan_payload(body, GOLD) is None
     assert parsed(lambda: parse_provider_payload(body, GOLD)) == expected
 
 
@@ -1784,10 +1817,10 @@ def test_rate_limit_must_be_an_integer(tmp_path, limit):
         ProviderConfig(cache_dir=tmp_path, rate_limit=limit)
 
 
-# --- short decimal quote text and the series-map check ------------------------------
+# --- short decimal quote text, the fetch-to-load round trip and the series-map check ---
 
 DIGITS = "0123456789"
-# Each accepted cell, and the text repr writes for its float.
+# Each cell that is a short decimal, and the text repr writes for its float.
 SHORT_DECIMALS = {
     "0.0001": "0.0001",
     "1.23456789012345": "1.23456789012345",
@@ -1802,6 +1835,7 @@ SHORT_DECIMALS = {
     "100.5": "100.5",
     "99999999999.9999": "99999999999.9999",
 }
+# Cells outside the short decimals of 15 significant digits in 16 characters.
 NOT_SHORT_DECIMALS = (
     "0.00001",  # repr writes 1e-05
     "0.000010",
@@ -1824,6 +1858,62 @@ NOT_SHORT_DECIMALS = (
     "0.0000",
     ".5",
 )
+
+
+def less_trailing_zeros(cell: str) -> str:
+    """A decimal ``cell`` less the zeros that end it, but the digit after its point."""
+    whole, _, fraction = cell.partition(".")
+    return f"{whole}.{fraction.rstrip('0') or '0'}"
+
+
+def its_own_repr(cell: str) -> bool:
+    """Whether ``cell`` is a positive quote with digits on each side of its
+    point that, less its trailing zeros, is what repr writes for its float."""
+    if not re.fullmatch(r"[0-9]+\.[0-9]+", cell):
+        return False
+    return float(cell) > 0 and less_trailing_zeros(cell) == repr(float(cell))
+
+
+def short_decimal(cell: str) -> bool:
+    """Whether ``cell`` is a decimal from 1e-4 below 1e16 in repr's fixed
+    layout with at most 15 significant digits, which a binary64 float
+    round-trips (C's DBL_DIG): less its trailing zeros, what repr writes."""
+    if not re.fullmatch(r"(?:0|[1-9][0-9]*)\.[0-9]+", cell):
+        return False
+    value = Decimal(cell)
+    return Decimal("1e-4") <= value < Decimal("1e16") and len(value.normalize().as_tuple().digits) <= 15
+
+
+def one_day(cell: str) -> bytes:
+    """A payload of one day quoting ``cell`` for each of its four quotes."""
+    return payload_bytes({"2022-01-03": entry(cell, cell, cell, cell)})
+
+
+def fetch_and_load(directory: Path, body: bytes) -> None:
+    """Fetch ``body`` into the cache ``directory`` and load the file back.
+
+    The fetch gives what the JSON walk gives and writes its series' bytes,
+    and ``load_csv`` returns that series with the same digest, through the
+    proof (no row walk) when the scan read the payload."""
+    expected = json_walk(body)
+    config = ProviderConfig(cache_dir=directory, rate_limit=1)
+    path = directory / "GOLD.csv"
+    try:
+        fetched = fetch_daily(GOLD, config, lambda url: body)
+    except EventLensError as exc:
+        assert (type(exc), str(exc)) == expected
+        assert not path.exists()
+        return
+    assert parsed(lambda: fetched) == expected
+    with mock.patch.object(eventlens.ingest, "_scan_payload", return_value=None):
+        walked = parse_provider_payload(body, GOLD)
+    assert path.read_bytes() == series_to_csv_bytes(walked)
+    with mock.patch.object(eventlens.ingest, "_walk_rows", wraps=_walk_rows) as walk:
+        loaded = load_csv(path, GOLD)
+    assert loaded == walked
+    assert loaded.digest == fetched.digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    if _scan_payload(body, GOLD) is not None:
+        assert not walk.called
 
 
 @st.composite
@@ -1850,68 +1940,50 @@ def decimal_text(draw) -> str:
     )
 )
 def test_a_short_decimal_less_its_trailing_zeros_is_its_own_repr(cell):
-    if _SHORT_DECIMALS.fullmatch(cell + "\n"):
-        assert _TRAILING_ZEROS.sub("", cell + "\n") == repr(float(cell)) + "\n"
+    # The scan reads every short decimal, and no cell but one that, less its
+    # trailing zeros, is repr's; the file it writes holds that text.
+    scanned = _scan_payload(one_day(cell), GOLD)
+    assert scanned is not None or not short_decimal(cell)
+    if scanned is not None:
+        assert its_own_repr(cell)
+        assert scanned[1] == csv_bytes((CSV_HEADER,), [[DAY, *[less_trailing_zeros(cell)] * 4]])
 
 
 @given(quote=st.floats(1e-4, 1e10))
 def test_every_four_decimal_quote_from_1e_4_to_1e10_is_a_short_decimal(quote):
-    # The provider's own dialect, so a fetch of it skips repr.
-    assert _SHORT_DECIMALS.fullmatch(f"{quote:.4f}\n")
+    # The provider's own dialect, so a fetch of it never walks the entries.
+    cell = f"{quote:.4f}"
+    assert short_decimal(cell)
+    assert _scan_payload(one_day(cell), GOLD) is not None
 
 
 @pytest.mark.parametrize("cell", [*SHORT_DECIMALS, *NOT_SHORT_DECIMALS])
-def test_short_decimal_boundaries(cell):
-    accepted = _SHORT_DECIMALS.fullmatch(cell + "\n") is not None
-    assert accepted == (cell in SHORT_DECIMALS)
-    # A text of cells is accepted only if each of them is.
-    text = f"1.5\n{cell}\n2.250\n"
-    assert (_SHORT_DECIMALS.fullmatch(text) is not None) == accepted
-    if accepted:
-        assert _TRAILING_ZEROS.sub("", text) == f"1.5\n{SHORT_DECIMALS[cell]}\n2.25\n"
+def test_short_decimal_boundaries(tmp_path, cell):
+    scanned = _scan_payload(one_day(cell), GOLD)
+    assert (scanned is not None) == its_own_repr(cell)
+    if cell in SHORT_DECIMALS:
+        assert scanned[1] == csv_bytes((CSV_HEADER,), [[DAY, *[SHORT_DECIMALS[cell]] * 4]])
+    fetch_and_load(tmp_path, one_day(cell))
 
 
-# Cells as the scan matches them: ASCII digit runs, with at most one point.
-# Each family draws only such cells, so no example is discarded: a decimal
-# text with no digit after its point loses the point, and a float is one
-# whose repr is fixed-point (0.0, or from 1e-4 up to 1e16).
-SCANNED_CELL = re.compile(r"[0-9]+(?:\.[0-9]+)?")
-scanned_cells = st.one_of(
-    decimal_text().map(lambda cell: cell.removesuffix(".")),
-    st.one_of(st.just(0.0), st.floats(1e-4, 1e16, exclude_max=True)).map(repr),
-    st.floats(0.0, 1e12).map("{:.4f}".format),
-    st.builds("0.{}{}{}".format, st.sampled_from(["000", "0000"]), st.integers(1, 9), st.just("0")),
-    st.builds("0.{}{}".format, st.sampled_from(["000", "0000"]), st.integers(1, 9)),
-    st.integers(0, 10**17).map(str),
-)
+@st.composite
+def four_decimal_payloads(draw) -> bytes:
+    """A payload as the provider writes it: valid bars quoted to four
+    decimals, newest first, with numbered keys and a volume; now and then
+    every quote below one."""
+    scale = draw(st.sampled_from([1.0, 1.0, 1 / 4000]))
+    days = draw(st.lists(st.dates(dt.date(1990, 1, 1), dt.date(2030, 12, 31)), min_size=1, max_size=8, unique=True))
+    rows = {}
+    for day in sorted(days, reverse=True):
+        low, a, b, high = sorted(draw(st.lists(st.floats(1.0, 3000.0), min_size=4, max_size=4)))
+        rows[day.isoformat()] = tuple(f"{q * scale:.4f}" for q in (a, high, low, b))
+    return document_text(numbered_entries(rows), draw(st.sampled_from(LAYOUTS))).encode()
 
 
 @settings(deadline=None)
-@given(
-    rows=st.lists(st.lists(scanned_cells, min_size=4, max_size=4), min_size=1, max_size=6),
-    close_only=st.booleans(),
-    start=st.dates(dt.date(1990, 1, 1), dt.date(2030, 1, 1)),
-)
-def test_the_column_check_agrees_with_short_decimals_and_the_series_bytes(rows, close_only, start):
-    # Each row's cells ordered as a bar (low, open and close, high), so most series build.
-    assert all(SCANNED_CELL.fullmatch(cell) for row in rows for cell in row)
-    rows = [sorted(row, key=float) for row in rows]
-    columns = [[row[i] for row in rows] for i in (1, 3, 0, 2)]
-    if close_only:
-        columns = columns[3:] * 4
-    for column in columns:
-        text = "\n".join(column) + "\n"
-        cells = _repr_cells(column)
-        assert (cells is not None) == (_SHORT_DECIMALS.fullmatch(text) is not None)
-        if cells is not None:
-            assert cells == [repr(float(cell)) for cell in column]
-    dates = [(start + dt.timedelta(days=i)).isoformat() for i in range(len(rows))]
-    quotes = [list(map(float, row)) for row in zip(*columns)]
-    try:
-        series = RawSeries(GOLD, np.array(dates, "datetime64[D]"), quotes, synthetic_ohlc=close_only)
-    except EventLensError:
-        return
-    assert _fetched_csv_bytes(series, dates, columns) == series_to_csv_bytes(series)
+@given(body=st.one_of(provider_payloads(), four_decimal_payloads()))
+def test_a_fetched_cache_file_is_the_walks_and_loads_back_through_the_proof(tmp_path_factory, body):
+    fetch_and_load(tmp_path_factory.mktemp("cache"), body)
 
 
 def quoted_days(text, days: int, seed: int) -> dict:
@@ -1926,15 +1998,9 @@ def quoted_days(text, days: int, seed: int) -> dict:
     return dict(reversed(rows.items()))
 
 
-def test_a_fetch_of_provider_or_generator_text_runs_no_short_decimal_match(tmp_path, monkeypatch):
-    calls = []
-
-    class Spy:
-        def fullmatch(self, text):
-            calls.append(text)
-            return _SHORT_DECIMALS.fullmatch(text)
-
-    monkeypatch.setattr(eventlens.ingest, "_SHORT_DECIMALS", Spy())
+def test_a_fetch_of_provider_or_generator_text_never_walks_the_entries(tmp_path, monkeypatch):
+    walk = mock.Mock(wraps=_walk_entries)
+    monkeypatch.setattr(eventlens.ingest, "_walk_entries", walk)
     dialects = {
         "provider": (lambda q: f"{q:.4f}", LAYOUTS[3]),
         "generator": (lambda q: repr(round(q, 4)), LAYOUTS[2]),
@@ -1945,9 +2011,29 @@ def test_a_fetch_of_provider_or_generator_text_runs_no_short_decimal_match(tmp_p
         config = ProviderConfig(cache_dir=tmp_path / name, rate_limit=1)
         series = fetch_daily(GOLD, config, lambda url: body)
         assert (tmp_path / name / "GOLD.csv").read_bytes() == series_to_csv_bytes(series)
-        # Four-decimal and repr text from 1 up is proved short without the pattern;
-        # a column holding a cell below 1 runs it.
-        assert bool(calls) == (name == "below_one"), name
+    assert not walk.called
+
+
+def test_a_fetched_and_a_loaded_series_carry_the_digest_of_their_bytes(tmp_path):
+    # The scan reads "1923.4500" and seeds the digest; it refuses the
+    # exponent, and the walk's series computes its digest.
+    for name, high in (("scanned", "1923.4500"), ("walked", "1.92345e3")):
+        body = payload_bytes({"2022-01-04": entry(high=high), "2022-01-03": entry()})
+        fetched = fetch_daily(GOLD, ProviderConfig(cache_dir=tmp_path / name), lambda url: body)
+        loaded = load_csv(tmp_path / name / "GOLD.csv", GOLD)
+        for series in (fetched, loaded):
+            assert series.digest == hashlib.sha256(series_to_csv_bytes(series)).hexdigest(), name
+
+
+def test_no_module_writes_an_attribute_through_vars_or_dict():
+    # A digest is seeded only by RawSeries.from_csv_bytes, after the proof.
+    package = Path(eventlens.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                target = node.value
+                assert not (isinstance(target, ast.Call) and getattr(target.func, "id", "") == "vars"), path
+                assert not (isinstance(target, ast.Attribute) and target.attr == "__dict__"), path
 
 
 date_keys = st.one_of(
@@ -2129,9 +2215,8 @@ def test_the_repr_proof_decides_every_repr_from_1e_4_to_1e16(x):
 )
 def test_the_repr_proof_decides_every_short_decimal(cell):
     # So a cache file a fetch writes from four-decimal text loads without repr.
-    if _SHORT_DECIMALS.fullmatch(cell + "\n"):
-        short = _TRAILING_ZEROS.sub("", cell + "\n")[:-1]
-        assert proved(csv_file([short])) is not None
+    if short_decimal(cell):
+        assert proved(csv_file([less_trailing_zeros(cell)])) is not None
 
 
 def test_the_byte_proof_reads_each_cell_as_float_does():
