@@ -150,9 +150,11 @@ def _check_bar(day: str, open_: float, high: float, low: float, close: float) ->
 def _check_bars(dates: np.ndarray, quotes: np.ndarray) -> None:
     """Vectorized ``_check_bar`` over rows in order; the first bad row names the error."""
     open_, high, low, close = quotes.T
+    # Between a positive low and a finite high, every quote is both; NaN
+    # fails every comparison.
     valid = (
-        np.isfinite(quotes).all(axis=1)
-        & (quotes > 0.0).all(axis=1)
+        (low > 0.0)
+        & (high < math.inf)
         & (low <= np.minimum(open_, close))
         & (np.maximum(open_, close) <= high)
     )
@@ -219,15 +221,22 @@ class RawSeries:
 
     @classmethod
     def from_csv_bytes(
-        cls, instrument: InstrumentId, data: bytes, synthetic_ohlc: bool = False
+        cls,
+        instrument: InstrumentId,
+        data: bytes,
+        synthetic_ohlc: bool = False,
+        *,
+        columns: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> RawSeries | None:
-        """The series of the CSV file ``data`` when ``_proved_columns`` proves
-        it what ``write_csv`` writes for that series, with its ``digest``
-        seeded as the SHA-256 of ``data``; None when the proof cannot decide,
-        a date names no day, or the columns break a bar invariant or the
-        date order. The one way a digest is seeded rather than computed."""
+        """The series of the CSV file ``data`` when it is proved what
+        ``write_csv`` writes for that series, with its ``digest`` seeded as
+        the SHA-256 of ``data``; None when the proof cannot decide, a date
+        names no day, or the columns break a bar invariant or the date order.
+        The proof is ``_proved_columns(data)``, unless the caller passes the
+        ``columns`` a proof of the text ``data`` was gathered from gave. The
+        one way a digest is seeded rather than computed."""
         with suppress(ValueError, DataFormatError):
-            if (columns := _proved_columns(data)) is not None:
+            if (columns := columns or _proved_columns(data)) is not None:
                 series = cls(instrument, *columns, synthetic_ohlc)
                 object.__setattr__(series, "digest", hashlib.sha256(data).hexdigest())
                 return series
@@ -339,6 +348,7 @@ _FIRST_ENTRY = re.compile(
 # leaves when the entries were the map's only members.
 _MARKER = b'"\\\\": {"": ""'
 _MARKED = {"\\": {"": ""}}
+_CLOSING = re.compile(rb"%b\}%b\}" % (_WS, _WS))
 # Accepts bare field names and numbered variants like "1. open"; deliberately
 # rejects derived fields such as "5. adjusted close".
 _FIELD_KEY = re.compile(rf"(?:\d+[a-z]?\.\s*)?({'|'.join(_OHLC)})$")
@@ -444,9 +454,9 @@ def _is_series_map(value: object) -> bool:
 
 def _scan_payload(body: bytes, instrument: InstrumentId) -> tuple[RawSeries, bytes] | None:
     """The series and its cache file's bytes, gathered from the entries that
-    repeat the first one's text and proved by ``RawSeries.from_csv_bytes``;
-    None unless the JSON path agrees."""
-    if not body.isascii() or b"\\" in body:
+    repeat the first one's text and read by ``_short_columns`` or proved by
+    ``_proved_columns``; None unless the JSON path agrees."""
+    if not body.isascii() or b"\\" in body or len(body) >= 2**31:
         return None
     if not (first := _FIRST_ENTRY.search(body)):
         return None
@@ -487,6 +497,9 @@ def _scan_payload(body: bytes, instrument: InstrumentId) -> tuple[RawSeries, byt
         return None
     # With the marker for the entries, the rest must be an object holding the
     # marker's map as a direct member; a later member of the same key drops it.
+    # The map can hold the marker alone only if it closes after the entries.
+    if not _CLOSING.match(body, rows[-1, -1] + 1):
+        return None
     try:
         rest = json.loads(body[: first.start()] + _MARKER + body[rows[-1, -1] + 1 :])
     except ValueError:
@@ -502,6 +515,7 @@ def _scan_payload(body: bytes, instrument: InstrumentId) -> tuple[RawSeries, byt
     # first byte to the quote after them.
     columns = np.array([0, *(4 + 4 * keys.index(key) for key in fields)])
     starts, ends = rows[:, columns] + 1, rows[:, columns + 1]
+    short = _short_columns(text, starts, ends)
     # Less its trailing zeros but the digit after its point, a cell is what
     # repr writes for its float, if any is. A cell ending in more zeros than
     # the proof reads digits is refused either way.
@@ -512,16 +526,73 @@ def _scan_payload(body: bytes, instrument: InstrumentId) -> tuple[RawSeries, byt
             break
         cells -= zeros
     # The file in one ragged take of each field and the byte after it, which
-    # then becomes the comma or the newline.
+    # then becomes the comma or the newline: the index steps by one in a
+    # field and jumps from the byte after one field to the next one's start.
     sizes = (ends - starts + 1).ravel()
     offsets = np.cumsum(sizes)
-    index = np.repeat(starts.ravel() + sizes - offsets, sizes)
-    index += np.arange(offsets[-1])
-    lines = text[index]
+    index = np.ones(offsets[-1], dtype=np.int32)
+    index[offsets - sizes] = starts.ravel() - np.append(0, ends.ravel()[:-1])
+    lines = text[np.cumsum(index, out=index)]
     lines[offsets.reshape(-1, 5) - 1] = _FIELD_ENDS
     data = _CSV_HEAD + lines.tobytes()
-    series = RawSeries.from_csv_bytes(instrument, data, close_only)
+    series = RawSeries.from_csv_bytes(instrument, data, close_only, columns=short)
     return None if series is None else (series, data)
+
+
+def _short_columns(
+    text: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The datetime64[D] dates and (n, 4) quotes of a scan's (n, 5) cells,
+    ``text[starts:ends]``, when each date is ``YYYY-MM-DD`` from year 0001
+    and each quote a short decimal; else None.
+
+    A short decimal has at most 16 bytes, digits on each side of one point,
+    no leading "0" unless it is "0.", and is from 1e-4 up. So it has at most
+    15 significant digits, which a binary64 float round-trips (C's
+    ``DBL_DIG``): less its trailing zeros, it is the shortest decimal that
+    reads back as its float, what ``repr`` writes. Its digits are an integer
+    C below 10**15 and its fraction's length k at most 14, so C and 10**k
+    are floats exactly and fl(C / 10**k) is the float it reads (Clinger's
+    fast path). ``_proved_columns`` decides the cells this leaves."""
+    days = text[starts[:, :1] + _RAMP]
+    if (ends[:, 0] - starts[:, 0] != 10).any() or ((days - _DAY_ZERO) > _DAY_LIMITS).any():
+        return None
+    try:
+        dates = days.view("S10").ravel().astype("datetime64[D]")
+    except ValueError:
+        return None
+    cell_ends = ends[:, 1:].ravel()
+    lengths = cell_ends - starts[:, 1:].ravel()
+    if dates.min() < _FIRST_DAY or lengths.min() < 3 or lengths.max() > 16:
+        return None
+    # Each cell's last 16 bytes (a date and a key come first, so they are in
+    # the payload), its first byte ``lead`` into them, and its point the last
+    # in them; with the point and the bytes before the cell zeroed, any byte
+    # but a digit is above 9.
+    windows = sliding_window_view(text, 16)[cell_ends - 16]
+    lead = 16 - lengths
+    point = 15 - np.argmax(windows[:, ::-1] == ord("."), axis=1)
+    digits = (windows - ord("0")) & _CELL_MASKS[lead]
+    cells = np.arange(len(lead))
+    digits[cells, point] = 0
+    if (digits > 9).any() or (point <= lead).any() or (point == 15).any():
+        return None
+    if ((windows[cells, lead] == ord("0")) & (point > lead + 1)).any():
+        return None
+    # Each half of 8 digits as an integer, its first digit in the lowest byte:
+    # digit pairs, then pairs of pairs, then the half (SWAR, no carries). The
+    # point read as a 0 sits 10**k up; C is the digits with it deleted.
+    halves = digits.view("<u8")
+    halves = (halves * 10 + (halves >> 8)) & 0x00FF00FF00FF00FF
+    halves = (halves * 100 + (halves >> 16)) & 0x0000FFFF0000FFFF
+    halves = (halves * 10000 + (halves >> 32)) & 0xFFFFFFFF
+    whole = halves[:, 0] * 10**8 + halves[:, 1]
+    k = 15 - point
+    scale = _POWERS[k]
+    quotes = (whole // (scale * 10) * scale + whole % scale).astype(np.float64) / _TENS[k]
+    if not (quotes >= 1e-4).all():
+        return None
+    return dates, quotes.reshape(-1, 4)
 
 
 def _rows_holding(data: bytes, starts: np.ndarray, run: bytes) -> int:
@@ -592,6 +663,13 @@ _ROW_MARKS = np.frombuffer(b"--,.,.,.,.\n", dtype=np.uint8)
 _FIELD_ENDS = np.frombuffer(b",,,,\n", dtype=np.uint8)
 _MARK_GAPS = np.array([5, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2])
 _FIRST_DAY = np.datetime64("0001-01-01")
+# A scanned date's bytes less "0000-00-00" are digits but for its two dashes.
+_DAY_ZERO = np.frombuffer(b"0000-00-00", dtype=np.uint8)
+_DAY_LIMITS = np.array([9, 9, 9, 9, 0, 9, 9, 0, 9, 9], dtype=np.uint8)
+_RAMP = np.arange(10)
+# Row j keeps the last 16 - j bytes of a 16-byte window; 10**k as integers.
+_CELL_MASKS = np.array([[0] * j + [0xFF] * (16 - j) for j in range(17)], dtype=np.uint8)
+_POWERS = 10 ** np.arange(16, dtype=np.uint64)
 # A quote cell holds at most 23 digits ("0." and 22 fraction digits), read
 # in a window of whole pairs. ANDed with row j of the masks (j zeros, then
 # 0x0F), a window of ASCII keeps only the cell's digit values; the weights
