@@ -22,16 +22,20 @@ and the gap before it) held to the first's byte for byte, and ``json.loads``
 of the rest, with the entries left out, proving them the one series map.
 The dates and the open, high, low and close cells are gathered, oldest
 first and each cell less its trailing zeros but the digit after its point,
-into the cache file's bytes in one take, and ``RawSeries.from_csv_bytes``
-proves those bytes as ``load_csv`` does: the file a fetch writes is one
-``load_csv`` proves, and the series carries its SHA-256. Any other payload,
-or one with a cell the proof does not decide (no point, a leading zero, a
-quote below 1e-4, digits ``repr`` would not write) or dates out of order,
-is parsed by ``json.loads`` and walked entry by entry (``_walk_entries``),
-the reference the scan is held to; its series is written out by
-``series_to_csv_bytes``, and the error names the first offending entry in
-date order, an earlier broken bar first. Either way a DataFormatError's
-text starts with the instrument's symbol.
+into the cache file's bytes in one take. ``_short_columns`` reads the
+dates and, when every quote is a short decimal (at most 16 bytes, digits
+around one point, from 1e-4 up), the quotes from their own digits: such a
+cell less its trailing zeros is what ``repr`` writes, so the file is the
+series' own. A payload with a longer cell has its bytes proved instead by
+``_proved_columns``, as ``load_csv`` proves a file. Either way
+``RawSeries.from_csv_bytes`` returns the series carrying the file's
+SHA-256. Any other payload, or one with a cell neither decides (no point,
+a leading zero, a quote below 1e-4, digits ``repr`` would not write) or
+dates out of order, is parsed by ``json.loads`` and walked entry by entry
+(``_walk_entries``), the reference the scan is held to; its series is
+written out by ``series_to_csv_bytes``, and the error names the first
+offending entry in date order, an earlier broken bar first. Either way a
+DataFormatError's text starts with the instrument's symbol.
 
 Every CSV the package writes, a cache file or a report table, comes from
 ``csv_bytes``: a header line, then one line of comma-joined cells per row.
@@ -150,11 +154,9 @@ def _check_bar(day: str, open_: float, high: float, low: float, close: float) ->
 def _check_bars(dates: np.ndarray, quotes: np.ndarray) -> None:
     """Vectorized ``_check_bar`` over rows in order; the first bad row names the error."""
     open_, high, low, close = quotes.T
-    # Between a positive low and a finite high, every quote is both; NaN
-    # fails every comparison.
     valid = (
-        (low > 0.0)
-        & (high < math.inf)
+        np.isfinite(quotes).all(axis=1)
+        & (quotes > 0.0).all(axis=1)
         & (low <= np.minimum(open_, close))
         & (np.maximum(open_, close) <= high)
     )
