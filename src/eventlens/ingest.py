@@ -234,9 +234,10 @@ class RawSeries:
         ``write_csv`` writes for that series, with its ``digest`` seeded as
         the SHA-256 of ``data``; None when the proof cannot decide, a date
         names no day, or the columns break a bar invariant or the date order.
-        The proof is ``_proved_columns(data)``, unless the caller passes the
-        ``columns`` a proof of the text ``data`` was gathered from gave. The
-        one way a digest is seeded rather than computed."""
+        The proof is ``_proved_columns(data)``, or, when ``columns`` are
+        given, the proof that read them from the text ``data`` was gathered
+        from (the payload scan's ``_short_columns``). The one way a digest
+        is seeded rather than computed."""
         with suppress(ValueError, DataFormatError):
             if (columns := columns or _proved_columns(data)) is not None:
                 series = cls(instrument, *columns, synthetic_ohlc)
