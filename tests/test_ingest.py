@@ -2381,3 +2381,121 @@ def test_a_cell_of_18_significant_digits_is_refused_as_the_walk_refuses_it(tmp_p
     assert proved(path.read_bytes()) is None
     with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}:2: not canonical: "):
         load_csv(path, GOLD)
+
+
+# --- batched cache loads ---------------------------------------------------------
+
+from eventlens import fetch_universe  # noqa: E402
+from eventlens.cli import _offline_transport  # noqa: E402
+
+# Cache files of every kind ``fetch_universe`` meets: ones the proof accepts,
+# a header with no rows, and ones that reach ``load_csv`` file by file: a
+# quote below 1e-4 the proof cannot decide, a malformed row, a date naming no
+# day, a broken bar or an unordered file the proof accepts, a non-ASCII or
+# CRLF file, a header of the right length but the wrong text, and a miss the
+# offline transport refuses.
+CACHE_FILES = (
+    *["proved"] * 4,
+    "one_row",
+    "header_only",
+    "below_1e_4",
+    "malformed_row",
+    "impossible_date",
+    "broken_bar",
+    "out_of_order",
+    "non_ascii",
+    "crlf",
+    "wrong_header",
+    "missing",
+)
+IMPOSSIBLE_DAYS = ("2019-02-29", "2021-02-30", "2022-04-31", "2022-13-01", "2022-00-10")
+
+
+@st.composite
+def cache_file(draw, kind: str) -> bytes | None:
+    """The bytes of one cache file of ``kind``; None for a missing one."""
+    if kind == "missing":
+        return None
+    series = draw(raw_series(quotes=st.floats(min_value=1e-3, max_value=1e9)).filter(len))
+    lines = series_to_csv_bytes(series).decode("ascii").split("\n")[1:-1]
+    i = draw(st.integers(0, len(lines) - 1))
+    cells = lines[i].split(",")
+    if kind == "header_only":
+        lines = []
+    elif kind == "one_row":
+        lines = [lines[i]]
+    elif kind == "below_1e_4":
+        tiny = draw(st.floats(min_value=1e-9, max_value=1e-4, exclude_max=True))
+        lines[i] = ",".join([cells[0], *[repr(tiny)] * 4])
+    elif kind == "malformed_row":
+        lines[i] = ",".join(cells[: draw(st.integers(1, 4))])
+    elif kind == "impossible_date":
+        lines[i] = ",".join([draw(st.sampled_from(IMPOSSIBLE_DAYS)), *cells[1:]])
+    elif kind == "broken_bar":
+        lines[i] = ",".join([cells[0], cells[1], cells[3], cells[2], cells[4]])
+    elif kind == "out_of_order":
+        lines.reverse()
+    elif kind == "non_ascii":
+        lines[i] = lines[i].replace("-", "\u2212", 1)
+    header = CSV_HEADER.upper() if kind == "wrong_header" else CSV_HEADER
+    text = "".join(f"{line}\n" for line in [header, *lines])
+    return text.replace("\n", "\r\n" if kind == "crlf" else "\n").encode("utf-8")
+
+
+def universe_outcome(build):
+    """Each series' instrument, columns' bits, digest and close-only flag, or
+    the error's type and text."""
+    try:
+        return [
+            (s.instrument, s.dates.tobytes(), s.quotes.tobytes(), s.digest, s.synthetic_ohlc)
+            for s in build()
+        ]
+    except EventLensError as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None)
+@given(
+    files=st.lists(st.sampled_from(CACHE_FILES).flatmap(cache_file), min_size=1, max_size=8),
+    budget=st.integers(0, 4000),
+)
+def test_a_batched_universe_load_is_the_fetch_daily_loop(tmp_path_factory, files, budget):
+    # The batch bound cut down to a few rows puts batch edges everywhere.
+    config = ProviderConfig(cache_dir=tmp_path_factory.mktemp("universe"), rate_limit=100)
+    instruments = [InstrumentId(f"S{i}", InstrumentKind.EQUITY) for i in range(len(files))]
+    for instrument, data in zip(instruments, files):
+        if data is not None:
+            (config.cache_dir / f"{instrument.symbol}.csv").write_bytes(data)
+    expected = universe_outcome(
+        lambda: [fetch_daily(instrument, config, _offline_transport) for instrument in instruments]
+    )
+    with mock.patch.object(eventlens.ingest, "LOAD_BATCH_BYTES", budget):
+        batched = universe_outcome(lambda: fetch_universe(instruments, config, _offline_transport))
+    assert batched == expected
+
+
+def test_files_of_one_size_are_proved_in_batches_up_to_the_bound_and_never_loaded_alone(
+    tmp_path, monkeypatch
+):
+    config = make_config(tmp_path)
+    instruments = [InstrumentId(f"S{i}", InstrumentKind.EQUITY) for i in range(7)]
+    for i, instrument in enumerate(instruments):
+        series = make_series(instrument.symbol, dt.date(2022, 1, 3), [1.5 + i, 2.5])
+        write_csv(series, config.cache_dir / f"{instrument.symbol}.csv")
+    expected = universe_outcome(lambda: [fetch_daily(i, config) for i in instruments])
+    size = (config.cache_dir / "S0.csv").stat().st_size
+    batches = []
+
+    def proof(data):
+        batches.append(data.count(b"\n") - 1)
+        return _proved_columns(data)
+
+    def refused(*args):
+        raise AssertionError("a proved file is loaded alone")
+
+    monkeypatch.setattr(eventlens.ingest, "_proved_columns", proof)
+    monkeypatch.setattr(eventlens.ingest, "load_csv", refused)
+    # Three files fill the bound exactly: a fourth of their size would pass it.
+    monkeypatch.setattr(eventlens.ingest, "LOAD_BATCH_BYTES", 3 * size)
+    assert universe_outcome(lambda: fetch_universe(instruments, config)) == expected
+    assert batches == [6, 6, 2]
