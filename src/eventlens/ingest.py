@@ -53,14 +53,15 @@ cell's digits are read as one exact integer, and exact float arithmetic
 proves the cell both what ``float`` reads and what ``repr`` writes for the
 float it returns. ``RawSeries.from_csv_bytes`` loads a file it proves with
 its digest seeded as the hash of the bytes, the one way a digest is seeded
-rather than computed. ``fetch_universe`` proves its cache files in batches,
-one call on the rows of several files, and loads each file a batch leaves
-unproved through ``load_csv``. Any other file, one it cannot decide (a quote below
+rather than computed. Any other file, one it cannot decide (a quote below
 1e-4 or from 1e16, an integer from 2**53, a cell at a rounding margin)
 among them, is walked row by row and loads only if the series it decodes
 writes it back byte for byte. The error names the
 first offending row in file order, else the first line unlike the
 writer's; its text starts with the file's path and the line's number.
+``fetch_universe`` proves the cache files of a universe in batches, one
+call on the rows of several files, and loads each file a batch leaves
+unproved through ``load_csv``.
 """
 
 from __future__ import annotations
@@ -1064,10 +1065,11 @@ def fetch_universe(
 # the fewer digits a cell, the more). On the benchmark's files (82 bytes a
 # row) 64 KiB is 790 rows and peaks at 0.98 MB, below the 1.29 MB of one
 # 989-row wide file, and 700-row paper files and wide's are still proved
-# one a call. Measured in process on a 2-vCPU AVX-512 host, dense's 56 files
-# of 100 rows (seed 41) loaded in 19.8 ms one a call, 12.4 ms at 48 KiB,
-# 11.4 ms at 64 KiB and 13.3 ms at 96 KiB, where the temporaries are handed
-# back to the system after each call and faulted in again.
+# one per call. Measured in process on a 2-vCPU AVX-512 host (medians of 31
+# alternating rounds), dense's 56 files of 100 rows (seed 41) loaded in 19.8
+# ms one per call, 12.4 ms at 48 KiB, 11.4 ms at 64 KiB and 13.3 ms at 96
+# KiB, where more of the temporaries are handed back to the system after
+# each call and faulted in again.
 LOAD_BATCH_BYTES = 64 * 1024
 
 
@@ -1084,8 +1086,8 @@ def _proved_cache_files(instruments: list[InstrumentId], cache_dir: Path) -> lis
         if data.startswith(_CSV_HEAD) and data.endswith(b"\n") and data.isascii() and b"\r" not in data:
             batch.append((index, data))
             size += len(data)
-            # Proved before the next file is read: holding it alive meanwhile
-            # made wide's one-file batches slower than single loads.
+            # Proved before the next file is read, so that no file's bytes
+            # stay alive through another batch's proof.
             if size + len(data) > LOAD_BATCH_BYTES:
                 _prove_batch(instruments, batch, proved)
                 batch, size = [], 0
@@ -1098,8 +1100,13 @@ def _prove_batch(instruments: list[InstrumentId], batch: list[tuple[int, bytes]]
     """Set ``proved[index]`` for each (index, bytes) file of ``batch`` when
     ``_proved_columns`` proves all their rows after one header."""
     skip = len(_CSV_HEAD)
+    # A file alone is proved from its own bytes, as ``load_csv`` proves it:
+    # wide's files loaded slower from a copy.
+    text = batch[0][1]
+    if len(batch) > 1:
+        text = b"".join([_CSV_HEAD, *(memoryview(data)[skip:] for _, data in batch)])
     with suppress(ValueError):
-        columns = _proved_columns(b"".join([_CSV_HEAD, *(memoryview(data)[skip:] for _, data in batch)]))
+        columns = _proved_columns(text)
         if columns is not None:
             # The last file's rows end the batch's, so only the others are counted.
             stops = [*accumulate(data.count(b"\n", skip) for _, data in batch[:-1]), len(columns[0])]
