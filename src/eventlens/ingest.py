@@ -893,6 +893,7 @@ def _proved_columns(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     if n == 0 or len(marks) != 1 + n * len(_ROW_MARKS):
         return None
     rows, gaps = marks[1:].reshape(n, -1), np.diff(marks).reshape(n, -1)
+    del marks  # each intermediate is dropped after its last use, which keeps the peak low
     if (
         text[len(_CSV_HEAD) :].max() > ord("9")
         or (text[rows] != _ROW_MARKS).any()
@@ -904,6 +905,7 @@ def _proved_columns(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     dates = text[rows[:, :1] + np.arange(-4, 6)].view("S10").ravel().astype("datetime64[D]")
     k = (gaps[:, 4::2] - 1).ravel()
     lengths = k + (gaps[:, 3::2] - 1).ravel()
+    del gaps
     width = lengths.max()
     if dates.min() < _FIRST_DAY or width > _MAX_DIGITS:
         return None
@@ -912,9 +914,12 @@ def _proved_columns(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     # the header keeps the first window inside the file.
     ends = rows[:, 4::2].ravel() - np.arange(1, 4 * n + 1)
     windows = sliding_window_view(np.delete(text, rows[:, 3::2].ravel()), width)[ends - width]
+    del rows
     windows &= _DIGIT_MASKS[width - lengths, :width]
+    del lengths, ends
     pairs = (windows[:, ::2] * 10 + windows[:, 1::2]).astype(np.float64)
     high, low = pairs @ _PAIR_WEIGHTS[0, -width // 2 :], pairs @ _PAIR_WEIGHTS[1, -width // 2 :]
+    del pairs
     if high.max() >= 1000:  # C >= 10**17
         return None
     high *= _TENS[14]

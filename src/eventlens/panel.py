@@ -3,11 +3,13 @@
 Alignment is an inner join on dates: any day absent from any input series
 is dropped for all of them. Forward-filling is deliberately not offered
 because it would manufacture flat quotes around exactly the dates an event
-study cares about. The join intersects the series' date arrays and looks
-each one's rows up by binary search. A panel is one read-only
-(n_columns, n_rows) array with a key->row index; ``align`` and ``slice``
-build it through its one checked constructor, so a window slice is a view
-and panels are immutable and safe to share across threads.
+study cares about. The join is one membership pass: every series' dates
+are searched for the shortest series' dates, and the positions found are
+the rows each series' quotes are taken from. A panel is one read-only
+(n_columns, n_rows) array with a key->row index, and ``by_name`` keys the
+same rows by column name; ``align`` and ``slice`` build it through its one
+checked constructor, so a window slice is a view and panels are immutable
+and safe to share across threads.
 
 ``slice(window, onto=other)`` copies the window's rows, cycled and re-dated
 onto window ``other``'s rows. A panel keeps every slice it built, next to
@@ -109,14 +111,12 @@ class AlignedPanel:
         days = _read_only(self.days, np.dtype("datetime64[D]"))
         values = _read_only(self.values, np.dtype(float))
         index = self.index
-        if not isinstance(index, MappingProxyType):
-            index = MappingProxyType(dict(index))
+        index = index if isinstance(index, MappingProxyType) else MappingProxyType(dict(index))
         if not days.size:
             raise PanelError("panel requires at least one date")
         if np.isnat(days).any():
             raise PanelError("panel dates include a missing date (NaT)")
-        later = days[1:] <= days[:-1]
-        if later.any():
+        if (later := days[1:] <= days[:-1]).any():
             cur = days[int(np.argmax(later)) + 1]
             raise PanelError(f"panel dates not strictly increasing at {cur}")
         if not index:
@@ -137,6 +137,11 @@ class AlignedPanel:
     @cached_property
     def dates(self) -> tuple[dt.date, ...]:
         return tuple(self.days.tolist())
+
+    @cached_property
+    def by_name(self) -> dict[str, int]:
+        """``index`` keyed by column name, which names one key: a symbol holds no "."."""
+        return {key.name: row for key, row in self.index.items()}
 
     @cached_property
     def _slices(self) -> dict[tuple[DateWindow, DateWindow | None], "AlignedPanel"]:
@@ -200,15 +205,15 @@ def _read_only(array: object, dtype: np.dtype) -> np.ndarray:
 def align(series_set: Iterable[RawSeries], fields: Iterable[BarField] = FIELD_ORDER) -> AlignedPanel:
     """Inner-join a set of raw series into one dense panel.
 
-    The panel's dates are the sorted intersection of every input's dates;
-    one column is produced per (instrument, requested field). Input order
+    The panel's dates are the sorted intersection of every input's dates,
+    found in one pass: the shortest input's dates that every input holds.
+    One column is produced per (instrument, requested field). Input order
     does not matter: columns come out in canonical order either way.
     """
     series_list = list(series_set)
     if not series_list:
         raise PanelError("align requires at least one series")
-    wanted = set(fields)
-    field_list = tuple(f for f in FIELD_ORDER if f in wanted)
+    field_list = tuple(filter(set(fields).__contains__, FIELD_ORDER))
     if not field_list:
         raise PanelError("align requires at least one bar field")
 
@@ -221,18 +226,20 @@ def align(series_set: Iterable[RawSeries], fields: Iterable[BarField] = FIELD_OR
         if not len(series):
             raise PanelError(f"series {symbol} is empty")
 
-    days = series_list[0].dates
-    for series in series_list[1:]:
-        days = np.intersect1d(days, series.dates, assume_unique=True)
+    ordered = sorted(series_list, key=lambda series: series.instrument.symbol)
+    # Each series' position of each of the shortest series' dates; a date is
+    # kept where every series holds it there.
+    shortest = min(ordered, key=len).dates
+    found = [np.searchsorted(series.dates, shortest) for series in ordered]
+    kept = np.all([s.dates.take(at, mode="clip") == shortest for s, at in zip(ordered, found)], 0)
+    days = shortest[kept]
     if not days.size:
         raise PanelError("series share no common dates")
 
     quote_columns = [FIELD_ORDER.index(f) for f in field_list]
-    ordered = sorted(series_list, key=lambda series: series.instrument.symbol)
     values = np.empty((len(ordered), len(field_list), days.size))
-    index: dict[ColumnKey, int] = {}
-    for i, series in enumerate(ordered):
-        values[i] = series.quotes[np.searchsorted(series.dates, days)].T[quote_columns]
-        for j, field in enumerate(field_list):
-            index[ColumnKey(series.instrument.symbol, field)] = len(index)
+    for i, (series, at) in enumerate(zip(ordered, found)):
+        values[i] = series.quotes[at[kept]].T[quote_columns]
+    keys = [ColumnKey(series.instrument.symbol, field) for series in ordered for field in field_list]
+    index = dict(zip(keys, range(len(keys))))
     return AlignedPanel(_frozen(days), _frozen(values).reshape(len(index), days.size), index)

@@ -9,8 +9,8 @@ factor and z = Qᵀy, and the weights solve R w = z. The condition estimate
 is the ratio of the extreme singular values of that factor, which are X's.
 Rank deficiency is a hard error, never silently regularized.
 
-A fit or a prediction resolves its spec's column keys to panel rows once
-and gathers them in one fancy-index take; the design handed to ``@`` is
+A fit or a prediction resolves its spec's column names to panel rows once
+(``AlignedPanel.by_name``) and gathers them in one fancy-index take; the design handed to ``@`` is
 the C-contiguous (n_rows, n_coef) array ``np.column_stack`` would build,
 because BLAS rounds strided operands differently.
 
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -42,11 +43,16 @@ from .errors import ConfigError, FitError, json_array, json_number, json_object
 from .panel import AlignedPanel, BarField, ColumnKey, aligned_rows
 
 CONDITION_LIMIT = 1e12
+_name = attrgetter("name")
 
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """A prediction target plus the ordered feature columns used for it."""
+    """A prediction target plus the ordered feature columns used for it.
+
+    Its checks compare column names, which are as unique as the keys: a
+    symbol holds no ".". A name is a ``str``, hashed and compared in C.
+    """
 
     target: ColumnKey
     features: tuple[ColumnKey, ...]
@@ -63,9 +69,10 @@ class FeatureSpec:
             raise ConfigError(f"feature list for {self.target.name} is empty")
         if self.target.field is not BarField.CLOSE:
             raise ConfigError(f"target must be a close column, got {self.target.name}")
-        if len(set(self.features)) != len(self.features):
+        names = list(map(_name, self.features))
+        if len(set(names)) != len(names):
             raise ConfigError(f"duplicate feature columns for {self.target.name}")
-        if self.target in self.features:
+        if self.target.name in names:
             raise ConfigError(f"target {self.target.name} may not be its own feature")
 
     @property
@@ -121,9 +128,9 @@ def _gather(panel: AlignedPanel, keys: tuple[ColumnKey, ...]) -> np.ndarray:
     """The cells of ``keys``' columns, one row per key in order, in one
     fancy-index take; the first key missing from the panel is named."""
     try:
-        rows = np.fromiter(map(panel.index.__getitem__, keys), np.intp, len(keys))
+        rows = np.fromiter(map(panel.by_name.__getitem__, map(_name, keys)), np.intp, len(keys))
     except KeyError as exc:
-        raise FitError(f"unknown column {exc.args[0].name}") from None
+        raise FitError(f"unknown column {exc.args[0]}") from None
     return panel.values[rows]
 
 

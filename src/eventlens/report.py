@@ -37,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
@@ -103,8 +104,7 @@ def json_bytes(document) -> bytes:
     """
     out: list[str] = []
     _encode(document, "\n", out)
-    out.append("\n")
-    return "".join(out).encode("ascii")
+    return ("".join(out) + "\n").encode("ascii")
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -115,71 +115,83 @@ def _float(value: float) -> str:
     return _NON_FINITE.get(text, text)
 
 
-def _joined(items, separator: str) -> str | None:
-    """``items``' texts joined by ``separator`` in one pass when all of them
-    are floats (a ``Floats`` brings its texts) or all are strings, else None."""
-    try:
-        text = (items if type(items) is Floats else Floats(items)).text
-    except TypeError:
+# Each scalar type's text; a subclass of str, int or float takes its base's.
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _float}
+_SCALARS.update(dict.fromkeys((bool, type(None)), {True: "true", False: "false", None: "null"}.get))
+
+
+def _record(record: Record, newline: str) -> str:
+    """``record``'s text from its keys and value texts, starting on a line
+    whose break and indent are ``newline``; any empty dict's is "{}"."""
+    if not record:
+        return "{}"
+    inner = newline + "  "
+    pairs = map("{}: {}".format, map(encode_basestring_ascii, record), record.texts)
+    return "{" + inner + ("," + inner).join(pairs) + newline + "}"
+
+
+def _joined(items, inner: str) -> str | None:
+    """The texts of the non-empty ``items``, each after ``inner``'s line
+    break and indent and joined by commas, in one pass when all of them are
+    floats (a ``Floats`` brings its texts), strings or ``Record``s, else
+    None. The first item's type picks the one join that is tried."""
+    separator, first = "," + inner, type(items[0])
+    if type(items) is Floats or issubclass(first, float):
+        try:
+            text = (items if type(items) is Floats else Floats(items)).text
+        except TypeError:
+            return None
+        # A finite float's repr has no "n"; "nan" and "inf" do.
+        if "n" in text:
+            text = ",".join(_NON_FINITE.get(t, t) for t in text.split(","))
+        return text.replace(",", separator)
+    if issubclass(first, str):
         try:
             return separator.join(map(encode_basestring_ascii, items))
         except TypeError:
             return None
-    # A finite float's repr has no "n"; "nan" and "inf" do.
-    if "n" in text:
-        text = ",".join(_NON_FINITE.get(t, t) for t in text.split(","))
-    return text.replace(",", separator)
+    if first is Record and set(map(type, items)) == {Record}:
+        return separator.join(map(_record, items, repeat(inner)))
+    return None
 
 
 def _encode(value, newline: str, out: list[str]) -> None:
     """Append ``value``'s text to ``out``; ``newline`` is a line break plus
-    the indent of the line ``value`` starts on."""
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_float(value))
+    the indent of the line ``value`` starts on. The exact type is looked up
+    first. No value is an instance of two of json's types, so the isinstance
+    checks after it can come in any order."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        out.append(scalar(value))
+    elif type(value) is Record or not value and isinstance(value, dict):
+        out.append(_record(value, newline))
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        out.append("{")
+        for position, (key, item) in enumerate(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(("," + inner if position else inner) + encode_basestring_ascii(key) + ": ")
+            _encode(item, inner, out)
+        out.append(newline + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
         inner = newline + "  "
-        separator = "," + inner
-        text = _joined(value, separator)
+        text = _joined(value, inner)
         if text is None:
             out.append("[")
             for position, item in enumerate(value):
-                out.append(separator if position else inner)
+                out.append("," + inner if position else inner)
                 _encode(item, inner, out)
         else:
             out.append("[" + inner + text)
         out.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        separator = "," + inner
-        if type(value) is Record:
-            pairs = map("{}: {}".format, map(encode_basestring_ascii, value), value.texts)
-            out.append("{" + inner + separator.join(pairs) + newline + "}")
-            return
-        out.append("{")
-        for position, (key, item) in enumerate(value.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append((separator if position else inner) + encode_basestring_ascii(key) + ": ")
-            _encode(item, inner, out)
-        out.append(newline + "}")
-    else:
+    elif (scalar := next(filter(None, map(_SCALARS.get, type(value).__mro__)), None)) is None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    else:
+        out.append(scalar(value))
 
 
 def _files(formats: Iterable[str], *tables: tuple) -> dict[str, bytes]:
@@ -314,9 +326,8 @@ def render_files(report: ScenarioReport, formats: Iterable[str]) -> dict[str, by
         for phase in ("test", "divergence"):
             record = target[f"{phase}_metrics"]
             rows.append([symbol, phase, *record.texts])
-            names = map(encode_basestring_ascii, (symbol, phase))
-            values = symbol, phase, *record.values()
-            records.append(Record(METRICS_HEADER, values, (*names, *record.texts)))
+            texts = *map(encode_basestring_ascii, (symbol, phase)), *record.texts
+            records.append(Record(METRICS_HEADER, (symbol, phase, *record.values()), texts))
     return _files(formats, *tables, ("metrics", METRICS_HEADER, rows, records))
 
 

@@ -49,7 +49,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import groupby
+from itertools import filterfalse, groupby
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -100,6 +101,7 @@ WINDOW_NAMES = (
     "projection_window",
 )
 SCENARIO_KEYS = ("universe", "feature_specs", *WINDOW_NAMES, "projection_mode")
+_name = attrgetter("name")
 
 
 @dataclass(frozen=True)
@@ -270,14 +272,14 @@ def config_to_json_dict(config: ScenarioConfig) -> dict:
 
 
 def config_from_json_dict(document: dict) -> ScenarioConfig:
-    # Specs share most of their column names; each distinct name is parsed once.
-    keys: dict[str, ColumnKey] = {}
+    # Specs share most of their column names: each distinct name is parsed
+    # once, in document order, and the rest are dictionary lookups.
+    parsed: dict[str, ColumnKey] = {}
 
-    def column_key(name: str) -> ColumnKey:
-        key = keys.get(name)
-        if key is None:
-            key = keys[name] = ColumnKey.parse(name)
-        return key
+    def column_keys(names: list) -> tuple[ColumnKey, ...]:
+        for name in filterfalse(parsed.__contains__, names):
+            parsed[name] = ColumnKey.parse(name)
+        return tuple(map(parsed.__getitem__, names))
 
     try:
         universe = tuple(
@@ -286,8 +288,8 @@ def config_from_json_dict(document: dict) -> ScenarioConfig:
         )
         feature_specs = tuple(
             FeatureSpec(
-                target=column_key(entry["target"]),
-                features=tuple(map(column_key, json_array(entry["features"], "spec features"))),
+                target=column_keys([entry["target"]])[0],
+                features=column_keys(json_array(entry["features"], "spec features")),
                 include_intercept=entry.get("include_intercept", True),
             )
             for entry in json_array(document["feature_specs"], "feature_specs")
@@ -366,9 +368,9 @@ def projection_features(
     window's trading dates, cycling the source rows when the projection
     window is longer.
     """
-    missing = next((key for key in spec.features if key not in panel.index), None)
+    missing = next(filterfalse(panel.by_name.__contains__, map(_name, spec.features)), None)
     if missing is not None:
-        panel.column(missing)  # names the first missing feature
+        raise PanelError(f"unknown column {missing}")
     return _feature_rows(panel, config)
 
 
@@ -435,8 +437,8 @@ def _targets(
     Consecutive specs of one design shape (feature count and intercept) are
     fit in stacks of at most FIT_STACK_BYTES of training design cells, up to
     the first fit error, then the fitted specs are predicted and scored in
-    one stack per window. Each spec's keys are looked up once: every
-    window's panel shares ``panel``'s index.
+    one stack per window. Each spec's columns are looked up once, by name:
+    every window's panel shares ``panel``'s rows.
     """
     names = ("train_window", "test_window", "projection_window")
     train, test, projection = (slices[name] for name in names)
@@ -445,8 +447,9 @@ def _targets(
     runs = groupby(config.feature_specs, lambda spec: (len(spec.features), spec.include_intercept))
     for (n_features, include_intercept), group in runs:
         group = tuple(group)
-        keys = [(spec.target, *spec.features) for spec in group]
-        rows = np.array([[panel.index[key] for key in spec_keys] for spec_keys in keys])
+        columns = [key.name for spec in group for key in (spec.target, *spec.features)]
+        rows = np.fromiter(map(panel.by_name.__getitem__, columns), np.intp, len(columns))
+        rows = rows.reshape(len(group), -1)
         n_coef = include_intercept + n_features
         step = max(1, FIT_STACK_BYTES // (8 * train.n_rows * n_coef))
         models: list[RegressionModel] = []
