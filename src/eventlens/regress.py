@@ -10,9 +10,10 @@ is the ratio of the extreme singular values of that factor, which are X's.
 Rank deficiency is a hard error, never silently regularized.
 
 A fit or a prediction resolves its spec's column names to panel rows once
-(``AlignedPanel.by_name``) and gathers them in one fancy-index take; the design handed to ``@`` is
-the C-contiguous (n_rows, n_coef) array ``np.column_stack`` would build,
-because BLAS rounds strided operands differently.
+(``AlignedPanel.by_name``) and gathers them in one fancy-index take; the
+design handed to ``@`` is the C-contiguous (n_rows, n_coef) array
+``np.column_stack`` would build, because BLAS rounds strided operands
+differently.
 
 Each formula and each check is written once, for a stack of designs:
 ``fit_stack`` and ``predict_stack`` fit and predict same-shape specs in one

@@ -26,10 +26,13 @@ writes file by file into a directory they may share.
 ``json_bytes`` writes the bytes ``json.dumps(document, indent=2)`` writes,
 ASCII with a trailing newline, through its own encoder: CPython's C encoder
 does not indent, and its pure-Python one spends most of a large report on
-per-float calls. A list of floats is joined from ``float.__repr__`` in one
-pass, a ``Floats`` or ``Record`` from its texts, strings go through json's
-``encode_basestring_ascii``, and ``NaN`` and ``Infinity`` are spelled as
-json spells them.
+per-float calls. The encoder looks a value's exact type up first and falls
+back to isinstance for a subclass. A list's first item picks the one
+one-pass join that is tried: floats joined from ``float.__repr__``,
+strings through json's ``encode_basestring_ascii``, or ``Record``s, each
+from its texts; a list none of them fits is encoded item by item, and no
+exception is raised to find that out. A ``Floats`` brings its joined text,
+and ``NaN`` and ``Infinity`` are spelled as json spells them.
 """
 
 from __future__ import annotations

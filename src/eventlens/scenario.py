@@ -101,7 +101,6 @@ WINDOW_NAMES = (
     "projection_window",
 )
 SCENARIO_KEYS = ("universe", "feature_specs", *WINDOW_NAMES, "projection_mode")
-_name = attrgetter("name")
 
 
 @dataclass(frozen=True)
@@ -368,7 +367,8 @@ def projection_features(
     window's trading dates, cycling the source rows when the projection
     window is longer.
     """
-    missing = next(filterfalse(panel.by_name.__contains__, map(_name, spec.features)), None)
+    names = map(attrgetter("name"), spec.features)
+    missing = next(filterfalse(panel.by_name.__contains__, names), None)
     if missing is not None:
         raise PanelError(f"unknown column {missing}")
     return _feature_rows(panel, config)

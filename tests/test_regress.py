@@ -82,6 +82,29 @@ def test_spec_rejects_target_as_feature():
         FeatureSpec(target=Y, features=(X1, Y))
 
 
+@pytest.mark.parametrize(
+    "target, features, message",
+    [
+        (Y, (X1, X2, X1), "duplicate feature columns for Y.close"),
+        # Same symbol, other field: a name differs where a key does.
+        (Y, (ColumnKey("Y", BarField.OPEN), X1), None),
+        (Y, (X1, Y), "target Y.close may not be its own feature"),
+        # Both faults: the duplicate is named first.
+        (Y, (Y, X1, Y), "duplicate feature columns for Y.close"),
+        # Equal keys built apart are one column.
+        (Y, (X1, ColumnKey("X1", BarField.CLOSE)), "duplicate feature columns for Y.close"),
+        (Y, (X1, ColumnKey("Y", BarField.CLOSE)), "target Y.close may not be its own feature"),
+    ],
+)
+def test_spec_names_duplicate_features_before_the_target_as_a_feature(target, features, message):
+    if message is None:
+        assert FeatureSpec(target=target, features=features).features == features
+        return
+    with pytest.raises(ConfigError) as info:
+        FeatureSpec(target=target, features=features)
+    assert str(info.value) == message
+
+
 def test_spec_requires_close_target():
     with pytest.raises(ConfigError, match="close"):
         FeatureSpec(target=ColumnKey("Y", BarField.HIGH), features=(X1,))
@@ -168,6 +191,22 @@ def test_predict_hand_derived_model_at_zero():
     model = fit_ols(panel, FeatureSpec(target=Y, features=(X1,)))
     at_zero = panel_from({X1: [0.0], Y: [0.0]})
     np.testing.assert_allclose(predict(model, at_zero), [7.0 / 6.0], atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec, missing",
+    [
+        (FeatureSpec(target=Y, features=(X1, X3, X4)), "X3.close"),
+        (FeatureSpec(target=ColumnKey("Z", BarField.CLOSE), features=(X3, X1)), "Z.close"),
+        (FeatureSpec(target=Y, features=(ColumnKey("X1", BarField.OPEN), X1)), "X1.open"),
+    ],
+    ids=["first-missing-feature", "target-before-features", "other-field"],
+)
+def test_fit_ols_names_the_first_unknown_column_target_first(spec, missing):
+    panel = panel_from({X1: [1.0, 2.0, 4.0], X2: [1.0, 0.0, 2.0], Y: [2.0, 4.0, 6.0]})
+    with pytest.raises(FitError) as info:
+        fit_ols(panel, spec)
+    assert str(info.value) == f"unknown column {missing}"
 
 
 def test_predict_missing_feature_column():

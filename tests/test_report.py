@@ -417,6 +417,30 @@ def test_json_bytes_equals_indented_json_dumps(document):
     assert json_bytes(document) == (json.dumps(document, indent=2) + "\n").encode("ascii")
 
 
+# What the encoder joins in one pass, or rejects by a list's first item:
+# Record lists, empty Records among them, mixed with other values; lists
+# whose first item is a float or a str and whose later items are not; and
+# np.float64 and bool items, which json.dumps reads as a float and a bool.
+RECORDS = st.dictionaries(TEXT, SCALARS, max_size=4).map(
+    lambda d: Record(d, d.values(), [json.dumps(value) for value in d.values()])
+)
+ITEMS = SCALARS | FLOATS.map(np.float64) | RECORDS | CARRIED | st.lists(SCALARS, max_size=3)
+ONE_PASS_LISTS = (
+    st.lists(RECORDS, min_size=1)
+    | st.lists(RECORDS | ITEMS, min_size=1)
+    | st.tuples(FLOATS | FLOATS.map(np.float64) | TEXT, st.lists(ITEMS)).map(
+        lambda pair: [pair[0], *pair[1]]
+    )
+    | st.lists(FLOATS | FLOATS.map(np.float64) | st.booleans(), min_size=1)
+)
+
+
+@settings(deadline=None)
+@given(ONE_PASS_LISTS | st.dictionaries(TEXT, ONE_PASS_LISTS, max_size=3))
+def test_json_bytes_equals_json_dumps_on_one_pass_lists(document):
+    assert json_bytes(document) == (json.dumps(document, indent=2) + "\n").encode("ascii")
+
+
 @pytest.mark.parametrize(
     "document", [np.int64(1), {1: 2.0}, [1.0, {"a": {2.0}}], b"x", [np.float32(1.0)]]
 )

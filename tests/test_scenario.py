@@ -187,6 +187,53 @@ def test_config_from_json_refuses_an_unknown_key(edit, message):
     assert str(info.value) == message
 
 
+def two_spec_document() -> dict:
+    """A config document of two specs that share their feature names."""
+    document = config_to_json_dict(linear_config(universe=tuple(map(make_instrument, "XYZ"))))
+    document["feature_specs"] = [
+        {"target": "Y.close", "features": ["X.close", "Z.close", "X.open"]},
+        {"target": "Z.close", "features": ["X.close", "Y.close", "X.high"]},
+    ]
+    return document
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        # The first bad name in document order is named, whichever comes later.
+        ([(0, 2, "X.volume"), (1, 1, 7)], "unknown bar field in column name 'X.volume'"),
+        ([(0, 1, 7), (1, 2, "X.volume")], "column name must be a string, got 7"),
+        ([(1, 0, "X.close"), (1, 2, "Q")], "column name must look like SYMBOL.field, got 'Q'"),
+        ([(0, 0, "X.closing"), (0, 1, None)], "unknown bar field in column name 'X.closing'"),
+        ([(1, 1, None), (1, 2, "X.bid")], "column name must be a string, got None"),
+        # A name that is not hashable fails its lookup, as at the first bad name.
+        ([(1, 1, ["X.close"]), (1, 2, "X.bid")], "malformed scenario config: unhashable type: 'list'"),
+        ([(0, 1, "X.bid"), (1, 1, ["X.close"])], "unknown bar field in column name 'X.bid'"),
+        # A spec's target comes before its features (position None is the target).
+        ([(1, 0, 7), (1, None, "Z.bid")], "unknown bar field in column name 'Z.bid'"),
+    ],
+)
+def test_config_from_json_names_the_first_bad_feature_name_in_document_order(edits, message):
+    document = two_spec_document()
+    for spec, position, name in edits:
+        entry = document["feature_specs"][spec]
+        if position is None:
+            entry["target"] = name
+        else:
+            entry["features"][position] = name
+    with pytest.raises(ConfigError) as info:
+        config_from_json_dict(document)
+    assert str(info.value) == message
+
+
+def test_config_from_json_shares_one_key_per_column_name():
+    config = config_from_json_dict(two_spec_document())
+    first, second = config.feature_specs
+    assert first.features[0] is second.features[0]
+    assert second.target is first.features[1]
+    assert [key.name for key in second.features] == ["X.close", "Y.close", "X.high"]
+
+
 @pytest.mark.parametrize("bound", ["start", "end"])
 @pytest.mark.parametrize("text", ["20220103", "2022-W01-1", "2022W011", "2022-W01"])
 def test_config_window_dates_must_be_in_yyyy_mm_dd_form(bound, text):
