@@ -24,8 +24,9 @@ The dates and the open, high, low and close cells are gathered, oldest
 first and each cell less its trailing zeros but the digit after its point,
 into the cache file's bytes in one take. ``_short_columns`` reads the
 dates and, when every quote is a short decimal (at most 16 bytes, digits
-around one point, from 1e-4 up), the quotes from their own digits: such a
-cell less its trailing zeros is what ``repr`` writes, so the file is the
+around one point, from 1e-4 up), the quotes from their own digits, eight a
+u64 lane by the fold both readers share (``_eight_digits``): such a cell
+less its trailing zeros is what ``repr`` writes, so the file is the
 series' own. A payload with a longer cell has its bytes proved instead by
 ``_proved_columns``, as ``load_csv`` proves a file. Either way
 ``RawSeries.from_csv_bytes`` returns the series carrying the file's
@@ -49,11 +50,13 @@ series it decodes, so ``RawSeries.digest`` is the SHA-256 of the file.
 ``_proved_columns`` shows that from the file's bytes in one numpy pass,
 with no ``float`` call, no split and no second serialization: each line is
 a ``YYYY-MM-DD`` date and four quote cells of digits around a point, each
-cell's digits are read as one exact integer, and exact float arithmetic
-proves the cell both what ``float`` reads and what ``repr`` writes for the
-float it returns. ``RawSeries.from_csv_bytes`` loads a file it proves with
-its digest seeded as the hash of the bytes, the one way a digest is seeded
-rather than computed. Any other file, one it cannot decide (a quote below
+cell's digits are read in place as one exact integer, eight a u64 lane,
+and exact float arithmetic proves the cell both what ``float`` reads and
+what ``repr`` writes for the float it returns; a file of short decimals
+(every integer below 10**15) needs only Clinger's fast path.
+``RawSeries.from_csv_bytes`` loads a file it proves with its digest seeded
+as the hash of the bytes, the one way a digest is seeded rather than
+computed. Any other file, one it cannot decide (a quote below
 1e-4 or from 1e16, an integer from 2**53, a cell at a rounding margin)
 among them, is walked row by row and loads only if the series it decodes
 writes it back byte for byte. The error names the
@@ -560,9 +563,11 @@ def _short_columns(
     15 significant digits, which a binary64 float round-trips (C's
     ``DBL_DIG``): less its trailing zeros, it is the shortest decimal that
     reads back as its float, what ``repr`` writes. Its digits are an integer
-    C below 10**15 and its fraction's length k at most 14, so C and 10**k
-    are floats exactly and fl(C / 10**k) is the float it reads (Clinger's
-    fast path). ``_proved_columns`` decides the cells this leaves."""
+    C below 10**15, read as two u64 lanes of eight digits by the fold
+    ``_proved_columns`` shares (``_eight_digits``), and its fraction's
+    length k at most 14, so C and 10**k are floats exactly and fl(C / 10**k)
+    is the float it reads (Clinger's fast path). ``_proved_columns``
+    decides the cells this leaves."""
     days = text[starts[:, :1] + _RAMP]
     if (ends[:, 0] - starts[:, 0] != 10).any() or ((days - _DAY_ZERO) > _DAY_LIMITS).any():
         return None
@@ -588,13 +593,9 @@ def _short_columns(
         return None
     if ((windows[cells, lead] == ord("0")) & (point > lead + 1)).any():
         return None
-    # Each half of 8 digits as an integer, its first digit in the lowest byte:
-    # digit pairs, then pairs of pairs, then the half (SWAR, no carries). The
-    # point read as a 0 sits 10**k up; C is the digits with it deleted.
-    halves = digits.view("<u8")
-    halves = (halves * 10 + (halves >> 8)) & 0x00FF00FF00FF00FF
-    halves = (halves * 100 + (halves >> 16)) & 0x0000FFFF0000FFFF
-    halves = (halves * 10000 + (halves >> 32)) & 0xFFFFFFFF
+    # Each half of 8 digits as an integer. The point read as a 0 sits 10**k
+    # up; C is the digits with it deleted.
+    halves = _eight_digits(digits.view("<u8"))
     whole = halves[:, 0] * 10**8 + halves[:, 1]
     k = 15 - point
     scale = _POWERS[k]
@@ -602,6 +603,18 @@ def _short_columns(
     if not (quotes >= 1e-4).all():
         return None
     return dates, quotes.reshape(-1, 4)
+
+
+def _eight_digits(lanes: np.ndarray) -> np.ndarray:
+    """Each u64 lane of eight digit values, its first digit in the lowest
+    byte, as the integer they write. Each step multiplies a lane by a
+    neighbour's place plus one and shifts, so every other slot holds digit
+    pairs, then pairs of pairs, then the lane: SWAR, no carries between
+    slots, and what wraps past 64 bits is above the slots kept (Lemire 2021,
+    *Number parsing at a gigabyte per second*)."""
+    lanes = (lanes * (10 << 8 | 1)) >> 8
+    lanes = ((lanes & 0x00FF00FF00FF00FF) * (100 << 16 | 1)) >> 16
+    return ((lanes & 0x0000FFFF0000FFFF) * (10000 << 32 | 1)) >> 32
 
 
 def _rows_holding(data: bytes, starts: np.ndarray, run: bytes) -> int:
@@ -676,17 +689,17 @@ _FIRST_DAY = np.datetime64("0001-01-01")
 _DAY_ZERO = np.frombuffer(b"0000-00-00", dtype=np.uint8)
 _DAY_LIMITS = np.array([9, 9, 9, 9, 0, 9, 9, 0, 9, 9], dtype=np.uint8)
 _RAMP = np.arange(10)
-# Row j keeps the last 16 - j bytes of a 16-byte window; 10**k as integers.
-_CELL_MASKS = np.array([[0] * j + [0xFF] * (16 - j) for j in range(17)], dtype=np.uint8)
-_POWERS = 10 ** np.arange(16, dtype=np.uint64)
 # A quote cell holds at most 23 digits ("0." and 22 fraction digits), read
-# in a window of whole pairs. ANDed with row j of the masks (j zeros, then
-# 0x0F), a window of ASCII keeps only the cell's digit values; the weights
-# read its last 7 pairs and the 5 before them as integers below 10**14.
+# in the 24 bytes that end it as three u64 lanes. ANDed with row (d, k) of
+# the masks, the window of a cell of d digits and k after its point keeps
+# each digit's value and zeroes the point and the bytes before the cell.
 _MAX_DIGITS = 23
-_DIGIT_MASKS = np.array([[0] * j + [0x0F] * (24 - j) for j in range(24)], dtype=np.uint8)
-_PAIR_WEIGHTS = np.zeros((2, 12))
-_PAIR_WEIGHTS[0, :5], _PAIR_WEIGHTS[1, 5:] = _TENS[8::-2], _TENS[12::-2]
+_LANE_MASKS = [[[15 * (23 - d <= j != 23 - k) for j in range(24)] for k in range(23)] for d in range(24)]
+_LANE_MASKS = np.array(_LANE_MASKS, dtype=np.uint8).view("<u8").reshape(-1, 3)
+# Row j keeps the last 16 - j bytes of a 16-byte window; 10**k as integers,
+# the exponent capped at 18.
+_CELL_MASKS = np.array([[0] * j + [0xFF] * (16 - j) for j in range(17)], dtype=np.uint8)
+_POWERS = (10 ** np.minimum(np.arange(_MAX_DIGITS), 18)).astype(np.uint64)
 
 
 def csv_bytes(header: Iterable[str], rows: Iterable[Iterable[str]]) -> bytes:
@@ -861,12 +874,24 @@ def _proved_columns(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
       year 0001, which datetime64[D] parses back to its own ``isoformat``,
       and a quote cell "I.F" has digits on each side of its point; I has no
       leading "0" unless it is "0".
-    - *Digits*: with the points deleted, each cell's digits, at most 23,
-      are its integer C, read in a window of whole digit pairs by two dot
-      products with powers of ten: of its last 14 digits and of the 10
-      before them. Every partial sum is an integer below 2**53, so each is
-      exact in any order. C must be below 10**17, and k = len(F) is at most
-      22, so 10**k is a float exactly. C is c + c_error, c = fl(C).
+    - *Digits*: each cell's last 24 bytes, its digits, at most 23, and its
+      point read as a 0, are three u64 lanes, each folded to the integer
+      below 10**8 its eight digits write (``_eight_digits``). W = l0 * 10**16
+      + l1 * 10**8 + l2 = I * 10**(k + 1) + F must be below 10**18 (l0 <
+      100), where k = len(F) is at most 22, so 10**k is a float exactly.
+      Then C = I * 10**k + F is (W + 9 * (W % 10**k)) / 10, exactly in u64;
+      10**k is capped at 10**18, above W, since I is 0 from k = 17 on.
+      W < 10**18 is C < 10**17 but where I is 0 and k is from 18; such a C
+      from 10**17 has 18 significant digits, which ``repr`` never writes,
+      and the shortest test below refuses it, half the spacing times 10**k
+      being above 5. C is c + c_error, c = fl(C), and c_error = C - c is
+      exact in int64.
+    - *Short decimals*: when every C is below 10**15, each cell has at most
+      15 significant digits. Then c / 10**k is the float x it reads
+      (Clinger's fast path), and no other decimal of at most 15 significant
+      digits reads back as x (``DBL_DIG``). So with x >= 1e-4, a cell that
+      ends in no "0", but as "I.0", is what ``repr`` writes; the steps below
+      are skipped.
     - *Float*: q = fl(c / 10**k) is correctly rounded where C = c
       (Clinger); its residual q * 10**k - C, from Dekker's product, moves it
       to x, whose residual r is summed from exact parts. Then ``float``
@@ -882,8 +907,8 @@ def _proved_columns(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
       and the nearest such: what ``repr`` writes (Steele and White's rule).
 
     Values out of range, integers from 2**53 and cells at a margin are left
-    undecided. Every step is an elementwise IEEE operation or a sum of
-    integers below 2**53, so the answer depends on no BLAS or SIMD kernel."""
+    undecided. Every step is an elementwise IEEE operation or exact integer
+    arithmetic, so the answer depends on no BLAS or SIMD kernel."""
     if not data.startswith(_CSV_HEAD) or not data.endswith(b"\n"):
         return None
     text = np.frombuffer(data, dtype=np.uint8)
@@ -902,29 +927,31 @@ def _proved_columns(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
         or ((text[rows[:, 2:-1:2] + 1] == ord("0")) & (gaps[:, 3::2] > 2)).any()
     ):
         return None
-    dates = text[rows[:, :1] + np.arange(-4, 6)].view("S10").ravel().astype("datetime64[D]")
+    dates = np.ndarray((len(data) - 9,), "S10", data, strides=(1,))[rows[:, 0] - 4].astype("datetime64[D]")
     k = (gaps[:, 4::2] - 1).ravel()
     lengths = k + (gaps[:, 3::2] - 1).ravel()
     del gaps
-    width = lengths.max()
-    if dates.min() < _FIRST_DAY or width > _MAX_DIGITS:
+    if dates.min() < _FIRST_DAY or lengths.max() > _MAX_DIGITS:
         return None
-    width += width % 2
-    # Each cell's last ``width`` bytes, the point deleted, read as digits;
-    # the header keeps the first window inside the file.
-    ends = rows[:, 4::2].ravel() - np.arange(1, 4 * n + 1)
-    windows = sliding_window_view(np.delete(text, rows[:, 3::2].ravel()), width)[ends - width]
-    del rows
-    windows &= _DIGIT_MASKS[width - lengths, :width]
-    del lengths, ends
-    pairs = (windows[:, ::2] * 10 + windows[:, 1::2]).astype(np.float64)
-    high, low = pairs @ _PAIR_WEIGHTS[0, -width // 2 :], pairs @ _PAIR_WEIGHTS[1, -width // 2 :]
-    del pairs
-    if high.max() >= 1000:  # C >= 10**17
+    # Each cell's last 24 bytes as three u64 lanes, masked to its digits'
+    # values with the point read as a 0; the header keeps the first window
+    # inside the file.
+    lanes = np.ndarray((len(data) - 23,), "V24", data, strides=(1,))[rows[:, 4::2].ravel() - 24]
+    lanes = lanes.view("<u8").reshape(-1, 3)
+    lanes &= _LANE_MASKS.take(lengths * _MAX_DIGITS + k, axis=0)
+    del rows, lengths
+    lanes = _eight_digits(lanes)
+    if lanes[:, 0].max() >= 100:  # W >= 10**18
         return None
-    high *= _TENS[14]
-    c = high + low
-    c_error = low - (c - high)  # C - fl(C), exactly (Fast2Sum)
+    whole = lanes[:, 0] * 10**16 + lanes[:, 1] * 10**8 + lanes[:, 2]
+    digits = ((whole + whole % _POWERS[k] * 9) // 10).view(np.int64)  # C, the point's 0 deleted
+    del lanes, whole
+    c, last = digits.astype(np.float64), digits % 10
+    if digits.max() < 10**15:
+        x = c / _TENS[k]
+        return (dates, x.reshape(n, 4)) if ((x >= 1e-4) & ((last != 0) | (k == 1))).all() else None
+    c_error = (digits - c.astype(np.int64)).astype(np.float64)  # C - fl(C), exactly
+    del digits
     tens = _TENS_TABLE.take(k, axis=1)
     q = c / tens[0]
     hi, lo = _product(q, tens)
@@ -932,7 +959,6 @@ def _proved_columns(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     hi, lo = _product(x, tens)
     part = (hi - c) - c_error  # exact: Sterbenz's lemma, then integers
     r = part + lo  # x * 10**k - C
-    last = windows[:, -1]
     mantissa, exponent = np.frexp(x)
     # x = m * 2**e with 0.5 <= m < 1 is ulp(x) = 2**(e - 53) below the float
     # above it, and twice as far from the float below when m is 0.5.
@@ -1065,16 +1091,15 @@ def fetch_universe(
 
 
 # The most bytes of cache files ``fetch_universe`` proves in one call, when
-# the files are of one size. Each call costs about 75 us however few rows it
-# proves, and holds 15-37 bytes of temporaries a byte of text (tracemalloc;
-# the fewer digits a cell, the more). On the benchmark's files (82 bytes a
-# row) 64 KiB is 790 rows and peaks at 0.98 MB, below the 1.29 MB of one
-# 989-row wide file, and 700-row paper files and wide's are still proved
-# one per call. Measured in process on a 2-vCPU AVX-512 host (medians of 31
-# alternating rounds), dense's 56 files of 100 rows (seed 41) loaded in 19.8
-# ms one per call, 12.4 ms at 48 KiB, 11.4 ms at 64 KiB and 13.3 ms at 96
-# KiB, where more of the temporaries are handed back to the system after
-# each call and faulted in again.
+# the files are of one size. Each call costs 55-90 us however few rows it
+# proves, and holds 8-16 bytes of temporaries a byte of text (tracemalloc;
+# the fewer digits a cell, the more). On the benchmark's files (82-85 bytes
+# a row) 64 KiB is 700-790 rows and peaks near 0.47 MB, below the 0.67 MB
+# of one 989-row wide file, and 700-row paper files and wide's are still
+# proved one per call. Measured in process on a 2-vCPU AVX-512 host (medians
+# of 31 alternating rounds), dense's 56 files of 100 rows (seed 41) are
+# proved in 12.0 ms one per call, 6.9 ms at 48 KiB, 6.4 ms at 64 KiB and
+# 6.1 ms at 96 KiB, whose batches peak above one wide file.
 LOAD_BATCH_BYTES = 64 * 1024
 
 

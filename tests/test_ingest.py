@@ -2126,7 +2126,7 @@ from decimal import (  # noqa: E402
     Decimal,
 )
 
-from eventlens.ingest import CSV_HEADER, _proved_columns, csv_bytes  # noqa: E402
+from eventlens.ingest import _MAX_DIGITS, CSV_HEADER, _product, _proved_columns, csv_bytes  # noqa: E402
 
 from conftest import SYNTHETIC_DIR  # noqa: E402
 
@@ -2401,6 +2401,89 @@ def test_a_cell_of_18_significant_digits_is_refused_as_the_walk_refuses_it(tmp_p
     assert proved(path.read_bytes()) is None
     with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}:2: not canonical: "):
         load_csv(path, GOLD)
+
+
+@st.composite
+def lane_cells(draw) -> str:
+    """A cell of 1 to 23 digits with its point anywhere, the ends included:
+    drawn digits, a run of nines or a power of ten (the bounds of C), "0."
+    and up to 22 fraction digits, or repr's text of a float."""
+    count = draw(st.integers(1, _MAX_DIGITS))
+    digits = draw(
+        st.one_of(
+            st.text(DIGITS, min_size=count, max_size=count),
+            st.just("9" * count),
+            st.just("1" + "0" * (count - 1)),
+            st.text(DIGITS, min_size=count - 1, max_size=count - 1).map("0".__add__),
+        )
+    )
+    point = draw(st.integers(0, count))
+    cell = f"{digits[:point]}.{digits[point:]}"
+    return draw(st.one_of(st.just(cell), st.floats(1e-4, 1e16, exclude_max=True).map(repr)))
+
+
+def walked_or_none(path: Path, data: bytes) -> RawSeries | None:
+    """The series ``_walk_rows`` reads from ``data``, or None if it names an error."""
+    try:
+        return RawSeries(GOLD, *_walk_rows(path, data.decode("ascii")))
+    except EventLensError:
+        return None
+
+
+@settings(deadline=None)
+@given(cells=st.lists(lane_cells(), min_size=1, max_size=4))
+# The point at the edges of the three lanes: window bytes 7, 8, 15 and 16.
+@example(cells=["0.1234567890123456"])
+@example(cells=["0.123456789012345"])
+@example(cells=["12345678.1234567", "1234567.12345678"])
+@example(cells=["0." + "0" * 21 + "1", "0." + "1234567890" * 2 + "12", "0.1"])
+@example(cells=["0.0001234567890123456789", "0.00012345678901234567"])
+# C = 10**17 - 1 against 10**17, on each side of k = 17.
+@example(cells=["0.99999999999999999", "1.0000000000000000"])
+@example(cells=["0.099999999999999999", "0.100000000000000000"])
+# 18 digits whose W, with the point read as a 0, reaches 10**18.
+@example(cells=["1.00000000000000000", "10.0000000000000000"])
+@example(cells=["100000000000000000.0", "99999999999999999.9"])
+# 18 significant digits read as 17 if the point's 0 were deleted too high.
+@example(cells=["0.100000000000000002"])
+# A W of 23 digits that is 10000007 modulo 2**64.
+@example(cells=["100092033343948.37068423"])
+# 16 significant digits: repr writes 9.000000000000002 for this one.
+@example(cells=["9.000000000000001", "1.5"])
+def test_the_lane_read_proves_a_cell_only_as_the_walk_reads_and_repr_writes_it(cells):
+    # One row of four copies per cell, so every bar holds. The proof accepts a
+    # file exactly when the walk reads it and writes it back, but for an
+    # "I.0" cell from 2**53, which it leaves undecided.
+    days = [(dt.date(2022, 1, 3) + dt.timedelta(days=i)).isoformat() for i in range(len(cells))]
+    data = csv_file([cell for cell in cells for _ in range(4)], days)
+    columns = proved(data)
+    walked = walked_or_none(Path("GOLD.csv"), data)
+    canonical = walked is not None and series_to_csv_bytes(walked) == data
+    undecided = any(cell.endswith(".0") and float(cell) >= 2**53 for cell in cells)
+    assert (columns is not None) == (canonical and not undecided)
+    if columns is not None:
+        assert np.array_equal(columns[0], walked.dates)
+        assert columns[1].tobytes() == walked.quotes.tobytes()
+
+
+def test_a_file_of_short_decimals_loads_without_the_dekker_steps_as_the_walk_reads_it(tmp_path):
+    # Every integer below 10**15: Clinger's fast path alone, which a file
+    # with a longer cell does not take.
+    rows = quoted_days(lambda q: repr(round(q, 4)), 40, seed=7)
+    data = csv_bytes((CSV_HEADER,), [[day, *quotes] for day, quotes in reversed(rows.items())])
+    path = tmp_path / "GOLD.csv"
+    path.write_bytes(data)
+    with (
+        mock.patch.object(eventlens.ingest, "_product", wraps=_product) as product,
+        mock.patch.object(eventlens.ingest, "_walk_rows", wraps=_walk_rows) as walk,
+    ):
+        loaded = load_csv(path, GOLD)
+        assert not product.called and not walk.called
+        assert proved(csv_file(["0.1234567890123456"])) is not None
+        assert product.called
+    walked = walked_or_none(path, data)
+    assert loaded == walked
+    assert loaded.digest == walked.digest == hashlib.sha256(data).hexdigest()
 
 
 # --- batched cache loads ---------------------------------------------------------
