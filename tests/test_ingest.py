@@ -2438,12 +2438,13 @@ def walked_or_none(path: Path, data: bytes) -> RawSeries | None:
 @example(cells=["12345678.1234567", "1234567.12345678"])
 @example(cells=["0." + "0" * 21 + "1", "0." + "1234567890" * 2 + "12", "0.1"])
 @example(cells=["0.0001234567890123456789", "0.00012345678901234567"])
-# C = 10**17 - 1 against 10**17, on each side of k = 17.
-@example(cells=["0.99999999999999999", "1.0000000000000000"])
+# C = 10**17 - 1 against 10**17, with k = 16, 17 and 18. The second cells of
+# the first two are 18 digits whose W, with the point read as a 0, is
+# 10**18; then an 18-digit cell whose W is above it, and one of 19 digits.
+@example(cells=["9.9999999999999999", "10.0000000000000000"])
+@example(cells=["0.99999999999999999", "1.00000000000000000"])
 @example(cells=["0.099999999999999999", "0.100000000000000000"])
-# 18 digits whose W, with the point read as a 0, reaches 10**18.
-@example(cells=["1.00000000000000000", "10.0000000000000000"])
-@example(cells=["100000000000000000.0", "99999999999999999.9"])
+@example(cells=["99999999999999999.9", "100000000000000000.0"])
 # 18 significant digits read as 17 if the point's 0 were deleted too high.
 @example(cells=["0.100000000000000002"])
 # A W of 23 digits that is 10000007 modulo 2**64.
